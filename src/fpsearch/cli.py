@@ -59,7 +59,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.out is not None:
             mapping["output.dir"] = args.out
         cfg = build_config(args.experiment, mapping)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

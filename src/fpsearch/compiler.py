@@ -176,7 +176,6 @@ def compile_algorithm(
     system: SpinSystem,
     style: str = "naive",
     use_virtual_z: bool = False,
-    max_order: int = search.MAX_ORDER,
 ) -> PulseSequence:
     """Compile the order-r search operator into a pulse sequence.
 
@@ -191,7 +190,7 @@ def compile_algorithm(
     origin = search.origin_spec(oracle.n, oracle.phase)
     events: list[PulseEvent] = []
     spans: list[GateSpan] = []
-    for gate in search.expand_gate_list(r, max_order):
+    for gate in search.expand_gate_list(r):
         gate_events = _local_merge(
             _gate_events(gate, oracle, origin, system, use_virtual_z)
         )

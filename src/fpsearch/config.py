@@ -1,29 +1,32 @@
-"""Flat key=value experiment configuration with per-experiment schemas.
+"""Flat key=value experiment configuration with one typed config per experiment.
 
 The format is deliberately rigid: one ``key = value`` pair per line, ``#``
 comments, dotted section names, no nesting. Every experiment declares the
 exact keys it accepts; unknown or inapplicable keys are hard errors, since
 a silently ignored typo would corrupt a sweep.
+
+Each experiment's config is a frozen dataclass whose keyed fields declare
+their config key, default text, help text and a parser that returns the
+final validated value. Rules that relate two keys live in ``__post_init__``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Callable
 
+from .compiler import STYLES
 from .pulses import SpinSystem
 from .search import MAX_ORDER, OracleSpec, all_oracles
 
-EXPERIMENT_NAMES = (
-    "table1",
-    "k1-curves",
-    "k2-curves",
-    "robustness",
-    "bb1-scaling",
-    "spectra",
-)
+# Resource caps, enforced before anything is allocated. The defaults and
+# the benchmark workloads stay far below them.
+MAX_FREQ_POINTS = 100001
+MAX_EPS_POINTS = 1000
+MAX_GRID_VALUES = 64
 
 
 class ConfigError(ValueError):
@@ -71,7 +74,7 @@ def config_hash(mapping: dict[str, str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# value parsers
+# value parsers: each returns a final, validated value or raises ConfigError
 
 def _float(s: str) -> float:
     try:
@@ -83,276 +86,257 @@ def _float(s: str) -> float:
     return v
 
 
-def _int(s: str) -> int:
-    try:
-        return int(s)
-    except ValueError:
-        raise ConfigError(f"not an integer: {s!r}") from None
+def _positive(s: str) -> float:
+    v = _float(s)
+    if not v > 0:
+        raise ConfigError(f"must be positive, got {s}")
+    return v
 
 
-def _float_list(s: str) -> tuple[float, ...]:
-    items = [x.strip() for x in s.split(",") if x.strip()]
-    if not items:
-        raise ConfigError("empty number list")
-    return tuple(_float(x) for x in items)
+def _error(s: str) -> float:
+    """A systematic error fraction."""
+    e = _float(s)
+    if not abs(e) < 1.0:
+        raise ConfigError(f"error fraction {e} must satisfy |e| < 1")
+    return e
 
 
-def _str_list(s: str) -> tuple[str, ...]:
+def _int_in(lo: int, hi: int, what: str = "value") -> Callable[[str], int]:
+    def parse(s: str) -> int:
+        try:
+            v = int(s)
+        except ValueError:
+            raise ConfigError(f"not an integer: {s!r}") from None
+        if not lo <= v <= hi:
+            raise ConfigError(f"{what} {v} outside {lo}..{hi}")
+        return v
+
+    return parse
+
+
+def _items(s: str) -> list[str]:
     items = [x.strip() for x in s.split(",") if x.strip()]
     if not items:
         raise ConfigError("empty list")
-    return tuple(items)
+    if len(items) > MAX_GRID_VALUES:
+        raise ConfigError(f"{len(items)} entries, more than {MAX_GRID_VALUES}")
+    return items
+
+
+def _error_list(s: str) -> tuple[float, ...]:
+    return tuple(_error(x) for x in _items(s))
+
+
+_order = _int_in(0, MAX_ORDER, "recursion order")
 
 
 def _orders(s: str) -> tuple[int | None, ...]:
     """Recursion orders; ``inf`` selects the direct target preparation."""
-    out: list[int | None] = []
-    for item in _str_list(s):
-        if item == "inf":
-            out.append(None)
-        else:
-            r = _int(item)
-            if r < 0:
-                raise ConfigError(f"recursion order must be nonnegative: {item}")
-            out.append(r)
-    return tuple(out)
+    return tuple(None if x == "inf" else _order(x) for x in _items(s))
 
 
-def _matching_sets(s: str, k: int) -> tuple[OracleSpec, ...]:
-    """Matching-set selection: ``all`` or sets like ``00+01;10+01``."""
+def _style(s: str) -> str:
+    if s not in STYLES:
+        raise ConfigError(f"unknown pulse style {s!r}")
+    return s
+
+
+def _styles(s: str) -> tuple[str, ...]:
+    return tuple(_style(x) for x in _items(s))
+
+
+def _matching(s: str) -> tuple[OracleSpec, ...]:
+    """Matching sets like ``00+01;10+01``; ``all`` parses to ``()``, which
+    the config resolves to every set of its oracle size."""
     if s == "all":
-        return all_oracles(2, k)
+        return ()
     specs = []
     for group in s.split(";"):
         states = frozenset(x.strip() for x in group.split("+") if x.strip())
         if not states:
             raise ConfigError(f"empty matching set in {s!r}")
         try:
-            spec = OracleSpec(2, states)
+            specs.append(OracleSpec(2, states))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+    return tuple(specs)
+
+
+def _oracles_of_size(specs: tuple[OracleSpec, ...], k: int) -> tuple[OracleSpec, ...]:
+    for spec in specs:
         if spec.k != k:
             raise ConfigError(
                 f"matching set {spec.label()} has {spec.k} states, expected {k}"
             )
-        specs.append(spec)
-    return tuple(specs)
+    return specs or all_oracles(2, k)
+
+
+def _representative(k: int) -> Callable[[str], OracleSpec]:
+    return lambda s: _oracles_of_size(_matching(s), k)[0]
 
 
 # ---------------------------------------------------------------------------
-# schemas
+# per-experiment configs
 
-@dataclass(frozen=True)
-class Field:
-    default: str
-    parse: Callable[[str], object]
-    help: str = ""
-
-
-_SYSTEM_FIELDS = {
-    "system.j": Field("194.8", _float, "scalar coupling in Hz"),
-    "system.t90": Field("15e-6", _float, "nominal 90-degree pulse time in s"),
-    "system.t2_h": Field("1.2", _float, "proton T2 in s"),
-    "system.t2_c": Field("0.6", _float, "carbon T2 in s"),
-}
-
-_OUT_FIELD = {"output.dir": Field("out", str, "output directory")}
-
-SCHEMAS: dict[str, dict[str, Field]] = {
-    "table1": {
-        **_OUT_FIELD,
-        "r.max": Field("4", _int, "largest recursion order row"),
-        "oracle.k1": Field("11", str, "representative single matching state"),
-        "oracle.k2": Field("00+01", str, "representative pair of matching states"),
-    },
-    "k1-curves": {
-        **_OUT_FIELD,
-        **_SYSTEM_FIELDS,
-        "oracle.matching": Field("all", str, "matching sets, e.g. 00;01 or all"),
-        "r.max": Field("3", _int, "largest recursion order"),
-        "style": Field("naive,bb1", _str_list, "pulse styles to run"),
-        "error.eps": Field("0", _float, "rf amplitude error on both channels"),
-        "error.delta_j": Field("0", _float, "fractional coupling miscalibration"),
-    },
-    "k2-curves": {
-        **_OUT_FIELD,
-        **_SYSTEM_FIELDS,
-        "oracle.matching": Field("all", str, "matching sets, e.g. 00+01;10+01"),
-        "r.max": Field("3", _int, "largest recursion order"),
-        "style": Field("naive", _str_list, "pulse styles to run"),
-        "error.eps": Field("0", _float, "rf amplitude error on both channels"),
-        "error.delta_j": Field("0", _float, "fractional coupling miscalibration"),
-    },
-    "robustness": {
-        **_OUT_FIELD,
-        **_SYSTEM_FIELDS,
-        "oracle.matching": Field("all", str, "single-match sets to sweep"),
-        "r.max": Field("3", _int, "largest recursion order"),
-        "error.eps": Field("0,0.02,0.05,0.1", _float_list, "rf error grid"),
-        "error.delta_j": Field("0,0.05", _float_list, "coupling error grid"),
-    },
-    "bb1-scaling": {
-        **_OUT_FIELD,
-        **_SYSTEM_FIELDS,
-        "oracle.matching": Field("11", str, "single-match set for r=0 success"),
-        "eps.min": Field("1e-3", _float, "smallest rf error"),
-        "eps.max": Field("1e-2", _float, "largest rf error"),
-        "eps.points": Field("8", _int, "log-spaced grid size"),
-    },
-    "spectra": {
-        **_OUT_FIELD,
-        **_SYSTEM_FIELDS,
-        "oracle.k": Field("1", _int, "number of matching states (1 or 2)"),
-        "oracle.matching": Field("all", str, "matching sets"),
-        "r.values": Field("0,1,2,3,inf", _orders, "orders per panel column"),
-        "style": Field("naive", str, "pulse style"),
-        "error.eps": Field("0", _float, "rf amplitude error on both channels"),
-        "error.delta_j": Field("0", _float, "fractional coupling miscalibration"),
-        # T2-limited lines are a fraction of a Hz wide; the default grid
-        # spacing of 0.1 Hz keeps sampled peak heights within ~12 percent
-        "freq.span": Field("150", _float, "half-width of the frequency grid in Hz"),
-        "freq.points": Field("3001", _int, "number of grid points"),
-    },
-}
+def _key(name: str, default: str, parse: Callable[[str], object], help: str):
+    """A config field read from key ``name``."""
+    return field(
+        metadata={"key": name, "default": default, "parse": parse, "help": help}
+    )
 
 
-@dataclass(frozen=True)
+def _keyed_fields(cls: type) -> list:
+    return [f for f in fields(cls) if "key" in f.metadata]
+
+
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """A validated experiment: effective key=value mapping plus typed views."""
+    """A validated experiment: the effective key=value mapping plus typed fields."""
 
     experiment: str
     mapping: dict[str, str]
-    out_dir: str
-    system: SpinSystem = SpinSystem()
-    oracles: tuple[OracleSpec, ...] = ()
-    r_max: int = 0
-    r_values: tuple[int | None, ...] = ()
-    styles: tuple[str, ...] = ()
-    eps: float = 0.0
-    delta_j: float = 0.0
-    eps_values: tuple[float, ...] = ()
-    delta_j_values: tuple[float, ...] = ()
-    eps_min: float = 0.0
-    eps_max: float = 0.0
-    eps_points: int = 0
-    oracle_k: int = 1
-    freq_span: float = 0.0
-    freq_points: int = 0
-    table_k1: OracleSpec | None = None
-    table_k2: OracleSpec | None = None
+    out_dir: str = _key("output.dir", "out", str, "output directory")
 
     def hash(self) -> str:
         return config_hash(self.mapping)
 
 
-def default_mapping(experiment: str) -> dict[str, str]:
-    schema = _schema_for(experiment)
-    return {key: f.default for key, f in schema.items()}
+@dataclass(frozen=True, kw_only=True)
+class Table1Config(ExperimentConfig):
+    r_max: int = _key("r.max", "4", _order, "largest recursion order row")
+    table_k1: OracleSpec = _key(
+        "oracle.k1", "11", _representative(1), "representative single matching state"
+    )
+    table_k2: OracleSpec = _key(
+        "oracle.k2", "00+01", _representative(2), "representative matching pair"
+    )
 
 
-def _schema_for(experiment: str) -> dict[str, Field]:
-    if experiment not in SCHEMAS:
+@dataclass(frozen=True, kw_only=True)
+class PulseConfig(ExperimentConfig):
+    """Base of the pulse-level experiments: the spin system and the oracles."""
+
+    J: float = _key("system.j", "194.8", _positive, "scalar coupling in Hz")
+    t90: float = _key("system.t90", "15e-6", _positive, "90-degree pulse time in s")
+    T2_H: float = _key("system.t2_h", "1.2", _positive, "proton T2 in s")
+    T2_C: float = _key("system.t2_c", "0.6", _positive, "carbon T2 in s")
+    oracle_k: int = 1
+    oracles: tuple[OracleSpec, ...] = _key(
+        "oracle.matching", "all", _matching, "matching sets, e.g. 00;01 or all"
+    )
+
+    def __post_init__(self) -> None:
+        try:
+            oracles = _oracles_of_size(self.oracles, self.oracle_k)
+        except ConfigError as exc:
+            raise ConfigError(f"oracle.matching: {exc}") from None
+        object.__setattr__(self, "oracles", oracles)
+
+    @cached_property
+    def system(self) -> SpinSystem:
+        return SpinSystem(J=self.J, t90=self.t90, T2_H=self.T2_H, T2_C=self.T2_C)
+
+
+@dataclass(frozen=True, kw_only=True)
+class CurvesConfig(PulseConfig):
+    r_max: int = _key("r.max", "3", _order, "largest recursion order")
+    styles: tuple[str, ...] = _key("style", "naive,bb1", _styles, "pulse styles to run")
+    eps: float = _key("error.eps", "0", _error, "rf amplitude error on both channels")
+    delta_j: float = _key("error.delta_j", "0", _error, "coupling miscalibration")
+
+
+@dataclass(frozen=True, kw_only=True)
+class RobustnessConfig(PulseConfig):
+    r_max: int = _key("r.max", "3", _order, "largest recursion order")
+    eps_values: tuple[float, ...] = _key(
+        "error.eps", "0,0.02,0.05,0.1", _error_list, "rf error grid"
+    )
+    delta_j_values: tuple[float, ...] = _key(
+        "error.delta_j", "0,0.05", _error_list, "coupling error grid"
+    )
+
+
+@dataclass(frozen=True, kw_only=True)
+class Bb1ScalingConfig(PulseConfig):
+    oracles: tuple[OracleSpec, ...] = _key(
+        "oracle.matching", "11", _matching, "single-match set for r=0 success"
+    )
+    eps_min: float = _key("eps.min", "1e-3", _float, "smallest rf error")
+    eps_max: float = _key("eps.max", "1e-2", _float, "largest rf error")
+    eps_points: int = _key(
+        "eps.points", "8", _int_in(2, MAX_EPS_POINTS), "log-spaced grid size"
+    )
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not 1e-3 <= self.eps_min < self.eps_max <= 1e-1:
+            raise ConfigError("eps grid must satisfy 1e-3 <= min < max <= 1e-1")
+
+
+@dataclass(frozen=True, kw_only=True)
+class SpectraConfig(PulseConfig):
+    oracle_k: int = _key("oracle.k", "1", _int_in(1, 2), "number of matching states")
+    r_values: tuple[int | None, ...] = _key(
+        "r.values", "0,1,2,3,inf", _orders, "orders per panel column"
+    )
+    styles: tuple[str, ...] = _key(
+        "style", "naive", lambda s: (_style(s),), "the one pulse style"
+    )
+    eps: float = _key("error.eps", "0", _error, "rf amplitude error on both channels")
+    delta_j: float = _key("error.delta_j", "0", _error, "coupling miscalibration")
+    # T2-limited lines are a fraction of a Hz wide; the default grid
+    # spacing of 0.1 Hz keeps sampled peak heights within ~12 percent
+    freq_span: float = _key("freq.span", "150", _positive, "grid half-width in Hz")
+    freq_points: int = _key(
+        "freq.points", "3001", _int_in(2, MAX_FREQ_POINTS), "number of grid points"
+    )
+
+
+# experiment -> (config class, default text overrides by key, fixed field values)
+CONFIGS: dict[str, tuple[type[ExperimentConfig], dict[str, str], dict[str, object]]] = {
+    "table1": (Table1Config, {}, {}),
+    "k1-curves": (CurvesConfig, {}, {"oracle_k": 1}),
+    "k2-curves": (CurvesConfig, {"style": "naive"}, {"oracle_k": 2}),
+    "robustness": (RobustnessConfig, {}, {}),
+    "bb1-scaling": (Bb1ScalingConfig, {}, {}),
+    "spectra": (SpectraConfig, {}, {}),
+}
+
+EXPERIMENT_NAMES = tuple(CONFIGS)
+
+
+def _entry(experiment: str):
+    if experiment not in CONFIGS:
         raise ConfigError(
             f"unknown experiment {experiment!r}; expected one of {EXPERIMENT_NAMES}"
         )
-    return SCHEMAS[experiment]
+    return CONFIGS[experiment]
+
+
+def default_mapping(experiment: str) -> dict[str, str]:
+    cls, defaults, _ = _entry(experiment)
+    return {
+        f.metadata["key"]: defaults.get(f.metadata["key"], f.metadata["default"])
+        for f in _keyed_fields(cls)
+    }
 
 
 def build_config(experiment: str, mapping: dict[str, str]) -> ExperimentConfig:
-    """Validate a raw mapping against the experiment schema."""
-    schema = _schema_for(experiment)
-    unknown = sorted(set(mapping) - set(schema))
+    """Validate a raw mapping against the experiment's config class."""
+    cls, _, fixed = _entry(experiment)
+    effective = default_mapping(experiment)
+    unknown = sorted(set(mapping) - set(effective))
     if unknown:
         raise ConfigError(
             f"unknown keys for {experiment}: {', '.join(unknown)} "
-            f"(allowed: {', '.join(sorted(schema))})"
+            f"(allowed: {', '.join(sorted(effective))})"
         )
-    effective = {**{k: f.default for k, f in schema.items()}, **mapping}
+    effective.update(mapping)
     values: dict[str, object] = {}
-    for key, f in schema.items():
+    for f in _keyed_fields(cls):
+        name = f.metadata["key"]
         try:
-            values[key] = f.parse(effective[key])
+            values[f.name] = f.metadata["parse"](effective[name])
         except ConfigError as exc:
-            raise ConfigError(f"{key}: {exc}") from None
-
-    kwargs: dict[str, object] = {
-        "experiment": experiment,
-        "mapping": effective,
-        "out_dir": str(values["output.dir"]),
-    }
-    if "system.j" in values:
-        kwargs["system"] = SpinSystem(
-            J=values["system.j"],
-            t90=values["system.t90"],
-            T2_H=values["system.t2_h"],
-            T2_C=values["system.t2_c"],
-        )
-
-    if experiment == "table1":
-        r_max = int(values["r.max"])
-        _check_order_cap(r_max)
-        kwargs["r_max"] = r_max
-        kwargs["table_k1"] = _matching_sets(str(values["oracle.k1"]), 1)[0]
-        kwargs["table_k2"] = _matching_sets(str(values["oracle.k2"]), 2)[0]
-    elif experiment in ("k1-curves", "k2-curves"):
-        k = 1 if experiment == "k1-curves" else 2
-        kwargs["oracle_k"] = k
-        kwargs["oracles"] = _matching_sets(str(values["oracle.matching"]), k)
-        kwargs["r_max"] = _check_order_cap(int(values["r.max"]))
-        kwargs["styles"] = _check_styles(values["style"])
-        kwargs["eps"] = _check_eps(float(values["error.eps"]))
-        kwargs["delta_j"] = _check_eps(float(values["error.delta_j"]))
-    elif experiment == "robustness":
-        kwargs["oracles"] = _matching_sets(str(values["oracle.matching"]), 1)
-        kwargs["r_max"] = _check_order_cap(int(values["r.max"]))
-        kwargs["eps_values"] = tuple(_check_eps(e) for e in values["error.eps"])
-        kwargs["delta_j_values"] = tuple(
-            _check_eps(d) for d in values["error.delta_j"]
-        )
-    elif experiment == "bb1-scaling":
-        kwargs["oracles"] = _matching_sets(str(values["oracle.matching"]), 1)
-        lo, hi, n = float(values["eps.min"]), float(values["eps.max"]), int(values["eps.points"])
-        if not 1e-3 <= lo < hi <= 1e-1:
-            raise ConfigError("eps grid must satisfy 1e-3 <= min < max <= 1e-1")
-        if n < 2:
-            raise ConfigError("eps.points must be at least 2")
-        kwargs["eps_min"], kwargs["eps_max"], kwargs["eps_points"] = lo, hi, n
-    elif experiment == "spectra":
-        k = int(values["oracle.k"])
-        if k not in (1, 2):
-            raise ConfigError("oracle.k must be 1 or 2")
-        kwargs["oracle_k"] = k
-        kwargs["oracles"] = _matching_sets(str(values["oracle.matching"]), k)
-        orders = values["r.values"]
-        for r in orders:
-            if r is not None:
-                _check_order_cap(r)
-        kwargs["r_values"] = orders
-        kwargs["styles"] = _check_styles((str(values["style"]),))
-        kwargs["eps"] = _check_eps(float(values["error.eps"]))
-        kwargs["delta_j"] = _check_eps(float(values["error.delta_j"]))
-        span, pts = float(values["freq.span"]), int(values["freq.points"])
-        if span <= 0 or pts < 2:
-            raise ConfigError("freq.span must be positive and freq.points >= 2")
-        kwargs["freq_span"], kwargs["freq_points"] = span, pts
-
-    return ExperimentConfig(**kwargs)  # type: ignore[arg-type]
-
-
-def _check_order_cap(r: int) -> int:
-    if not 0 <= r <= MAX_ORDER:
-        raise ConfigError(f"recursion order {r} outside 0..{MAX_ORDER}")
-    return r
-
-
-def _check_styles(styles) -> tuple[str, ...]:
-    for s in styles:
-        if s not in ("naive", "bb1"):
-            raise ConfigError(f"unknown pulse style {s!r}")
-    return tuple(styles)
-
-
-def _check_eps(e: float) -> float:
-    if not abs(e) < 1.0:
-        raise ConfigError(f"error fraction {e} must satisfy |e| < 1")
-    return e
+            raise ConfigError(f"{name}: {exc}") from None
+    return cls(experiment=experiment, mapping=effective, **fixed, **values)

@@ -16,7 +16,14 @@ import numpy as np
 
 from . import readout, svgplot
 from .compiler import compile_algorithm
-from .config import ExperimentConfig
+from .config import (
+    Bb1ScalingConfig,
+    CurvesConfig,
+    ExperimentConfig,
+    RobustnessConfig,
+    SpectraConfig,
+    Table1Config,
+)
 from .linalg import pure_density
 from .pulses import ErrorModel, PulseSequence, rf_pulse, bb1_expand, pulse_unitary
 from .pulses import NO_ERROR, SpinSystem, rotation_infidelity, sequence_unitary
@@ -101,7 +108,7 @@ def _estimated_success(
     return estimate_probability(spec, reference_spectrum(oracle, system), oracle)
 
 
-def run_table1(cfg: ExperimentConfig) -> list[Path]:
+def run_table1(cfg: Table1Config) -> list[Path]:
     """Closed-form and simulated success probabilities with query counts."""
     k1, k2 = cfg.table_k1, cfg.table_k2
     rows = []
@@ -125,7 +132,7 @@ def run_table1(cfg: ExperimentConfig) -> list[Path]:
     return [path]
 
 
-def run_curves(cfg: ExperimentConfig) -> list[Path]:
+def run_curves(cfg: CurvesConfig) -> list[Path]:
     """Success probability against recursion order, pulse level and closed form."""
     k = cfg.oracle_k
     error = ErrorModel(eps_H=cfg.eps, eps_C=cfg.eps, delta_J=cfg.delta_j)
@@ -182,7 +189,7 @@ def run_curves(cfg: ExperimentConfig) -> list[Path]:
     return [csv_path, svg_path]
 
 
-def run_robustness(cfg: ExperimentConfig) -> list[Path]:
+def run_robustness(cfg: RobustnessConfig) -> list[Path]:
     """Cube-law residuals across an (rf, coupling) error grid.
 
     The residual |(1-P_r) - (1-P_{r-1})^3| measures how far the pulse-level
@@ -236,7 +243,7 @@ def run_robustness(cfg: ExperimentConfig) -> list[Path]:
     return [csv_path, svg_path]
 
 
-def eps_grid(cfg: ExperimentConfig) -> list[float]:
+def eps_grid(cfg: Bb1ScalingConfig) -> list[float]:
     lo, hi, n = math.log10(cfg.eps_min), math.log10(cfg.eps_max), cfg.eps_points
     return [10.0 ** (lo + (hi - lo) * i / (n - 1)) for i in range(n)]
 
@@ -259,7 +266,7 @@ def fit_loglog_slope(xs: list[float], ys: list[float]) -> float:
     return float(np.polyfit(lx, ly, 1)[0])
 
 
-def run_bb1_scaling(cfg: ExperimentConfig) -> list[Path]:
+def run_bb1_scaling(cfg: Bb1ScalingConfig) -> list[Path]:
     """Infidelity scaling of naive against BB1 pulses, plus r=0 success."""
     oracle = cfg.oracles[0]
     grid = eps_grid(cfg)
@@ -307,7 +314,7 @@ def run_bb1_scaling(cfg: ExperimentConfig) -> list[Path]:
     return [csv_path, svg_path]
 
 
-def run_spectra(cfg: ExperimentConfig) -> list[Path]:
+def run_spectra(cfg: SpectraConfig) -> list[Path]:
     """Rendered doublet spectra per oracle and recursion order.
 
     The ``inf`` column holds the directly prepared target state. All panels

@@ -11,11 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 # Tolerance for algebraic identities on directly constructed objects
-# (unitarity, normalization, hermiticity).
+# (unitarity, normalization).
 ATOL = 1e-12
-
-# Density-matrix eigenvalues may dip slightly negative through rounding.
-EIGVAL_FLOOR = -1e-10
 
 
 def basis_index(bits: str) -> int:
@@ -36,23 +33,9 @@ def basis_state(n: int, label: int | str) -> np.ndarray:
     return psi
 
 
-def zero_state(n: int) -> np.ndarray:
-    """The all-zeros register state."""
-    return basis_state(n, 0)
-
-
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with ``a`` acting on the more significant qubits."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def apply_unitary(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Apply an operator to a state vector; dimensions must match."""
-    u = np.asarray(u, dtype=complex)
-    psi = np.asarray(psi, dtype=complex)
-    if u.shape != (psi.size, psi.size):
-        raise ValueError(f"dimension mismatch: operator {u.shape}, state {psi.shape}")
-    return u @ psi
 
 
 def is_unitary(u: np.ndarray, tol: float = ATOL) -> bool:
@@ -98,15 +81,3 @@ def pure_density(psi: np.ndarray) -> np.ndarray:
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"state not normalized (norm {norm})")
     return np.outer(psi, psi.conj())
-
-
-def is_density_matrix(rho: np.ndarray, tol: float = ATOL) -> bool:
-    """Hermitian, unit trace, and no eigenvalue below the rounding floor."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        return False
-    if np.max(np.abs(rho - rho.conj().T)) > tol:
-        return False
-    if abs(np.trace(rho) - 1.0) > tol:
-        return False
-    return bool(np.min(np.linalg.eigvalsh(rho)) >= EIGVAL_FLOOR)

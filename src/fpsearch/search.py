@@ -84,12 +84,6 @@ class OracleSpec:
             raise ValueError("complement of the full set is empty")
         return OracleSpec(self.n, frozenset(rest), self.phase)
 
-    def target_state(self) -> np.ndarray:
-        """Equally weighted superposition of the matching basis states."""
-        psi = np.zeros(self.dim, dtype=complex)
-        psi[list(self.indices)] = 1.0 / np.sqrt(self.k)
-        return psi
-
 
 def origin_spec(n: int, phase: float = np.pi / 3) -> OracleSpec:
     """The oracle marking only the all-zeros state."""
@@ -157,13 +151,13 @@ class GateOp:
         return GateOp(self.kind, not self.dagger)
 
 
-def _check_order(r: int, max_order: int) -> None:
+def _check_order(r: int) -> None:
     if r < 0:
         raise ValueError("recursion order must be nonnegative")
-    if r > max_order:
+    if r > MAX_ORDER:
         raise ValueError(
-            f"recursion order {r} exceeds the configured maximum {max_order}; "
-            f"raise max_order explicitly if you really want 3**{r} growth"
+            f"recursion order {r} exceeds the maximum {MAX_ORDER}; "
+            f"pulse compilation grows like 3**r"
         )
 
 
@@ -174,14 +168,14 @@ def query_count(r: int) -> int:
     return (3**r - 1) // 2
 
 
-def expand_gate_list(r: int, max_order: int = MAX_ORDER) -> tuple[GateOp, ...]:
+def expand_gate_list(r: int) -> tuple[GateOp, ...]:
     """Flat gate sequence of the order-r operator, in application order.
 
     The first element acts first; the operator is the right-to-left matrix
     product of the per-gate unitaries. Each recursion level wraps the
     previous list as  ``seq + [Rf] + adjoint(seq) + [R0] + seq``.
     """
-    _check_order(r, max_order)
+    _check_order(r)
     seq: list[GateOp] = [GateOp("U")]
     for _ in range(r):
         adj = [g.adjoint() for g in reversed(seq)]
@@ -189,46 +183,12 @@ def expand_gate_list(r: int, max_order: int = MAX_ORDER) -> tuple[GateOp, ...]:
     return tuple(seq)
 
 
-def _check_pair(oracle: OracleSpec, origin: OracleSpec) -> None:
-    if origin.n != oracle.n:
-        raise ValueError("oracle and origin act on different register sizes")
-    if origin.phase != oracle.phase:
-        raise ValueError(
-            "oracle and origin phases differ; mixed phase signs do not "
-            "produce the fixed-point contraction"
-        )
-    if origin.matching != frozenset({"0" * origin.n}):
-        raise ValueError("origin must mark exactly the all-zeros state")
-
-
-def gate_unitary(gate: GateOp, oracle: OracleSpec, origin: OracleSpec | None = None) -> np.ndarray:
-    """Matrix for a symbolic gate descriptor under a given oracle."""
-    if origin is None:
-        origin = origin_spec(oracle.n, oracle.phase)
-    _check_pair(oracle, origin)
-    if gate.kind == "U":
-        m = pseudo_hadamard(oracle.n)
-    elif gate.kind == "Rf":
-        m = phase_oracle(oracle)
-    else:
-        m = phase_oracle(origin)
-    return m.conj().T if gate.dagger else m
-
-
-def recursive_operator(
-    r: int,
-    oracle: OracleSpec,
-    origin: OracleSpec | None = None,
-    max_order: int = MAX_ORDER,
-) -> np.ndarray:
+def recursive_operator(r: int, oracle: OracleSpec) -> np.ndarray:
     """The order-r search operator V(r), built by exact matrix recursion."""
-    _check_order(r, max_order)
-    if origin is None:
-        origin = origin_spec(oracle.n, oracle.phase)
-    _check_pair(oracle, origin)
+    _check_order(r)
     u = pseudo_hadamard(oracle.n)
     rf = phase_oracle(oracle)
-    r0 = phase_oracle(origin)
+    r0 = phase_oracle(origin_spec(oracle.n, oracle.phase))
     v = u
     for _ in range(r):
         v = v @ r0 @ v.conj().T @ rf @ v
@@ -241,17 +201,6 @@ def success_probability(v: np.ndarray, oracle: OracleSpec) -> float:
         raise ValueError(f"operator shape {v.shape} does not match n={oracle.n}")
     amps = v[:, 0]
     return float(sum(abs(amps[i]) ** 2 for i in oracle.indices))
-
-
-def target_projection_probability(v: np.ndarray, oracle: OracleSpec) -> float:
-    """Squared overlap with the equally weighted target superposition.
-
-    For the ideal operator this equals :func:`success_probability`; the two
-    are compared as a consistency check in the test suite.
-    """
-    if v.shape != (oracle.dim, oracle.dim):
-        raise ValueError(f"operator shape {v.shape} does not match n={oracle.n}")
-    return float(abs(np.vdot(oracle.target_state(), v[:, 0])) ** 2)
 
 
 def closed_form_success(r: int, k: int, n: int) -> float:

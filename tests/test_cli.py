@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from fpsearch.cli import main
 
@@ -75,6 +76,25 @@ def test_bad_value_exits_2(tmp_path, capsys):
         ["run", "k1-curves", "--override", "error.eps=2.0", "--out", str(tmp_path)]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--override", "system.j=-1"],
+        ["--override", "system.t2_h=0"],
+        ["--override", "system.t90=0"],
+        ["--override", "system.t2_c=0"],
+        ["--config", "latin-1.cfg"],
+    ],
+    ids=["j", "t2_h", "t90", "t2_c", "undecodable-file"],
+)
+def test_bad_config_input_exits_2(tmp_path, capsys, args):
+    (tmp_path / "latin-1.cfg").write_bytes("style = na\xefve\n".encode("latin-1"))
+    args = [str(tmp_path / a) if a.endswith(".cfg") else a for a in args]
+    code = main(["run", "k1-curves", "--out", str(tmp_path / "out"), *args])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_byte_identity_across_cli_runs(tmp_path):

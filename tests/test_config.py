@@ -1,6 +1,12 @@
+from pathlib import Path
+
 import pytest
 
 from fpsearch.config import (
+    EXPERIMENT_NAMES,
+    MAX_EPS_POINTS,
+    MAX_FREQ_POINTS,
+    MAX_GRID_VALUES,
     ConfigError,
     apply_overrides,
     build_config,
@@ -8,6 +14,7 @@ from fpsearch.config import (
     default_mapping,
     parse_config_text,
 )
+from fpsearch.experiments import run_experiment
 
 
 class TestParse:
@@ -95,6 +102,24 @@ class TestBuild:
         cfg = build_config("k1-curves", {"system.j": "100.0"})
         assert cfg.system.J == 100.0
 
+    @pytest.mark.parametrize(
+        "experiment,key,cap,value",
+        [
+            ("spectra", "freq.points", str(MAX_FREQ_POINTS), str(MAX_FREQ_POINTS + 1)),
+            ("bb1-scaling", "eps.points", str(MAX_EPS_POINTS), str(MAX_EPS_POINTS + 1)),
+            ("robustness", "error.eps", ",".join(["0"] * MAX_GRID_VALUES),
+             ",".join(["0"] * (MAX_GRID_VALUES + 1))),
+            ("robustness", "error.delta_j", ",".join(["0"] * MAX_GRID_VALUES),
+             ",".join(["0"] * (MAX_GRID_VALUES + 1))),
+        ],
+    )
+    def test_resource_caps(self, experiment, key, cap, value):
+        # validation only: neither value is ever run, so nothing of the
+        # capped size is allocated
+        build_config(experiment, {key: cap})
+        with pytest.raises(ConfigError, match=key):
+            build_config(experiment, {key: value})
+
 
 class TestHash:
     def test_stable_and_order_insensitive(self):
@@ -117,3 +142,95 @@ def test_default_mapping_round_trips():
         cfg = build_config(name, mapping)
         assert cfg.experiment == name
         assert cfg.mapping == mapping
+
+
+# Small base configs with nonzero errors wherever they are accepted: at zero
+# error the robustness residuals are rounding noise, which would make
+# inert keys look live.
+INERT_BASE = {
+    "table1": {"r.max": "2"},
+    "k1-curves": {"oracle.matching": "01", "r.max": "1", "style": "naive",
+                  "error.eps": "0.05", "error.delta_j": "0.05"},
+    "k2-curves": {"oracle.matching": "00+01", "r.max": "1",
+                  "error.eps": "0.05", "error.delta_j": "0.05"},
+    "robustness": {"oracle.matching": "01", "r.max": "2",
+                   "error.eps": "0.05", "error.delta_j": "0.05"},
+    "bb1-scaling": {"eps.points": "3"},
+    "spectra": {"r.values": "1,inf", "freq.points": "51",
+                "error.eps": "0.05", "error.delta_j": "0.05"},
+}
+
+# Candidate replacement values per key; the first valid one that differs
+# from the base value is used.
+INERT_ALTERNATIVES = {
+    "r.max": ("1", "2"),
+    "oracle.k1": ("00",),
+    "oracle.k2": ("01+10",),
+    "oracle.matching": ("10", "01+10"),
+    "oracle.k": ("2",),
+    "style": ("bb1",),
+    "error.eps": ("0.05", "0.02"),
+    "error.delta_j": ("0.05", "0.02"),
+    "system.j": ("150",),
+    "system.t90": ("30e-6",),
+    "system.t2_h": ("0.8",),
+    "system.t2_c": ("0.3",),
+    "eps.min": ("2e-3",),
+    "eps.max": ("2e-2",),
+    "eps.points": ("4",),
+    "r.values": ("0,inf",),
+    "freq.span": ("100",),
+    "freq.points": ("41",),
+}
+
+# Keys that change no output byte below the CSV header. Ideal P(r) depends
+# only on k, so table1's representative sets are inert. J cancels from
+# every delay phase (a delay programmed as -gamma/(pi*J) evolves under
+# pi*J*(1+delta_J)), T2 only sets the line widths that spectra draws, and
+# t90 never enters a unitary.
+_SYSTEM_KEYS = ("system.j", "system.t90", "system.t2_h", "system.t2_c")
+INERT_KEYS = {
+    ("table1", "oracle.k1"),
+    ("table1", "oracle.k2"),
+    *((name, key) for name in ("k1-curves", "k2-curves", "robustness", "bb1-scaling")
+      for key in _SYSTEM_KEYS),
+    ("spectra", "system.t90"),
+    ("spectra", "system.t2_c"),
+}
+
+
+def _outputs(experiment: str, mapping: dict[str, str], out_dir: Path) -> dict[str, bytes]:
+    cfg = build_config(experiment, {**mapping, "output.dir": str(out_dir)})
+    out = {}
+    for path in run_experiment(cfg):
+        data = path.read_bytes()
+        if path.suffix == ".csv":
+            data = data.split(b"\n", 1)[1]  # drop the config-hash line
+        out[path.name] = data
+    return out
+
+
+def _alternative(experiment: str, mapping: dict[str, str], key: str) -> dict[str, str]:
+    for value in INERT_ALTERNATIVES[key]:
+        if value == mapping[key]:
+            continue
+        changed = {**mapping, key: value}
+        try:
+            build_config(experiment, changed)
+        except ConfigError:
+            continue
+        return changed
+    raise AssertionError(f"no valid alternative for {experiment} {key}")
+
+
+def test_inert_keys(tmp_path):
+    inert = set()
+    for experiment in EXPERIMENT_NAMES:
+        base = {**default_mapping(experiment), **INERT_BASE[experiment]}
+        del base["output.dir"]
+        reference = _outputs(experiment, base, tmp_path / experiment)
+        for key in base:
+            changed = _alternative(experiment, base, key)
+            if _outputs(experiment, changed, tmp_path / f"{experiment}-{key}") == reference:
+                inert.add((experiment, key))
+    assert inert == INERT_KEYS

@@ -202,21 +202,3 @@ class TestSpectra:
         assert np.max(left[:, 1]) > 0.45 and np.max(right[:, 1]) > 0.45
         assert np.min(trace[:, 1]) > -1e-9
 
-
-class TestDeterminism:
-    @pytest.mark.parametrize(
-        "name", ["table1", "k1-curves", "robustness", "bb1-scaling", "spectra"]
-    )
-    def test_byte_identical_reruns(self, tmp_path, name):
-        overrides = {"output.dir": str(tmp_path / "a")}
-        if name == "spectra":
-            overrides["freq.points"] = "51"
-        if name == "k1-curves":
-            overrides["r.max"] = "2"
-        cfg_a = build_config(name, overrides)
-        paths_a = run_experiment(cfg_a)
-        cfg_b = build_config(name, {**overrides, "output.dir": str(tmp_path / "b")})
-        paths_b = run_experiment(cfg_b)
-        assert [p.name for p in paths_a] == [p.name for p in paths_b]
-        for a, b in zip(paths_a, paths_b):
-            assert a.read_bytes() == b.read_bytes()
