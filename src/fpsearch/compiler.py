@@ -170,6 +170,42 @@ def _bb1_rewrite(events: list[PulseEvent]) -> list[PulseEvent]:
     return out
 
 
+# The six gate descriptors an order-r program is built from.
+GATES = tuple(
+    GateOp(kind, dagger) for kind in ("U", "Rf", "R0") for dagger in (False, True)
+)
+
+
+def compile_gates(
+    oracle: OracleSpec,
+    system: SpinSystem,
+    style: str = "naive",
+    use_virtual_z: bool = False,
+) -> dict[str, PulseSequence]:
+    """Pulse sequences of the six gates, keyed by ``GateOp.label``.
+
+    Each gate is compiled on its own and locally simplified; no merging
+    happens across gate boundaries. ``style="bb1"`` rewrites every rf pulse
+    as a BB1 composite rotation after local simplification. An inverse is
+    compiled from its own descriptor, not by reversing its gate's pulses.
+    """
+    if oracle.n != 2:
+        raise ValueError("pulse compilation supports two-spin systems only")
+    if style not in STYLES:
+        raise ValueError(f"unknown style {style!r}; expected one of {STYLES}")
+    origin = search.origin_spec(oracle.n, oracle.phase)
+    out: dict[str, PulseSequence] = {}
+    for gate in GATES:
+        events = _local_merge(
+            _gate_events(gate, oracle, origin, system, use_virtual_z)
+        )
+        if style == "bb1":
+            events = _bb1_rewrite(events)
+        span = GateSpan(gate.label, 0, len(events))
+        out[gate.label] = PulseSequence(tuple(events), (span,))
+    return out
+
+
 def compile_algorithm(
     r: int,
     oracle: OracleSpec,
@@ -179,23 +215,15 @@ def compile_algorithm(
 ) -> PulseSequence:
     """Compile the order-r search operator into a pulse sequence.
 
-    Gates are compiled one at a time and locally simplified; no merging
-    happens across gate boundaries. ``style="bb1"`` rewrites every rf pulse
-    as a BB1 composite rotation after local simplification.
+    The gate sequences of :func:`compile_gates` are concatenated along
+    ``expand_gate_list(r)``, one span per gate.
     """
-    if oracle.n != 2:
-        raise ValueError("pulse compilation supports two-spin systems only")
-    if style not in STYLES:
-        raise ValueError(f"unknown style {style!r}; expected one of {STYLES}")
-    origin = search.origin_spec(oracle.n, oracle.phase)
+    gate_list = search.expand_gate_list(r)
+    gates = compile_gates(oracle, system, style, use_virtual_z)
     events: list[PulseEvent] = []
     spans: list[GateSpan] = []
-    for gate in search.expand_gate_list(r):
-        gate_events = _local_merge(
-            _gate_events(gate, oracle, origin, system, use_virtual_z)
-        )
-        if style == "bb1":
-            gate_events = _bb1_rewrite(gate_events)
+    for gate in gate_list:
+        gate_events = gates[gate.label].events
         spans.append(GateSpan(gate.label, len(events), len(events) + len(gate_events)))
         events.extend(gate_events)
     return PulseSequence(tuple(events), tuple(spans))

@@ -28,6 +28,12 @@ MAX_FREQ_POINTS = 100001
 MAX_EPS_POINTS = 1000
 MAX_GRID_VALUES = 64
 
+# Range of every system.* value (Hz for J, seconds for the times): decades
+# beyond any real spin pair, and small enough that every delay, line width
+# and squared width derived from it stays finite (J=1e-320 overflows a
+# delay duration, T2=1e-300 a squared line width).
+SYSTEM_RANGE = (1e-9, 1e9)
+
 
 class ConfigError(ValueError):
     """Malformed configuration text, unknown key, or invalid value."""
@@ -90,6 +96,14 @@ def _positive(s: str) -> float:
     v = _float(s)
     if not v > 0:
         raise ConfigError(f"must be positive, got {s}")
+    return v
+
+
+def _system(s: str) -> float:
+    v = _float(s)
+    lo, hi = SYSTEM_RANGE
+    if not lo <= v <= hi:
+        raise ConfigError(f"{s} outside [{lo:g}, {hi:g}]")
     return v
 
 
@@ -156,9 +170,12 @@ def _matching(s: str) -> tuple[OracleSpec, ...]:
         if not states:
             raise ConfigError(f"empty matching set in {s!r}")
         try:
-            specs.append(OracleSpec(2, states))
+            spec = OracleSpec(2, states)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if spec in specs:
+            raise ConfigError(f"matching set {spec.label()} given twice in {s!r}")
+        specs.append(spec)
     return tuple(specs)
 
 
@@ -216,10 +233,10 @@ class Table1Config(ExperimentConfig):
 class PulseConfig(ExperimentConfig):
     """Base of the pulse-level experiments: the spin system and the oracles."""
 
-    J: float = _key("system.j", "194.8", _positive, "scalar coupling in Hz")
-    t90: float = _key("system.t90", "15e-6", _positive, "90-degree pulse time in s")
-    T2_H: float = _key("system.t2_h", "1.2", _positive, "proton T2 in s")
-    T2_C: float = _key("system.t2_c", "0.6", _positive, "carbon T2 in s")
+    J: float = _key("system.j", "194.8", _system, "scalar coupling in Hz")
+    t90: float = _key("system.t90", "15e-6", _system, "90-degree pulse time in s")
+    T2_H: float = _key("system.t2_h", "1.2", _system, "proton T2 in s")
+    T2_C: float = _key("system.t2_c", "0.6", _system, "carbon T2 in s")
     oracle_k: int = 1
     oracles: tuple[OracleSpec, ...] = _key(
         "oracle.matching", "all", _matching, "matching sets, e.g. 00;01 or all"

@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import readout, svgplot
-from .compiler import compile_algorithm
+# compile_algorithm is unused here; perfbench/tracer.py wraps it under this name.
+from .compiler import compile_algorithm, compile_gates
 from .config import (
     Bb1ScalingConfig,
     CurvesConfig,
@@ -27,6 +28,7 @@ from .config import (
 from .linalg import pure_density
 from .pulses import ErrorModel, PulseSequence, rf_pulse, bb1_expand, pulse_unitary
 from .pulses import NO_ERROR, SpinSystem, rotation_infidelity, sequence_unitary
+from .pulses import check_unitary
 from .readout import (
     crush,
     estimate_probability,
@@ -85,16 +87,43 @@ def _write_csv(
     return _write_text(path, "\n".join(lines) + "\n")
 
 
-def _pulse_success(
-    r: int,
-    oracle: OracleSpec,
+def pulse_operators(
+    r_max: int,
+    gates: dict[str, PulseSequence],
     system: SpinSystem,
-    style: str,
     error: ErrorModel,
-) -> tuple[float, PulseSequence]:
-    seq = compile_algorithm(r, oracle, system, style=style)
-    u = sequence_unitary(seq, system, error)
-    return success_probability(u, oracle), seq
+) -> list[np.ndarray]:
+    """Unitaries of the compiled order-0..r_max programs under ``error``.
+
+    ``gates`` maps each ``GateOp`` label to its compiled sequence (see
+    ``compile_gates``). Each gate is simulated once; the orders then follow
+    from the recursion of the compiled program, in matrix order
+
+        V(r+1) = V(r) R0 W(r) Rf V(r),   W(r+1) = W(r) Rf^dag V(r) R0^dag W(r)
+
+    where W(r) is the unitary of the compiled *adjoint* program, built from
+    the compiled inverse gates. W is not V^dag: a gate and its compiled
+    inverse need not share an error (a phase gate and its inverse use
+    different delay durations, so a coupling error hits them differently),
+    and that mismatch is what the pulse level models.
+    Element for element the result equals ``sequence_unitary`` of
+    ``compile_algorithm(r, ...)`` up to the rounding of reassociated 4x4
+    products.
+    """
+
+    def simulate(label: str) -> np.ndarray:
+        return sequence_unitary(gates[label], system, error)
+
+    v = simulate("U")
+    out = [v]
+    if r_max == 0:  # the order-0 program is U alone
+        return out
+    w, rf, rf_dag, r0, r0_dag = map(simulate, ("Udag", "Rf", "Rfdag", "R0", "R0dag"))
+    for r in range(1, r_max + 1):
+        v, w = v @ r0 @ w @ rf @ v, w @ rf_dag @ v @ r0_dag @ w
+        check_unitary(v, f"order-{r} operator")
+        out.append(v)
+    return out
 
 
 def _estimated_success(
@@ -141,10 +170,10 @@ def run_curves(cfg: CurvesConfig) -> list[Path]:
     oracles = sorted(cfg.oracles, key=lambda o: o.label())
     for oi, oracle in enumerate(oracles):
         for style in cfg.styles:
+            gates = compile_gates(oracle, cfg.system, style)
+            ops = pulse_operators(cfg.r_max, gates, cfg.system, error)
             xs, ys = [], []
-            for r in range(cfg.r_max + 1):
-                seq = compile_algorithm(r, oracle, cfg.system, style=style)
-                u = sequence_unitary(seq, cfg.system, error)
+            for r, u in enumerate(ops):
                 p_pulse = success_probability(u, oracle)
                 p_est = _estimated_success(u, oracle, cfg.system)
                 rows.append(
@@ -199,12 +228,14 @@ def run_robustness(cfg: RobustnessConfig) -> list[Path]:
     residual_by_grid: dict[tuple[float, float], float] = {}
     oracles = sorted(cfg.oracles, key=lambda o: o.label())
     for oracle in oracles:
+        gates = compile_gates(oracle, cfg.system, "naive")
         for eps in cfg.eps_values:
             for dj in cfg.delta_j_values:
                 error = ErrorModel(eps_H=eps, eps_C=eps, delta_J=dj)
+                ops = pulse_operators(cfg.r_max, gates, cfg.system, error)
                 probs = []
-                for r in range(cfg.r_max + 1):
-                    p, _ = _pulse_success(r, oracle, cfg.system, "naive", error)
+                for r, u in enumerate(ops):
+                    p = success_probability(u, oracle)
                     probs.append(p)
                     residual = (
                         abs((1.0 - probs[r]) - (1.0 - probs[r - 1]) ** 3)
@@ -269,14 +300,17 @@ def fit_loglog_slope(xs: list[float], ys: list[float]) -> float:
 def run_bb1_scaling(cfg: Bb1ScalingConfig) -> list[Path]:
     """Infidelity scaling of naive against BB1 pulses, plus r=0 success."""
     oracle = cfg.oracles[0]
+    gates = [compile_gates(oracle, cfg.system, style) for style in ("naive", "bb1")]
     grid = eps_grid(cfg)
     rows = []
     inf_naive, inf_bb1 = [], []
     for eps in grid:
         i_n, i_b = pulse_infidelities(eps, cfg.system)
         error = ErrorModel(eps_H=eps, eps_C=eps)
-        p_n, _ = _pulse_success(0, oracle, cfg.system, "naive", error)
-        p_b, _ = _pulse_success(0, oracle, cfg.system, "bb1", error)
+        p_n, p_b = (
+            success_probability(pulse_operators(0, g, cfg.system, error)[0], oracle)
+            for g in gates
+        )
         rows.append([eps, i_n, i_b, p_n, p_b])
         inf_naive.append(i_n)
         inf_bb1.append(i_b)
@@ -328,16 +362,17 @@ def run_spectra(cfg: SpectraConfig) -> list[Path]:
     peak = 0.0
     oracles = sorted(cfg.oracles, key=lambda o: o.label())
     traces: dict[tuple[str, str], np.ndarray] = {}
+    r_top = max((r for r in cfg.r_values if r is not None), default=0)
     for oracle in oracles:
+        gates = compile_gates(oracle, cfg.system, style)
+        ops = pulse_operators(r_top, gates, cfg.system, error)
         row: list[svgplot.Panel] = []
         for r in cfg.r_values:
             if r is None:
                 rho = readout.direct_target_density(oracle)
                 tag = "inf"
             else:
-                seq = compile_algorithm(r, oracle, cfg.system, style=style)
-                u = sequence_unitary(seq, cfg.system, error)
-                rho = crush(pure_density(u[:, 0]))
+                rho = crush(pure_density(ops[r][:, 0]))
                 tag = str(r)
             spec = spectrum_from_populations(rho, cfg.system)
             trace = lorentzian_trace(spec, cfg.system, freqs)

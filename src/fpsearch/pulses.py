@@ -257,13 +257,17 @@ def sequence_unitary(
             raise VirtualZError(
                 f"z_virtual event at index {i} simulated in physical mode"
             ) from None
-    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(4))))
-    if dev > SEQUENCE_ATOL:
-        raise UnitarityError(
-            f"sequence of {len(sequence)} events lost unitarity "
-            f"(deviation {dev:.3e}); check event parameters"
-        )
+    check_unitary(u, f"sequence of {len(sequence)} events")
     return u
+
+
+def check_unitary(u: np.ndarray, what: str) -> None:
+    """Raise :class:`UnitarityError` unless ``u`` is unitary to ``SEQUENCE_ATOL``."""
+    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(len(u)))))
+    if not dev <= SEQUENCE_ATOL:
+        raise UnitarityError(
+            f"{what} lost unitarity (deviation {dev:.3e}); check event parameters"
+        )
 
 
 def composite_z(theta: float, spin: str) -> tuple[PulseEvent, ...]:

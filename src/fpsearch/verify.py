@@ -18,12 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from . import readout
-from .compiler import compile_algorithm
+from .compiler import compile_algorithm, compile_gates
 from .config import build_config, default_mapping
 from .experiments import (
     eps_grid,
     fit_loglog_slope,
     pulse_infidelities,
+    pulse_operators,
     run_experiment,
 )
 from .linalg import equal_up_to_global_phase, pure_density
@@ -162,15 +163,15 @@ def check_compilation_soundness() -> CheckResult:
 def check_error_tolerance() -> CheckResult:
     def body():
         system = SpinSystem()
+        gates = {o: compile_gates(o, system, "naive") for o in all_oracles(2, 1)}
         worst, where = 0.0, ""
         for eps in (-0.1, -0.05, -0.02, 0.02, 0.05, 0.1):
             error = ErrorModel.uniform_rf(eps)
             for oracle in all_oracles(2, 1):
-                probs = []
-                for r in range(4):
-                    seq = compile_algorithm(r, oracle, system, style="naive")
-                    u = sequence_unitary(seq, system, error)
-                    probs.append(success_probability(u, oracle))
+                probs = [
+                    success_probability(u, oracle)
+                    for u in pulse_operators(3, gates[oracle], system, error)
+                ]
                 for r in range(3):
                     res = abs((1 - probs[r + 1]) - (1 - probs[r]) ** 3)
                     if res > worst:
@@ -188,11 +189,11 @@ def check_coupling_error_breaks_fixed_point() -> CheckResult:
         error = ErrorModel(delta_J=0.05)
         residuals = {}
         for oracle in all_oracles(2, 1):
-            probs = []
-            for r in range(2):
-                seq = compile_algorithm(r, oracle, system, style="naive")
-                u = sequence_unitary(seq, system, error)
-                probs.append(success_probability(u, oracle))
+            gates = compile_gates(oracle, system, "naive")
+            probs = [
+                success_probability(u, oracle)
+                for u in pulse_operators(1, gates, system, error)
+            ]
             residuals[oracle.label()] = abs((1 - probs[1]) - (1 - probs[0]) ** 3)
         if max(residuals.values()) <= 1e-6:
             return False, f"no oracle exceeds 1e-6: {residuals}"

@@ -1,5 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Fixed examples and no timing deadline: a tier-1 run tests the same cases
+# every time, whatever the host's speed.
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 from fpsearch.pulses import SpinSystem
 from fpsearch.search import all_oracles

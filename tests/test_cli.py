@@ -79,20 +79,25 @@ def test_bad_value_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "experiment,args",
     [
-        ["--override", "system.j=-1"],
-        ["--override", "system.t2_h=0"],
-        ["--override", "system.t90=0"],
-        ["--override", "system.t2_c=0"],
-        ["--config", "latin-1.cfg"],
+        ("k1-curves", ["--override", "system.j=-1"]),
+        ("k1-curves", ["--override", "system.t2_h=0"]),
+        ("k1-curves", ["--override", "system.t90=0"]),
+        ("k1-curves", ["--override", "system.t2_c=0"]),
+        ("k1-curves", ["--config", "latin-1.cfg"]),
+        ("k1-curves", ["--override", "system.j=1e-320"]),
+        ("spectra", ["--override", "system.t2_h=1e-300"]),
+        ("robustness", ["--override", "oracle.matching=00;00;00",
+                        "--override", "r.max=1"]),
     ],
-    ids=["j", "t2_h", "t90", "t2_c", "undecodable-file"],
+    ids=["j", "t2_h", "t90", "t2_c", "undecodable-file", "j-subnormal",
+         "t2_h-tiny", "duplicate-matching"],
 )
-def test_bad_config_input_exits_2(tmp_path, capsys, args):
+def test_bad_config_input_exits_2(tmp_path, capsys, experiment, args):
     (tmp_path / "latin-1.cfg").write_bytes("style = na\xefve\n".encode("latin-1"))
     args = [str(tmp_path / a) if a.endswith(".cfg") else a for a in args]
-    code = main(["run", "k1-curves", "--out", str(tmp_path / "out"), *args])
+    code = main(["run", experiment, "--out", str(tmp_path / "out"), *args])
     assert code == 2
     assert "config error" in capsys.readouterr().err
 

@@ -111,6 +111,8 @@ class TestBuild:
              ",".join(["0"] * (MAX_GRID_VALUES + 1))),
             ("robustness", "error.delta_j", ",".join(["0"] * MAX_GRID_VALUES),
              ",".join(["0"] * (MAX_GRID_VALUES + 1))),
+            ("k1-curves", "system.j", "1e9", "1.1e9"),
+            ("spectra", "system.t2_h", "1e-9", "0.9e-9"),
         ],
     )
     def test_resource_caps(self, experiment, key, cap, value):
