@@ -15,13 +15,15 @@ The :mod:`fpsearch.cli` entry point drives reproducible experiments (tables,
 curves, error sweeps, spectra) from flat key=value configuration files.
 """
 
-from .linalg import equal_up_to_global_phase, pure_density, tensor_product
+from .linalg import equal_up_to_global_phase, pure_density
 from .search import (
     MAX_ORDER,
     GateOp,
     OracleSpec,
     closed_form_success,
     expand_gate_list,
+    ideal_gates,
+    operators,
     origin_spec,
     phase_oracle,
     pseudo_hadamard,
@@ -30,7 +32,7 @@ from .search import (
     success_probability,
 )
 from .pulses import ErrorModel, PulseEvent, PulseSequence, SpinSystem
-from .compiler import compile_algorithm, compile_phase_gate
+from .compiler import compile_algorithm
 
 __version__ = "0.1.0"
 
@@ -44,9 +46,10 @@ __all__ = [
     "SpinSystem",
     "closed_form_success",
     "compile_algorithm",
-    "compile_phase_gate",
     "equal_up_to_global_phase",
     "expand_gate_list",
+    "ideal_gates",
+    "operators",
     "origin_spec",
     "phase_oracle",
     "pseudo_hadamard",
@@ -54,5 +57,4 @@ __all__ = [
     "query_count",
     "recursive_operator",
     "success_probability",
-    "tensor_product",
 ]

@@ -36,7 +36,6 @@ from .pulses import (
     composite_z,
     coupling_delay,
     rf_pulse,
-    virtual_z,
 )
 from .search import GateOp, OracleSpec
 
@@ -64,9 +63,7 @@ def diagonal_phase_coefficients(spec: OracleSpec) -> tuple[float, float, float, 
     return g0, float(q @ _HZ), float(q @ _CZ), float(q @ _DD)
 
 
-def _phase_gate_events(
-    spec: OracleSpec, system: SpinSystem, use_virtual_z: bool
-) -> list[PulseEvent]:
+def _phase_gate_events(spec: OracleSpec, system: SpinSystem) -> list[PulseEvent]:
     _, alpha, beta, gamma = diagonal_phase_coefficients(spec)
     while gamma > _ZERO:
         alpha -= np.pi
@@ -76,33 +73,11 @@ def _phase_gate_events(
     if gamma < -_ZERO:
         events.append(coupling_delay(-gamma / (np.pi * system.J)))
     # exp(i*alpha*Hz) is a z rotation by -alpha in the exp(-i*theta*sz/2)
-    # convention, built from transverse pulses (or bookkept in debug mode).
+    # convention, built from transverse pulses.
     for coeff, spin in ((alpha, "H"), (beta, "C")):
         if abs(coeff) > _ZERO:
-            if use_virtual_z:
-                events.append(virtual_z(spin, -coeff))
-            else:
-                events.extend(composite_z(-coeff, spin))
+            events.extend(composite_z(-coeff, spin))
     return events
-
-
-def compile_phase_gate(
-    spec: OracleSpec, system: SpinSystem, use_virtual_z: bool = False
-) -> PulseSequence:
-    """Pulse realization of one diagonal phase gate.
-
-    The error-free sequence equals the gate up to global phase. With
-    ``use_virtual_z`` the z rotations become bookkeeping events; such
-    sequences are debug aids and cannot be serialized or simulated in
-    physical mode.
-    """
-    if spec.n != 2:
-        raise ValueError("pulse compilation supports two-spin systems only")
-    if spec.phase == 0.0:
-        raise ValueError("phase gate with zero phase compiles to nothing")
-    events = _local_merge(_phase_gate_events(spec, system, use_virtual_z))
-    label = f"phase[{spec.label()}]@{spec.phase:.9g}"
-    return PulseSequence(tuple(events), (GateSpan(label, 0, len(events)),))
 
 
 def _gate_events(
@@ -110,7 +85,6 @@ def _gate_events(
     oracle: OracleSpec,
     origin: OracleSpec,
     system: SpinSystem,
-    use_virtual_z: bool,
 ) -> list[PulseEvent]:
     if gate.kind == "U":
         phase = np.pi / 2 if not gate.dagger else 3 * np.pi / 2
@@ -118,7 +92,7 @@ def _gate_events(
     spec = oracle if gate.kind == "Rf" else origin
     if gate.dagger:
         spec = spec.adjoint()
-    return _phase_gate_events(spec, system, use_virtual_z)
+    return _phase_gate_events(spec, system)
 
 
 def _same_axis(a: PulseEvent, b: PulseEvent) -> int:
@@ -180,7 +154,6 @@ def compile_gates(
     oracle: OracleSpec,
     system: SpinSystem,
     style: str = "naive",
-    use_virtual_z: bool = False,
 ) -> dict[str, PulseSequence]:
     """Pulse sequences of the six gates, keyed by ``GateOp.label``.
 
@@ -193,12 +166,12 @@ def compile_gates(
         raise ValueError("pulse compilation supports two-spin systems only")
     if style not in STYLES:
         raise ValueError(f"unknown style {style!r}; expected one of {STYLES}")
+    if oracle.phase == 0.0:
+        raise ValueError("phase gate with zero phase compiles to nothing")
     origin = search.origin_spec(oracle.n, oracle.phase)
     out: dict[str, PulseSequence] = {}
     for gate in GATES:
-        events = _local_merge(
-            _gate_events(gate, oracle, origin, system, use_virtual_z)
-        )
+        events = _local_merge(_gate_events(gate, oracle, origin, system))
         if style == "bb1":
             events = _bb1_rewrite(events)
         span = GateSpan(gate.label, 0, len(events))
@@ -211,7 +184,6 @@ def compile_algorithm(
     oracle: OracleSpec,
     system: SpinSystem,
     style: str = "naive",
-    use_virtual_z: bool = False,
 ) -> PulseSequence:
     """Compile the order-r search operator into a pulse sequence.
 
@@ -219,7 +191,7 @@ def compile_algorithm(
     ``expand_gate_list(r)``, one span per gate.
     """
     gate_list = search.expand_gate_list(r)
-    gates = compile_gates(oracle, system, style, use_virtual_z)
+    gates = compile_gates(oracle, system, style)
     events: list[PulseEvent] = []
     spans: list[GateSpan] = []
     for gate in gate_list:

@@ -28,11 +28,13 @@ MAX_FREQ_POINTS = 100001
 MAX_EPS_POINTS = 1000
 MAX_GRID_VALUES = 64
 
-# Range of every system.* value (Hz for J, seconds for the times): decades
-# beyond any real spin pair, and small enough that every delay, line width
-# and squared width derived from it stays finite (J=1e-320 overflows a
-# delay duration, T2=1e-300 a squared line width).
-SYSTEM_RANGE = (1e-9, 1e9)
+# Range of every system.* value (Hz for J, seconds for the times) and of
+# freq.span (Hz): decades beyond any real spin pair or spectrum, and small
+# enough that every delay, line width, squared width and frequency grid
+# derived from it stays finite and strictly increasing (J=1e-320 overflows
+# a delay duration, T2=1e-300 a squared line width, freq.span=1e308 the
+# grid ends, freq.span=1e-320 the grid spacing).
+MAGNITUDE_RANGE = (1e-9, 1e9)
 
 
 class ConfigError(ValueError):
@@ -92,16 +94,10 @@ def _float(s: str) -> float:
     return v
 
 
-def _positive(s: str) -> float:
+def _magnitude(s: str) -> float:
+    """A positive physical magnitude within ``MAGNITUDE_RANGE``."""
     v = _float(s)
-    if not v > 0:
-        raise ConfigError(f"must be positive, got {s}")
-    return v
-
-
-def _system(s: str) -> float:
-    v = _float(s)
-    lo, hi = SYSTEM_RANGE
+    lo, hi = MAGNITUDE_RANGE
     if not lo <= v <= hi:
         raise ConfigError(f"{s} outside [{lo:g}, {hi:g}]")
     return v
@@ -233,10 +229,10 @@ class Table1Config(ExperimentConfig):
 class PulseConfig(ExperimentConfig):
     """Base of the pulse-level experiments: the spin system and the oracles."""
 
-    J: float = _key("system.j", "194.8", _system, "scalar coupling in Hz")
-    t90: float = _key("system.t90", "15e-6", _system, "90-degree pulse time in s")
-    T2_H: float = _key("system.t2_h", "1.2", _system, "proton T2 in s")
-    T2_C: float = _key("system.t2_c", "0.6", _system, "carbon T2 in s")
+    J: float = _key("system.j", "194.8", _magnitude, "scalar coupling in Hz")
+    t90: float = _key("system.t90", "15e-6", _magnitude, "90-degree pulse time in s")
+    T2_H: float = _key("system.t2_h", "1.2", _magnitude, "proton T2 in s")
+    T2_C: float = _key("system.t2_c", "0.6", _magnitude, "carbon T2 in s")
     oracle_k: int = 1
     oracles: tuple[OracleSpec, ...] = _key(
         "oracle.matching", "all", _matching, "matching sets, e.g. 00;01 or all"
@@ -303,7 +299,7 @@ class SpectraConfig(PulseConfig):
     delta_j: float = _key("error.delta_j", "0", _error, "coupling miscalibration")
     # T2-limited lines are a fraction of a Hz wide; the default grid
     # spacing of 0.1 Hz keeps sampled peak heights within ~12 percent
-    freq_span: float = _key("freq.span", "150", _positive, "grid half-width in Hz")
+    freq_span: float = _key("freq.span", "150", _magnitude, "grid half-width in Hz")
     freq_points: int = _key(
         "freq.points", "3001", _int_in(2, MAX_FREQ_POINTS), "number of grid points"
     )

@@ -41,6 +41,7 @@ from .readout import (
 from .search import (
     OracleSpec,
     closed_form_success,
+    operators,
     query_count,
     recursive_operator,
     success_probability,
@@ -96,34 +97,18 @@ def pulse_operators(
     """Unitaries of the compiled order-0..r_max programs under ``error``.
 
     ``gates`` maps each ``GateOp`` label to its compiled sequence (see
-    ``compile_gates``). Each gate is simulated once; the orders then follow
-    from the recursion of the compiled program, in matrix order
-
-        V(r+1) = V(r) R0 W(r) Rf V(r),   W(r+1) = W(r) Rf^dag V(r) R0^dag W(r)
-
-    where W(r) is the unitary of the compiled *adjoint* program, built from
-    the compiled inverse gates. W is not V^dag: a gate and its compiled
-    inverse need not share an error (a phase gate and its inverse use
-    different delay durations, so a coupling error hits them differently),
-    and that mismatch is what the pulse level models.
-    Element for element the result equals ``sequence_unitary`` of
-    ``compile_algorithm(r, ...)`` up to the rounding of reassociated 4x4
-    products.
+    ``compile_gates``). Each gate is simulated once and the orders follow
+    from :func:`fpsearch.search.operators`. Element for element the result
+    equals ``sequence_unitary`` of ``compile_algorithm(r, ...)`` up to the
+    rounding of reassociated 4x4 products.
     """
-
-    def simulate(label: str) -> np.ndarray:
-        return sequence_unitary(gates[label], system, error)
-
-    v = simulate("U")
-    out = [v]
-    if r_max == 0:  # the order-0 program is U alone
-        return out
-    w, rf, rf_dag, r0, r0_dag = map(simulate, ("Udag", "Rf", "Rfdag", "R0", "R0dag"))
-    for r in range(1, r_max + 1):
-        v, w = v @ r0 @ w @ rf @ v, w @ rf_dag @ v @ r0_dag @ w
+    simulated = {
+        label: sequence_unitary(seq, system, error) for label, seq in gates.items()
+    }
+    ops = operators(r_max, simulated)
+    for r, v in enumerate(ops):
         check_unitary(v, f"order-{r} operator")
-        out.append(v)
-    return out
+    return ops
 
 
 def _estimated_success(
@@ -284,9 +269,8 @@ def pulse_infidelities(eps: float, system: SpinSystem) -> tuple[float, float]:
     error = ErrorModel(eps_H=eps, eps_C=eps)
     ideal = pulse_unitary(rf_pulse("H", np.pi / 2, 0.0), system, NO_ERROR)
     naive = pulse_unitary(rf_pulse("H", np.pi / 2, 0.0), system, error)
-    bb1 = np.eye(4, dtype=complex)
-    for ev in bb1_expand(np.pi / 2, 0.0, {"H"}):
-        bb1 = pulse_unitary(ev, system, error) @ bb1
+    bb1_seq = PulseSequence(bb1_expand(np.pi / 2, 0.0, {"H"}))
+    bb1 = sequence_unitary(bb1_seq, system, error)
     return rotation_infidelity(ideal, naive), rotation_infidelity(ideal, bb1)
 
 
@@ -308,7 +292,7 @@ def run_bb1_scaling(cfg: Bb1ScalingConfig) -> list[Path]:
         i_n, i_b = pulse_infidelities(eps, cfg.system)
         error = ErrorModel(eps_H=eps, eps_C=eps)
         p_n, p_b = (
-            success_probability(pulse_operators(0, g, cfg.system, error)[0], oracle)
+            success_probability(sequence_unitary(g["U"], cfg.system, error), oracle)
             for g in gates
         )
         rows.append([eps, i_n, i_b, p_n, p_b])

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# Tolerance for algebraic identities on directly constructed objects
-# (unitarity, normalization).
+# Tolerance for algebraic identities on directly constructed objects.
 ATOL = 1e-12
 
 
@@ -31,25 +30,6 @@ def basis_state(n: int, label: int | str) -> np.ndarray:
     psi = np.zeros(dim, dtype=complex)
     psi[idx] = 1.0
     return psi
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with ``a`` acting on the more significant qubits."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def is_unitary(u: np.ndarray, tol: float = ATOL) -> bool:
-    u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    eye = np.eye(u.shape[0])
-    return bool(np.max(np.abs(u.conj().T @ u - eye)) <= tol)
-
-
-def assert_unitary(u: np.ndarray, tol: float = ATOL, what: str = "operator") -> None:
-    if not is_unitary(u, tol):
-        dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-        raise ValueError(f"{what} is not unitary (max deviation {dev:.3e})")
 
 
 def equal_up_to_global_phase(u: np.ndarray, v: np.ndarray, tol: float) -> bool:

@@ -28,11 +28,6 @@ _COUPLING_DIAG = np.array([0.5, -0.5, -0.5, 0.5])
 
 RF_PULSE = "rf_pulse"
 DELAY = "delay"
-Z_VIRTUAL = "z_virtual"
-
-
-class VirtualZError(ValueError):
-    """A z_virtual event was simulated in physical mode."""
 
 
 class UnitarityError(RuntimeError):
@@ -86,8 +81,7 @@ NO_ERROR = ErrorModel()
 
 @dataclass(frozen=True)
 class PulseEvent:
-    """One timed event: an rf rotation, a free-evolution delay, or a
-    bookkeeping z rotation (debug only, never part of a physical sequence)."""
+    """One timed event: an rf rotation or a free-evolution delay."""
 
     kind: str
     targets: frozenset[str] = frozenset()
@@ -97,7 +91,7 @@ class PulseEvent:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "targets", frozenset(self.targets))
-        if self.kind not in (RF_PULSE, DELAY, Z_VIRTUAL):
+        if self.kind not in (RF_PULSE, DELAY):
             raise ValueError(f"unknown event kind {self.kind!r}")
         if any(t not in SPINS for t in self.targets):
             raise ValueError(f"unknown spin in targets {set(self.targets)}")
@@ -106,14 +100,8 @@ class PulseEvent:
                 raise ValueError("rf pulse needs at least one target spin")
             if not np.isfinite(self.angle) or not np.isfinite(self.phase):
                 raise ValueError("rf pulse angle and phase must be finite")
-        elif self.kind == DELAY:
-            if not self.duration > 0 or not np.isfinite(self.duration):
-                raise ValueError("delay duration must be positive and finite")
-        else:
-            if len(self.targets) != 1:
-                raise ValueError("z_virtual acts on exactly one spin")
-            if not np.isfinite(self.angle):
-                raise ValueError("z_virtual angle must be finite")
+        elif not self.duration > 0 or not np.isfinite(self.duration):
+            raise ValueError("delay duration must be positive and finite")
 
     def target_label(self) -> str:
         return "".join(s for s in SPINS if s in self.targets)
@@ -130,10 +118,6 @@ def rf_pulse(targets, angle: float, phase: float = 0.0) -> PulseEvent:
 
 def coupling_delay(duration: float) -> PulseEvent:
     return PulseEvent(DELAY, frozenset(), duration=duration)
-
-
-def virtual_z(spin: str, angle: float) -> PulseEvent:
-    return PulseEvent(Z_VIRTUAL, frozenset({spin}), angle)
 
 
 @dataclass(frozen=True)
@@ -168,16 +152,12 @@ class PulseSequence:
     def total_delay_time(self) -> float:
         return float(sum(e.duration for e in self.events if e.kind == DELAY))
 
-    def is_physical(self) -> bool:
-        return all(e.kind != Z_VIRTUAL for e in self.events)
-
     def serialize(self) -> str:
         """Line-oriented text form, one event per line.
 
         ``PULSE <targets> <angle_deg> <phase_deg>`` for rotations and
         ``DELAY <seconds>`` for free evolution, with ``# gate:`` comments at
-        gate boundaries. Numbers carry 9 significant digits. Bookkeeping
-        z rotations have no physical line format and are refused.
+        gate boundaries. Numbers carry 9 significant digits.
         """
         starts = {span.start: span.label for span in self.gates}
         lines: list[str] = []
@@ -189,12 +169,8 @@ class PulseSequence:
                     f"PULSE {ev.target_label()} "
                     f"{np.degrees(ev.angle):.9g} {np.degrees(ev.phase):.9g}"
                 )
-            elif ev.kind == DELAY:
-                lines.append(f"DELAY {ev.duration:.9g}")
             else:
-                raise VirtualZError(
-                    f"event {i} is z_virtual and has no physical serialization"
-                )
+                lines.append(f"DELAY {ev.duration:.9g}")
         return "\n".join(lines) + "\n"
 
 
@@ -210,15 +186,10 @@ def _rot_xy(theta: float, phase: float) -> np.ndarray:
     )
 
 
-def _rot_z(theta: float) -> np.ndarray:
-    return np.diag([np.exp(-1j * theta / 2.0), np.exp(1j * theta / 2.0)])
-
-
 def pulse_unitary(
     event: PulseEvent,
     system: SpinSystem,
     error: ErrorModel = NO_ERROR,
-    allow_virtual: bool = False,
 ) -> np.ndarray:
     """4x4 unitary of a single event under the given error model."""
     if event.kind == RF_PULSE:
@@ -230,33 +201,19 @@ def pulse_unitary(
             else:
                 factors.append(np.eye(2, dtype=complex))
         return np.kron(factors[0], factors[1])
-    if event.kind == DELAY:
-        angle = np.pi * system.J * (1.0 + error.delta_J) * event.duration
-        return np.diag(np.exp(-1j * angle * _COUPLING_DIAG))
-    if not allow_virtual:
-        raise VirtualZError("z_virtual event simulated in physical mode")
-    factors = [
-        _rot_z(event.angle) if spin in event.targets else np.eye(2, dtype=complex)
-        for spin in SPINS
-    ]
-    return np.kron(factors[0], factors[1])
+    angle = np.pi * system.J * (1.0 + error.delta_J) * event.duration
+    return np.diag(np.exp(-1j * angle * _COUPLING_DIAG))
 
 
 def sequence_unitary(
     sequence: PulseSequence,
     system: SpinSystem,
     error: ErrorModel = NO_ERROR,
-    allow_virtual: bool = False,
 ) -> np.ndarray:
     """Time-ordered product of the event unitaries (first event acts first)."""
     u = np.eye(4, dtype=complex)
-    for i, event in enumerate(sequence.events):
-        try:
-            u = pulse_unitary(event, system, error, allow_virtual) @ u
-        except VirtualZError:
-            raise VirtualZError(
-                f"z_virtual event at index {i} simulated in physical mode"
-            ) from None
+    for event in sequence.events:
+        u = pulse_unitary(event, system, error) @ u
     check_unitary(u, f"sequence of {len(sequence)} events")
     return u
 

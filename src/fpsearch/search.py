@@ -10,6 +10,10 @@ oracle ``Rf`` marking the matching basis states, and the same construction
 
 With phase pi/3 the target is an attractor: the failure probability cubes
 at every level, so the operator never overshoots the target.
+
+:func:`operators` runs this recursion over six gate matrices, with the
+adjoint ``V(r)^dag`` carried along as the operator W(r) of the inverse
+gates, so the same code serves exact gates and simulated pulse programs.
 """
 
 from __future__ import annotations
@@ -183,16 +187,43 @@ def expand_gate_list(r: int) -> tuple[GateOp, ...]:
     return tuple(seq)
 
 
-def recursive_operator(r: int, oracle: OracleSpec) -> np.ndarray:
-    """The order-r search operator V(r), built by exact matrix recursion."""
-    _check_order(r)
+def ideal_gates(oracle: OracleSpec) -> dict[str, np.ndarray]:
+    """Exact matrices of the six gates, keyed by ``GateOp.label``."""
     u = pseudo_hadamard(oracle.n)
     rf = phase_oracle(oracle)
     r0 = phase_oracle(origin_spec(oracle.n, oracle.phase))
-    v = u
-    for _ in range(r):
-        v = v @ r0 @ v.conj().T @ rf @ v
-    return v
+    return {"U": u, "Udag": u.conj().T, "Rf": rf, "Rfdag": rf.conj().T,
+            "R0": r0, "R0dag": r0.conj().T}
+
+
+def operators(r_max: int, gates: dict[str, np.ndarray]) -> list[np.ndarray]:
+    """The operators V(0)..V(r_max) built from six gate matrices.
+
+    ``gates`` maps each ``GateOp`` label to a gate's matrix: the exact ones
+    of :func:`ideal_gates`, or simulated pulse programs. In matrix order
+
+        V(r+1) = V(r) R0 W(r) Rf V(r),   W(r+1) = W(r) Rf^dag V(r) R0^dag W(r)
+
+    starting from V(0) = U and W(0) = U^dag, where W(r) is the operator of
+    the adjoint program, built from the inverse gates. With exact gates W
+    is V^dag. A compiled gate and its compiled inverse need not share an
+    error (a phase gate and its inverse use different delay durations, so
+    a coupling error hits them differently), so W is not replaced by V^dag:
+    that mismatch is what the pulse level models.
+    """
+    _check_order(r_max)
+    v, w = gates["U"], gates["Udag"]
+    rf, rf_dag, r0, r0_dag = (gates[k] for k in ("Rf", "Rfdag", "R0", "R0dag"))
+    out = [v]
+    for _ in range(r_max):
+        v, w = v @ r0 @ w @ rf @ v, w @ rf_dag @ v @ r0_dag @ w
+        out.append(v)
+    return out
+
+
+def recursive_operator(r: int, oracle: OracleSpec) -> np.ndarray:
+    """The order-r search operator V(r), built by exact matrix recursion."""
+    return operators(r, ideal_gates(oracle))[r]
 
 
 def success_probability(v: np.ndarray, oracle: OracleSpec) -> float:

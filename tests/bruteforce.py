@@ -8,7 +8,7 @@ package, so agreement between the two paths is a real cross-check.
 import numpy as np
 from scipy.linalg import expm
 
-from fpsearch.pulses import DELAY, RF_PULSE, Z_VIRTUAL, ErrorModel, SpinSystem
+from fpsearch.pulses import DELAY, RF_PULSE, ErrorModel, SpinSystem
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -32,9 +32,6 @@ def event_unitary_expm(event, system: SpinSystem, error: ErrorModel) -> np.ndarr
         two_hz_cz = np.kron(_SZ, _SZ) / 2.0
         omega = np.pi * system.J * (1.0 + error.delta_J) * event.duration
         return expm(-1j * omega * two_hz_cz)
-    if event.kind == Z_VIRTUAL:
-        (spin,) = event.targets
-        return expm(-1j * event.angle * _on_spin(_SZ / 2.0, spin))
     raise ValueError(event.kind)
 
 

@@ -90,9 +90,12 @@ def test_bad_value_exits_2(tmp_path, capsys):
         ("spectra", ["--override", "system.t2_h=1e-300"]),
         ("robustness", ["--override", "oracle.matching=00;00;00",
                         "--override", "r.max=1"]),
+        ("spectra", ["--override", "freq.span=1e308"]),
+        ("spectra", ["--override", "freq.span=1e-320",
+                     "--override", "freq.points=100001"]),
     ],
     ids=["j", "t2_h", "t90", "t2_c", "undecodable-file", "j-subnormal",
-         "t2_h-tiny", "duplicate-matching"],
+         "t2_h-tiny", "duplicate-matching", "freq-span-huge", "freq-span-subnormal"],
 )
 def test_bad_config_input_exits_2(tmp_path, capsys, experiment, args):
     (tmp_path / "latin-1.cfg").write_bytes("style = na\xefve\n".encode("latin-1"))

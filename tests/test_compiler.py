@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bruteforce import sequence_unitary_expm
 from fpsearch import linalg
 from fpsearch.compiler import (
     compile_algorithm,
-    compile_phase_gate,
+    compile_gates,
     diagonal_phase_coefficients,
 )
 from fpsearch.pulses import (
@@ -20,6 +22,9 @@ from fpsearch.search import (
     MAX_ORDER,
     OracleSpec,
     all_oracles,
+    ideal_gates,
+    operators,
+    origin_spec,
     phase_oracle,
     pseudo_hadamard,
     recursive_operator,
@@ -60,46 +65,50 @@ class TestDiagonalDecomposition:
 
 
 class TestCompilePhaseGate:
+    """The phase gates ``Rf``, ``Rf^dag``, ``R0`` and ``R0^dag`` as
+    ``compile_gates`` lowers them."""
+
     @pytest.mark.parametrize("phase", [PI3, -PI3, np.pi, -np.pi + 0.1, 1.9])
     def test_sound_for_all_matching_sets(self, system, phase):
         for k in (1, 2, 3):
             for spec in all_oracles(2, k, phase=phase):
-                seq = compile_phase_gate(spec, system)
-                u = sequence_unitary(seq, system)
-                assert linalg.equal_up_to_global_phase(
-                    u, phase_oracle(spec), 1e-10
-                ), f"{spec.label()} @ {phase}"
+                gates = compile_gates(spec, system)
+                for label, target in (("Rf", spec), ("Rfdag", spec.adjoint())):
+                    u = sequence_unitary(gates[label], system)
+                    assert linalg.equal_up_to_global_phase(
+                        u, phase_oracle(target), 1e-10
+                    ), f"{label} {spec.label()} @ {phase}"
 
     def test_origin_gate_roundtrip(self, system):
-        spec = OracleSpec(2, {"00"}, PI3)
-        seq = compile_phase_gate(spec, system)
-        u = sequence_unitary(seq, system)
-        assert linalg.equal_up_to_global_phase(u, phase_oracle(spec), 1e-10)
+        gates = compile_gates(OracleSpec(2, {"11"}, PI3), system)
+        origin = origin_spec(2, PI3)
+        for label, target in (("R0", origin), ("R0dag", origin.adjoint())):
+            u = sequence_unitary(gates[label], system)
+            assert linalg.equal_up_to_global_phase(u, phase_oracle(target), 1e-10)
 
     def test_proton_only_pair_has_no_delay(self, system):
-        seq = compile_phase_gate(OracleSpec(2, {"00", "01"}, PI3), system)
+        seq = compile_gates(OracleSpec(2, {"00", "01"}, PI3), system)["Rf"]
         assert seq.delay_count() == 0
         targets = {t for ev in seq.events for t in ev.targets}
         assert targets == {"H"}
         assert seq.rf_pulse_count() == 3
 
     def test_carbon_only_pair(self, system):
-        seq = compile_phase_gate(OracleSpec(2, {"00", "10"}, PI3), system)
+        seq = compile_gates(OracleSpec(2, {"00", "10"}, PI3), system)["Rf"]
         assert seq.delay_count() == 0
         targets = {t for ev in seq.events for t in ev.targets}
         assert targets == {"C"}
 
     def test_antialigned_pair_is_delay_only(self, system):
-        seq = compile_phase_gate(OracleSpec(2, {"01", "10"}, PI3), system)
+        seq = compile_gates(OracleSpec(2, {"01", "10"}, PI3), system)["Rf"]
         assert seq.rf_pulse_count() == 0 and seq.delay_count() == 1
         assert seq.total_delay_time() == pytest.approx(PI3 / (np.pi * system.J))
 
     def test_inverse_gate_uses_short_delay(self, system):
         # the forward gate needs the phase-shifted long delay, the
         # negated-phase inverse the direct short one
-        fwd = compile_phase_gate(OracleSpec(2, {"11"}, PI3), system)
-        inv = compile_phase_gate(OracleSpec(2, {"11"}, -PI3), system)
-        t_fwd, t_inv = fwd.total_delay_time(), inv.total_delay_time()
+        gates = compile_gates(OracleSpec(2, {"11"}, PI3), system)
+        t_fwd, t_inv = gates["Rf"].total_delay_time(), gates["Rfdag"].total_delay_time()
         assert t_inv == pytest.approx((PI3 / 2) / (np.pi * system.J))
         assert t_inv == pytest.approx(855.578e-6, abs=0.01e-6)
         assert t_fwd == pytest.approx((np.pi - PI3 / 2) / (np.pi * system.J))
@@ -107,14 +116,7 @@ class TestCompilePhaseGate:
 
     def test_zero_phase_rejected(self, system):
         with pytest.raises(ValueError):
-            compile_phase_gate(OracleSpec(2, {"11"}, 0.0), system)
-
-    def test_virtual_z_variant(self, system):
-        spec = OracleSpec(2, {"11"}, PI3)
-        seq = compile_phase_gate(spec, system, use_virtual_z=True)
-        assert not seq.is_physical()
-        u = sequence_unitary(seq, system, allow_virtual=True)
-        assert linalg.equal_up_to_global_phase(u, phase_oracle(spec), 1e-10)
+            compile_gates(OracleSpec(2, {"11"}, 0.0), system)
 
 
 class TestCompileAlgorithm:
@@ -215,12 +217,11 @@ class TestCompileAlgorithm:
 class TestErrorBehaviour:
     """Pulse-level contraction behaviour under the two systematic errors."""
 
-    def _pulse_probs(self, spec, system, error, r_top=3, **kwargs):
+    def _pulse_probs(self, spec, system, error, r_top=3):
         probs = []
         for r in range(r_top + 1):
-            seq = compile_algorithm(r, spec, system, **kwargs)
-            allow = kwargs.get("use_virtual_z", False)
-            u = sequence_unitary(seq, system, error, allow_virtual=allow)
+            seq = compile_algorithm(r, spec, system)
+            u = sequence_unitary(seq, system, error)
             probs.append(success_probability(u, spec))
         return probs
 
@@ -240,21 +241,29 @@ class TestErrorBehaviour:
             assert residual > 1e-6
             assert residual == pytest.approx(pinned[spec.label()], abs=1e-9)
 
+    @settings(max_examples=25)
+    @given(
+        eps_h=st.floats(-0.2, 0.2),
+        eps_c=st.floats(-0.2, 0.2),
+        delta_j=st.floats(-0.2, 0.2),
+    )
     def test_rf_error_with_exact_phase_gates_keeps_contraction(
-        self, system, k1_oracles
+        self, system, eps_h, eps_c, delta_j
     ):
-        # with ideal (bookkept) z rotations the phase gates stay exact, the
-        # base transformation and its inverse share their error, and the
-        # contraction survives any rf miscalibration
-        for eps in (0.02, 0.1, -0.1):
-            err = ErrorModel.uniform_rf(eps)
-            for spec in k1_oracles:
-                p = self._pulse_probs(
-                    spec, system, err, r_top=3, use_virtual_z=True
-                )
-                for r in range(3):
-                    residual = abs((1 - p[r + 1]) - (1 - p[r]) ** 3)
-                    assert residual <= 1e-9
+        # with exact phase matrices and the simulated base transformation,
+        # U and its compiled inverse share their rf error, and the
+        # contraction survives any miscalibration: the paper's
+        # exact-robustness statement, for every k <= 2 oracle and r <= 4
+        error = ErrorModel(eps_H=eps_h, eps_C=eps_c, delta_J=delta_j)
+        for spec in all_oracles(2, 1) + all_oracles(2, 2):
+            compiled = compile_gates(spec, system, "naive")
+            gates = ideal_gates(spec)
+            for label in ("U", "Udag"):
+                gates[label] = sequence_unitary(compiled[label], system, error)
+            p = [success_probability(v, spec) for v in operators(4, gates)]
+            for r in range(4):
+                residual = abs((1 - p[r + 1]) - (1 - p[r]) ** 3)
+                assert residual <= 1e-9, (spec.label(), r)
 
     def test_rf_error_on_phase_gate_pulses_breaks_contraction(
         self, system, k1_oracles

@@ -1,6 +1,8 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpsearch.config import (
     EXPERIMENT_NAMES,
@@ -36,6 +38,20 @@ class TestParse:
     def test_rejects_duplicates(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config_text("a = 1\na = 2")
+
+    @settings(max_examples=200)
+    @given(
+        st.text(
+            st.sampled_from("ab.= #\t\n\r\x0b\x1c\u2028") | st.characters()
+        )
+    )
+    def test_arbitrary_text_raises_only_config_error(self, text):
+        try:
+            mapping = parse_config_text(text)
+        except ConfigError:
+            return
+        assert all(isinstance(k, str) and k for k in mapping)
+        assert all(isinstance(v, str) for v in mapping.values())
 
     def test_overrides(self):
         m = apply_overrides({"a": "1"}, ["a=2", "b = 3"])
@@ -113,6 +129,8 @@ class TestBuild:
              ",".join(["0"] * (MAX_GRID_VALUES + 1))),
             ("k1-curves", "system.j", "1e9", "1.1e9"),
             ("spectra", "system.t2_h", "1e-9", "0.9e-9"),
+            ("spectra", "freq.span", "1e9", "1.1e9"),
+            ("spectra", "freq.span", "1e-9", "0.9e-9"),
         ],
     )
     def test_resource_caps(self, experiment, key, cap, value):

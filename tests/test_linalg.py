@@ -22,31 +22,6 @@ def test_basis_state_rejects_bad_labels():
         linalg.basis_state(2, 4)
 
 
-def test_tensor_product_identity():
-    assert np.allclose(linalg.tensor_product(I2, I2), np.eye(4))
-
-
-def test_tensor_product_bit_flips():
-    psi = linalg.tensor_product(X, X) @ linalg.basis_state(2, 0)
-    assert np.allclose(psi, linalg.basis_state(2, "11"))
-
-
-def test_tensor_product_factorizes_over_basis(rng):
-    # (A x B)(|a> x |b>) = (A|a>) x (B|b>) over all four basis products
-    a = random_unitary(rng, 2)
-    b = random_unitary(rng, 2)
-    ab = linalg.tensor_product(a, b)
-    for i in range(2):
-        for j in range(2):
-            ea = np.zeros(2, dtype=complex)
-            eb = np.zeros(2, dtype=complex)
-            ea[i] = 1.0
-            eb[j] = 1.0
-            lhs = ab @ np.kron(ea, eb)
-            rhs = np.kron(a @ ea, b @ eb)
-            assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
 def test_apply_identity_and_phase_oracle_action():
     psi = linalg.basis_state(2, "11")
     assert np.allclose(np.eye(4) @ psi, psi)
@@ -61,13 +36,6 @@ def test_apply_preserves_norm_and_composition(rng):
         out = u.conj().T @ (u @ psi)
         assert np.max(np.abs(out - psi)) < 1e-12
         assert abs(np.linalg.norm(u @ psi) - 1.0) < 1e-12
-
-
-def test_is_unitary(rng):
-    assert linalg.is_unitary(random_unitary(rng, 4))
-    assert not linalg.is_unitary(np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        linalg.assert_unitary(2 * np.eye(2))
 
 
 class TestEqualUpToGlobalPhase:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bruteforce import event_unitary_expm, sequence_unitary_expm
+from conftest import random_unitary
 from fpsearch import linalg
 from fpsearch.pulses import (
     NO_ERROR,
@@ -10,15 +11,14 @@ from fpsearch.pulses import (
     PulseSequence,
     SpinSystem,
     UnitarityError,
-    VirtualZError,
     bb1_expand,
+    check_unitary,
     composite_z,
     coupling_delay,
     pulse_unitary,
     rf_pulse,
     rotation_infidelity,
     sequence_unitary,
-    virtual_z,
 )
 from fpsearch.search import pseudo_hadamard
 
@@ -45,17 +45,15 @@ class TestEventValidation:
         assert ev.angle == pytest.approx(np.pi / 2)
         assert ev.phase == pytest.approx(np.pi)
 
-    def test_virtual_z_single_spin(self):
-        with pytest.raises(ValueError):
-            PulseEvent("z_virtual", frozenset({"H", "C"}), angle=1.0)
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="kind"):
+            PulseEvent("z_virtual", frozenset({"H"}), angle=1.0)
 
 
 class TestPulseUnitary:
     def test_90y_on_h_matches_pseudo_hadamard_factor(self, system):
         u = pulse_unitary(rf_pulse("H", np.pi / 2, np.pi / 2), system)
-        expected = linalg.tensor_product(
-            pseudo_hadamard(1), np.eye(2, dtype=complex)
-        )
+        expected = np.kron(pseudo_hadamard(1), np.eye(2))
         assert np.max(np.abs(u - expected)) < 1e-12
 
     def test_simultaneous_90y_is_pseudo_hadamard(self, system):
@@ -77,12 +75,6 @@ class TestPulseUnitary:
         err = pulse_unitary(rf_pulse("H", np.pi, 0.0), system, ErrorModel(eps_H=0.1))
         fidelity = 1.0 - rotation_infidelity(ideal, err)
         assert fidelity == pytest.approx(np.cos(np.radians(9.0)) ** 2, abs=1e-12)
-
-    def test_virtual_z_blocked_in_physical_mode(self, system):
-        with pytest.raises(VirtualZError):
-            pulse_unitary(virtual_z("H", 0.3), system)
-        u = pulse_unitary(virtual_z("H", 0.3), system, allow_virtual=True)
-        assert np.max(np.abs(u - np.kron(_rz(0.3), np.eye(2)))) < 1e-12
 
     def test_per_channel_error_scaling(self, system):
         err = ErrorModel(eps_H=0.1, eps_C=-0.2)
@@ -118,12 +110,13 @@ class TestSequenceUnitary:
             )
         )
         for err in (ErrorModel(0.3, -0.4, 0.2), ErrorModel(-0.9, 0.9, -0.5)):
-            assert linalg.is_unitary(sequence_unitary(seq, system, err), 1e-10)
+            check_unitary(sequence_unitary(seq, system, err), "sequence")
 
-    def test_virtual_z_error_reports_index(self, system):
-        seq = PulseSequence((rf_pulse("H", 1.0), virtual_z("C", 0.2)))
-        with pytest.raises(VirtualZError, match="index 1"):
-            sequence_unitary(seq, system)
+    def test_check_unitary(self, rng):
+        check_unitary(random_unitary(rng, 4), "random unitary")
+        for bad in (np.ones((2, 2)), 2 * np.eye(2), np.full((2, 2), np.nan)):
+            with pytest.raises(UnitarityError, match="lost unitarity"):
+                check_unitary(bad, "bad")
 
     def test_agrees_with_bruteforce(self, system):
         seq = PulseSequence(
@@ -233,11 +226,6 @@ class TestSerialization:
     def test_nine_significant_digits(self):
         seq = PulseSequence((coupling_delay(1.0 / 3.0),))
         assert seq.serialize().strip() == "DELAY 0.333333333"
-
-    def test_virtual_z_refused(self):
-        seq = PulseSequence((virtual_z("H", 0.5),))
-        with pytest.raises(VirtualZError):
-            seq.serialize()
 
 
 class TestErrorModel:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fpsearch import linalg
+from fpsearch.pulses import check_unitary
 from fpsearch.search import (
     MAX_ORDER,
     GateOp,
@@ -11,6 +12,8 @@ from fpsearch.search import (
     all_oracles,
     closed_form_success,
     expand_gate_list,
+    ideal_gates,
+    operators,
     origin_spec,
     phase_oracle,
     pseudo_hadamard,
@@ -65,7 +68,7 @@ class TestPhaseOracle:
 
     def test_unitary(self):
         for spec in all_oracles(2, 1) + all_oracles(2, 2):
-            assert linalg.is_unitary(phase_oracle(spec))
+            check_unitary(phase_oracle(spec), spec.label())
 
 
 class TestPseudoHadamard:
@@ -80,7 +83,7 @@ class TestPseudoHadamard:
 
     def test_unitary(self):
         for n in (1, 2, 3):
-            assert linalg.is_unitary(pseudo_hadamard(n))
+            check_unitary(pseudo_hadamard(n), f"n={n}")
 
 
 class TestClosedFormAndQueries:
@@ -148,7 +151,7 @@ class TestRecursiveOperator:
 
     def test_unitary_at_depth(self):
         spec = OracleSpec(2, {"11"}, PI3)
-        assert linalg.is_unitary(recursive_operator(4, spec))
+        check_unitary(recursive_operator(4, spec), "V(4)")
 
     def test_order_cap(self):
         spec = OracleSpec(2, {"11"}, PI3)
@@ -166,6 +169,22 @@ class TestRecursiveOperator:
                 assert success_probability(v, spec) == pytest.approx(
                     abs(np.vdot(target, v[:, 0])) ** 2, abs=1e-12
                 )
+
+
+class TestOperators:
+    @pytest.mark.parametrize("phase", [PI3, np.pi])
+    def test_matches_literal_recursion(self, phase):
+        # the paper's recursion spelled out with the adjoint itself,
+        # V(r+1) = V(r) R0 V(r)^dag Rf V(r); operators carries W instead
+        for k in (1, 2, 3):
+            for spec in all_oracles(2, k, phase=phase):
+                rf = phase_oracle(spec)
+                r0 = phase_oracle(origin_spec(2, phase))
+                v = pseudo_hadamard(2)
+                for r, op in enumerate(operators(4, ideal_gates(spec))):
+                    if r:
+                        v = v @ r0 @ v.conj().T @ rf @ v
+                    assert np.max(np.abs(op - v)) <= 1e-12, (spec.label(), r)
 
 
 class TestCubeLawAndEquivalences:
