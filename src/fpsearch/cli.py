@@ -4,8 +4,9 @@
     fpsearch list
     fpsearch verify
 
-Exit codes: 0 success, 1 failed verification, 2 configuration error,
-3 numerical invariant violation during a run.
+Exit codes: 0 success, 1 failed verification, 2 configuration error
+(including outputs that cannot be written), 3 numerical invariant
+violation during a run.
 """
 
 from __future__ import annotations
@@ -67,6 +68,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except UnitarityError as exc:
         print(f"numerical invariant violation: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"config error: output.dir: {exc}", file=sys.stderr)
+        return 2
     for path in paths:
         print(path)
     return 0

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import pulses, search
+from . import search
 from .pulses import (
-    DELAY,
     RF_PULSE,
     GateSpan,
     PulseEvent,
@@ -37,7 +36,7 @@ from .pulses import (
     coupling_delay,
     rf_pulse,
 )
-from .search import GateOp, OracleSpec
+from .search import OracleSpec
 
 STYLES = ("naive", "bb1")
 
@@ -80,60 +79,6 @@ def _phase_gate_events(spec: OracleSpec, system: SpinSystem) -> list[PulseEvent]
     return events
 
 
-def _gate_events(
-    gate: GateOp,
-    oracle: OracleSpec,
-    origin: OracleSpec,
-    system: SpinSystem,
-) -> list[PulseEvent]:
-    if gate.kind == "U":
-        phase = np.pi / 2 if not gate.dagger else 3 * np.pi / 2
-        return [rf_pulse({"H", "C"}, np.pi / 2, phase)]
-    spec = oracle if gate.kind == "Rf" else origin
-    if gate.dagger:
-        spec = spec.adjoint()
-    return _phase_gate_events(spec, system)
-
-
-def _same_axis(a: PulseEvent, b: PulseEvent) -> int:
-    """+1 for parallel rf axes, -1 for antiparallel, 0 otherwise."""
-    d = (a.phase - b.phase) % (2 * np.pi)
-    if d < _ZERO or 2 * np.pi - d < _ZERO:
-        return 1
-    if abs(d - np.pi) < _ZERO:
-        return -1
-    return 0
-
-
-def _local_merge(events: list[PulseEvent]) -> list[PulseEvent]:
-    """Combine pulses within one gate: drop zero rotations, add adjacent
-    same-spin rotations about a shared axis, and sum adjacent delays."""
-    out: list[PulseEvent] = []
-    for ev in events:
-        if ev.kind == RF_PULSE and abs(ev.angle) <= _ZERO:
-            continue
-        if out:
-            prev = out[-1]
-            if (
-                ev.kind == RF_PULSE
-                and prev.kind == RF_PULSE
-                and prev.targets == ev.targets
-            ):
-                sense = _same_axis(prev, ev)
-                if sense:
-                    angle = prev.angle + sense * ev.angle
-                    out.pop()
-                    if abs(angle) > _ZERO:
-                        out.append(rf_pulse(prev.targets, angle, prev.phase))
-                    continue
-            if ev.kind == DELAY and prev.kind == DELAY:
-                out.pop()
-                out.append(coupling_delay(prev.duration + ev.duration))
-                continue
-        out.append(ev)
-    return out
-
-
 def _bb1_rewrite(events: list[PulseEvent]) -> list[PulseEvent]:
     out: list[PulseEvent] = []
     for ev in events:
@@ -144,12 +89,6 @@ def _bb1_rewrite(events: list[PulseEvent]) -> list[PulseEvent]:
     return out
 
 
-# The six gate descriptors an order-r program is built from.
-GATES = tuple(
-    GateOp(kind, dagger) for kind in ("U", "Rf", "R0") for dagger in (False, True)
-)
-
-
 def compile_gates(
     oracle: OracleSpec,
     system: SpinSystem,
@@ -157,10 +96,10 @@ def compile_gates(
 ) -> dict[str, PulseSequence]:
     """Pulse sequences of the six gates, keyed by ``GateOp.label``.
 
-    Each gate is compiled on its own and locally simplified; no merging
-    happens across gate boundaries. ``style="bb1"`` rewrites every rf pulse
-    as a BB1 composite rotation after local simplification. An inverse is
-    compiled from its own descriptor, not by reversing its gate's pulses.
+    Each gate is compiled on its own, with no merging of pulses within or
+    across gates. ``style="bb1"`` rewrites every rf pulse as a BB1
+    composite rotation. An inverse is compiled from its own descriptor,
+    not by reversing its gate's pulses.
     """
     if oracle.n != 2:
         raise ValueError("pulse compilation supports two-spin systems only")
@@ -169,13 +108,19 @@ def compile_gates(
     if oracle.phase == 0.0:
         raise ValueError("phase gate with zero phase compiles to nothing")
     origin = search.origin_spec(oracle.n, oracle.phase)
+    gates = {
+        "U": [rf_pulse({"H", "C"}, np.pi / 2, np.pi / 2)],
+        "Udag": [rf_pulse({"H", "C"}, np.pi / 2, 3 * np.pi / 2)],
+        "Rf": _phase_gate_events(oracle, system),
+        "Rfdag": _phase_gate_events(oracle.adjoint(), system),
+        "R0": _phase_gate_events(origin, system),
+        "R0dag": _phase_gate_events(origin.adjoint(), system),
+    }
     out: dict[str, PulseSequence] = {}
-    for gate in GATES:
-        events = _local_merge(_gate_events(gate, oracle, origin, system))
+    for label, events in gates.items():
         if style == "bb1":
             events = _bb1_rewrite(events)
-        span = GateSpan(gate.label, 0, len(events))
-        out[gate.label] = PulseSequence(tuple(events), (span,))
+        out[label] = PulseSequence(tuple(events), (GateSpan(label, 0, len(events)),))
     return out
 
 

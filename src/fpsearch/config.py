@@ -124,17 +124,23 @@ def _int_in(lo: int, hi: int, what: str = "value") -> Callable[[str], int]:
     return parse
 
 
-def _items(s: str) -> list[str]:
+def _items(s: str, parse: Callable[[str], object]) -> tuple:
+    """A comma list parsed entry by entry; entries that parse equal
+    (``1,01`` or ``0.1,0.10``) are rejected as given twice."""
     items = [x.strip() for x in s.split(",") if x.strip()]
     if not items:
         raise ConfigError("empty list")
     if len(items) > MAX_GRID_VALUES:
         raise ConfigError(f"{len(items)} entries, more than {MAX_GRID_VALUES}")
-    return items
+    values = tuple(parse(x) for x in items)
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ConfigError(f"entry {items[i]!r} given twice in {s!r}")
+    return values
 
 
 def _error_list(s: str) -> tuple[float, ...]:
-    return tuple(_error(x) for x in _items(s))
+    return _items(s, _error)
 
 
 _order = _int_in(0, MAX_ORDER, "recursion order")
@@ -142,7 +148,7 @@ _order = _int_in(0, MAX_ORDER, "recursion order")
 
 def _orders(s: str) -> tuple[int | None, ...]:
     """Recursion orders; ``inf`` selects the direct target preparation."""
-    return tuple(None if x == "inf" else _order(x) for x in _items(s))
+    return _items(s, lambda x: None if x == "inf" else _order(x))
 
 
 def _style(s: str) -> str:
@@ -152,7 +158,7 @@ def _style(s: str) -> str:
 
 
 def _styles(s: str) -> tuple[str, ...]:
-    return tuple(_style(x) for x in _items(s))
+    return _items(s, _style)
 
 
 def _matching(s: str) -> tuple[OracleSpec, ...]:

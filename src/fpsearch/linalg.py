@@ -21,17 +21,6 @@ def basis_index(bits: str) -> int:
     return int(bits, 2)
 
 
-def basis_state(n: int, label: int | str) -> np.ndarray:
-    """Computational basis state of an n-qubit register."""
-    idx = basis_index(label) if isinstance(label, str) else int(label)
-    dim = 1 << n
-    if not 0 <= idx < dim:
-        raise ValueError(f"basis index {idx} out of range for n={n}")
-    psi = np.zeros(dim, dtype=complex)
-    psi[idx] = 1.0
-    return psi
-
-
 def equal_up_to_global_phase(u: np.ndarray, v: np.ndarray, tol: float) -> bool:
     """True iff ``u == c * v`` entrywise within ``tol`` for some unit-modulus c.
 

@@ -146,9 +146,6 @@ class PulseSequence:
     def rf_pulse_count(self) -> int:
         return sum(1 for e in self.events if e.kind == RF_PULSE)
 
-    def delay_count(self) -> int:
-        return sum(1 for e in self.events if e.kind == DELAY)
-
     def total_delay_time(self) -> float:
         return float(sum(e.duration for e in self.events if e.kind == DELAY))
 

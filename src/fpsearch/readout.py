@@ -73,23 +73,9 @@ def spectrum_from_populations(rho: np.ndarray, system: SpinSystem) -> Spectrum:
     )
 
 
-def fractional_signal(p: float, k: int) -> float:
-    """Fractional signal of a success probability.
-
-    Only the traceless part of the density matrix is observable, so the
-    signal is not proportional to p: it vanishes at p = 1/4 for one
-    matching state and at p = 1/2 for two.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability {p} outside [0, 1]")
-    if k == 1:
-        return (4.0 * p - 1.0) / 3.0
-    if k == 2:
-        return 2.0 * p - 1.0
-    raise ValueError(f"fractional signal defined for k in {{1, 2}}, got {k}")
-
-
 def invert_fractional_signal(f: float, k: int) -> float:
+    """Success probability p of the fractional signal ``f = (4p - 1)/3`` of
+    one matching state or ``f = 2p - 1`` of two."""
     if k == 1:
         return (3.0 * f + 1.0) / 4.0
     if k == 2:

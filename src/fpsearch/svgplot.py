@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 _PALETTE = ("#1f6fb4", "#c84b4b", "#3a9a5a", "#8458b0", "#b08a2e", "#4ba8a8")
-_MARKERS = ("square", "circle", "diamond", "star")
 
 
 def _f(x: float) -> str:
@@ -48,15 +47,9 @@ def _marker_svg(kind: str, x: float, y: float, color: str) -> str:
     return f'<polygon points="{pts}" fill="{color}"/>'
 
 
-def xy_plot(
-    series: list[Series],
-    title: str,
-    xlabel: str,
-    ylabel: str,
-    width: int = 640,
-    height: int = 420,
-) -> str:
+def xy_plot(series: list[Series], title: str, xlabel: str, ylabel: str) -> str:
     """Line/marker plot with a framed axis box and min/max tick labels."""
+    width, height = 640, 420
     margin_l, margin_r, margin_t, margin_b = 64, 150, 34, 46
     pw = width - margin_l - margin_r
     ph = height - margin_t - margin_b
@@ -138,12 +131,7 @@ class Panel:
 
 
 def panel_grid(
-    panels: list[list[Panel]],
-    title: str,
-    y_limit: float,
-    reverse_x: bool = True,
-    cell_w: int = 150,
-    cell_h: int = 96,
+    panels: list[list[Panel]], title: str, y_limit: float, reverse_x: bool = True
 ) -> str:
     """Grid of small traces with one shared vertical scale.
 
@@ -152,6 +140,7 @@ def panel_grid(
     """
     rows = len(panels)
     cols = max(len(row) for row in panels)
+    cell_w, cell_h = 150, 96
     margin_l, margin_t = 70, 40
     width = margin_l + cols * cell_w + 20
     height = margin_t + rows * cell_h + 30

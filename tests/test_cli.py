@@ -93,9 +93,16 @@ def test_bad_value_exits_2(tmp_path, capsys):
         ("spectra", ["--override", "freq.span=1e308"]),
         ("spectra", ["--override", "freq.span=1e-320",
                      "--override", "freq.points=100001"]),
+        ("k1-curves", ["--override", "style=naive,naive,naive"]),
+        ("spectra", ["--override", "r.values=1,01"]),
+        ("robustness", ["--override", "error.eps=0.1,0.10",
+                        "--override", "r.max=1"]),
+        # an existing file as output directory: writing the outputs fails
+        ("table1", ["--out", "latin-1.cfg"]),
     ],
     ids=["j", "t2_h", "t90", "t2_c", "undecodable-file", "j-subnormal",
-         "t2_h-tiny", "duplicate-matching", "freq-span-huge", "freq-span-subnormal"],
+         "t2_h-tiny", "duplicate-matching", "freq-span-huge", "freq-span-subnormal",
+         "duplicate-style", "duplicate-orders", "duplicate-eps", "out-is-a-file"],
 )
 def test_bad_config_input_exits_2(tmp_path, capsys, experiment, args):
     (tmp_path / "latin-1.cfg").write_bytes("style = na\xefve\n".encode("latin-1"))

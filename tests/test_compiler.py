@@ -34,6 +34,10 @@ from fpsearch.search import (
 PI3 = np.pi / 3
 
 
+def _delays(seq: PulseSequence) -> int:
+    return sum(e.kind == DELAY for e in seq.events)
+
+
 class TestDiagonalDecomposition:
     def test_single_state_coefficients(self):
         g0, a, b, g = diagonal_phase_coefficients(OracleSpec(2, {"11"}, PI3))
@@ -88,20 +92,20 @@ class TestCompilePhaseGate:
 
     def test_proton_only_pair_has_no_delay(self, system):
         seq = compile_gates(OracleSpec(2, {"00", "01"}, PI3), system)["Rf"]
-        assert seq.delay_count() == 0
+        assert _delays(seq) == 0
         targets = {t for ev in seq.events for t in ev.targets}
         assert targets == {"H"}
         assert seq.rf_pulse_count() == 3
 
     def test_carbon_only_pair(self, system):
         seq = compile_gates(OracleSpec(2, {"00", "10"}, PI3), system)["Rf"]
-        assert seq.delay_count() == 0
+        assert _delays(seq) == 0
         targets = {t for ev in seq.events for t in ev.targets}
         assert targets == {"C"}
 
     def test_antialigned_pair_is_delay_only(self, system):
         seq = compile_gates(OracleSpec(2, {"01", "10"}, PI3), system)["Rf"]
-        assert seq.rf_pulse_count() == 0 and seq.delay_count() == 1
+        assert seq.rf_pulse_count() == 0 and _delays(seq) == 1
         assert seq.total_delay_time() == pytest.approx(PI3 / (np.pi * system.J))
 
     def test_inverse_gate_uses_short_delay(self, system):
@@ -146,9 +150,10 @@ class TestCompileAlgorithm:
             )
 
     def test_rf_pulse_count_band(self, system, k1_oracles):
+        # the README's order-3 counts; criterion 3 only asks for 150..250
         for spec in k1_oracles:
             seq = compile_algorithm(3, spec, system, style="naive")
-            assert 150 <= seq.rf_pulse_count() <= 250
+            assert seq.rf_pulse_count() == 183 and _delays(seq) == 26
 
     def test_k2_success_probability(self, system):
         spec = OracleSpec(2, {"00", "01"}, PI3)
@@ -186,7 +191,7 @@ class TestCompileAlgorithm:
         naive = compile_algorithm(2, k1_oracles[0], system, style="naive")
         bb1 = compile_algorithm(2, k1_oracles[0], system, style="bb1")
         assert bb1.rf_pulse_count() == 4 * naive.rf_pulse_count()
-        assert bb1.delay_count() == naive.delay_count()
+        assert _delays(bb1) == _delays(naive)
 
     def test_bb1_equals_naive_without_error(self, system, k1_oracles):
         for spec in k1_oracles[:2]:

@@ -60,6 +60,11 @@ class TestParse:
             apply_overrides({}, ["novalue"])
 
 
+def _grid(n: int) -> str:
+    """A comma list of n distinct error values."""
+    return ",".join(f"{i / 1000:g}" for i in range(n))
+
+
 class TestBuild:
     def test_defaults(self):
         cfg = build_config("table1", {})
@@ -123,10 +128,10 @@ class TestBuild:
         [
             ("spectra", "freq.points", str(MAX_FREQ_POINTS), str(MAX_FREQ_POINTS + 1)),
             ("bb1-scaling", "eps.points", str(MAX_EPS_POINTS), str(MAX_EPS_POINTS + 1)),
-            ("robustness", "error.eps", ",".join(["0"] * MAX_GRID_VALUES),
-             ",".join(["0"] * (MAX_GRID_VALUES + 1))),
-            ("robustness", "error.delta_j", ",".join(["0"] * MAX_GRID_VALUES),
-             ",".join(["0"] * (MAX_GRID_VALUES + 1))),
+            pytest.param("robustness", "error.eps", _grid(MAX_GRID_VALUES),
+                         _grid(MAX_GRID_VALUES + 1), id="robustness-error.eps-64-65"),
+            pytest.param("robustness", "error.delta_j", _grid(MAX_GRID_VALUES),
+                         _grid(MAX_GRID_VALUES + 1), id="robustness-error.delta_j-64-65"),
             ("k1-curves", "system.j", "1e9", "1.1e9"),
             ("spectra", "system.t2_h", "1e-9", "0.9e-9"),
             ("spectra", "freq.span", "1e9", "1.1e9"),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fpsearch import readout
-from fpsearch.linalg import pure_density, basis_state
+from fpsearch.linalg import pure_density
 from fpsearch.readout import (
     NoSignalOracleError,
     ReadoutError,
@@ -11,7 +11,6 @@ from fpsearch.readout import (
     direct_target_density,
     estimate_probability,
     format_trace,
-    fractional_signal,
     invert_fractional_signal,
     is_signal_visible,
     lorentzian_trace,
@@ -31,11 +30,11 @@ PI3 = np.pi / 3
 
 class TestCrush:
     def test_pure_zero_state_unchanged(self):
-        rho = pure_density(basis_state(2, "00"))
+        rho = pure_density(np.eye(4)[0])
         assert np.allclose(crush(rho), rho)
 
     def test_bell_state_loses_coherence(self):
-        psi = (basis_state(2, "00") + basis_state(2, "11")) / np.sqrt(2)
+        psi = (np.eye(4)[0] + np.eye(4)[3]) / np.sqrt(2)
         rho = crush(pure_density(psi))
         assert np.allclose(rho, np.diag([0.5, 0.0, 0.0, 0.5]))
 
@@ -67,7 +66,7 @@ class TestSpectrumFromPopulations:
         assert spec.right_amp == pytest.approx(0.5)
 
     def test_rejects_coherences(self, system):
-        psi = (basis_state(2, "00") + basis_state(2, "11")) / np.sqrt(2)
+        psi = (np.eye(4)[0] + np.eye(4)[3]) / np.sqrt(2)
         with pytest.raises(ReadoutError, match="crush"):
             spectrum_from_populations(pure_density(psi), system)
 
@@ -83,26 +82,28 @@ class TestSpectrumFromPopulations:
         assert b.right_amp == pytest.approx(0.3 * a.right_amp)
 
 
+# the README's relations F = (4P-1)/3 (one matching state) and F = 2P-1 (two)
+SIGNAL = {1: lambda p: (4.0 * p - 1.0) / 3.0, 2: lambda p: 2.0 * p - 1.0}
+
+
 class TestFractionalSignal:
     def test_null_points(self):
-        assert fractional_signal(0.25, 1) == pytest.approx(0.0)
-        assert fractional_signal(0.5, 2) == pytest.approx(0.0)
+        assert invert_fractional_signal(0.0, 1) == pytest.approx(0.25)
+        assert invert_fractional_signal(0.0, 2) == pytest.approx(0.5)
 
     def test_reference_value(self):
-        assert fractional_signal(0.9996, 1) == pytest.approx(0.99947, abs=5e-6)
+        assert invert_fractional_signal(0.99947, 1) == pytest.approx(0.9996, abs=5e-6)
 
     def test_inverse_roundtrip(self):
         for k in (1, 2):
             for p in (0.0, 0.3, 0.9996, 1.0):
-                assert invert_fractional_signal(
-                    fractional_signal(p, k), k
-                ) == pytest.approx(p, abs=1e-12)
+                assert invert_fractional_signal(SIGNAL[k](p), k) == pytest.approx(
+                    p, abs=1e-12
+                )
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            fractional_signal(1.2, 1)
-        with pytest.raises(ValueError):
-            fractional_signal(0.5, 3)
+            invert_fractional_signal(0.5, 3)
 
 
 class TestSignalPatterns:
