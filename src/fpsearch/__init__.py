@@ -17,8 +17,9 @@ curves, error sweeps, spectra) from flat key=value configuration files.
 
 from .linalg import equal_up_to_global_phase, pure_density
 from .search import (
+    ADJOINT,
     MAX_ORDER,
-    GateOp,
+    STATES,
     OracleSpec,
     closed_form_success,
     expand_gate_list,
@@ -37,9 +38,10 @@ from .compiler import compile_algorithm
 __version__ = "0.1.0"
 
 __all__ = [
+    "ADJOINT",
     "MAX_ORDER",
+    "STATES",
     "ErrorModel",
-    "GateOp",
     "OracleSpec",
     "PulseEvent",
     "PulseSequence",

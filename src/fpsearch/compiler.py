@@ -53,8 +53,6 @@ def diagonal_phase_coefficients(spec: OracleSpec) -> tuple[float, float, float, 
     Returns ``(g0, alpha, beta, gamma)``; the generator diagonals are an
     orthogonal basis of unit norm, so the solve is four dot products.
     """
-    if spec.n != 2:
-        raise ValueError("diagonal decomposition is defined for n=2 only")
     p = np.zeros(4)
     p[list(spec.indices)] = spec.phase
     g0 = float(p.mean())
@@ -94,20 +92,18 @@ def compile_gates(
     system: SpinSystem,
     style: str = "naive",
 ) -> dict[str, PulseSequence]:
-    """Pulse sequences of the six gates, keyed by ``GateOp.label``.
+    """Pulse sequences of the six gates, keyed by gate label.
 
     Each gate is compiled on its own, with no merging of pulses within or
     across gates. ``style="bb1"`` rewrites every rf pulse as a BB1
-    composite rotation. An inverse is compiled from its own descriptor,
+    composite rotation. An inverse is compiled as a gate of its own,
     not by reversing its gate's pulses.
     """
-    if oracle.n != 2:
-        raise ValueError("pulse compilation supports two-spin systems only")
     if style not in STYLES:
         raise ValueError(f"unknown style {style!r}; expected one of {STYLES}")
     if oracle.phase == 0.0:
         raise ValueError("phase gate with zero phase compiles to nothing")
-    origin = search.origin_spec(oracle.n, oracle.phase)
+    origin = search.origin_spec(oracle.phase)
     gates = {
         "U": [rf_pulse({"H", "C"}, np.pi / 2, np.pi / 2)],
         "Udag": [rf_pulse({"H", "C"}, np.pi / 2, 3 * np.pi / 2)],
@@ -139,8 +135,8 @@ def compile_algorithm(
     gates = compile_gates(oracle, system, style)
     events: list[PulseEvent] = []
     spans: list[GateSpan] = []
-    for gate in gate_list:
-        gate_events = gates[gate.label].events
-        spans.append(GateSpan(gate.label, len(events), len(events) + len(gate_events)))
+    for label in gate_list:
+        gate_events = gates[label].events
+        spans.append(GateSpan(label, len(events), len(events) + len(gate_events)))
         events.extend(gate_events)
     return PulseSequence(tuple(events), tuple(spans))

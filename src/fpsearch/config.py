@@ -27,6 +27,9 @@ from .search import MAX_ORDER, OracleSpec, all_oracles
 MAX_FREQ_POINTS = 100001
 MAX_EPS_POINTS = 1000
 MAX_GRID_VALUES = 64
+# Bound on a spectra run's total work: matching sets x r.values x
+# freq.points. The per-key caps alone would allow 6 x 10 x 100001.
+MAX_TRACE_POINTS = 1_000_000
 
 # Range of every system.* value (Hz for J, seconds for the times) and of
 # freq.span (Hz): decades beyond any real spin pair or spectrum, and small
@@ -172,7 +175,7 @@ def _matching(s: str) -> tuple[OracleSpec, ...]:
         if not states:
             raise ConfigError(f"empty matching set in {s!r}")
         try:
-            spec = OracleSpec(2, states)
+            spec = OracleSpec(states)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if spec in specs:
@@ -187,7 +190,7 @@ def _oracles_of_size(specs: tuple[OracleSpec, ...], k: int) -> tuple[OracleSpec,
             raise ConfigError(
                 f"matching set {spec.label()} has {spec.k} states, expected {k}"
             )
-    return specs or all_oracles(2, k)
+    return specs or all_oracles(k)
 
 
 def _representative(k: int) -> Callable[[str], OracleSpec]:
@@ -309,6 +312,17 @@ class SpectraConfig(PulseConfig):
     freq_points: int = _key(
         "freq.points", "3001", _int_in(2, MAX_FREQ_POINTS), "number of grid points"
     )
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        sets, orders = len(self.oracles), len(self.r_values)
+        total = sets * orders * self.freq_points
+        if total > MAX_TRACE_POINTS:
+            raise ConfigError(
+                f"trace points: {sets} matching sets x {orders} r.values x "
+                f"{self.freq_points} freq.points = {total}, "
+                f"more than {MAX_TRACE_POINTS}"
+            )
 
 
 # experiment -> (config class, default text overrides by key, fixed field values)

@@ -96,7 +96,7 @@ def pulse_operators(
 ) -> list[np.ndarray]:
     """Unitaries of the compiled order-0..r_max programs under ``error``.
 
-    ``gates`` maps each ``GateOp`` label to its compiled sequence (see
+    ``gates`` maps each gate label to its compiled sequence (see
     ``compile_gates``). Each gate is simulated once and the orders follow
     from :func:`fpsearch.search.operators`. Element for element the result
     equals ``sequence_unitary`` of ``compile_algorithm(r, ...)`` up to the
@@ -130,9 +130,9 @@ def run_table1(cfg: Table1Config) -> list[Path]:
         rows.append(
             [
                 r,
-                closed_form_success(r, 1, 2),
+                closed_form_success(r, 1),
                 success_probability(recursive_operator(r, k1), k1),
-                closed_form_success(r, 2, 2),
+                closed_form_success(r, 2),
                 success_probability(recursive_operator(r, k2), k2),
                 query_count(r),
             ]
@@ -168,7 +168,7 @@ def run_curves(cfg: CurvesConfig) -> list[Path]:
                         style,
                         p_pulse,
                         p_est,
-                        closed_form_success(r, k, 2),
+                        closed_form_success(r, k),
                     ]
                 )
                 xs.append(float(r))

@@ -1,9 +1,7 @@
 """Dense complex linear algebra for small qubit registers.
 
-States are 1-D complex numpy arrays of length ``2**n`` and operators are
-square complex arrays. Basis indexing puts qubit 1 (the proton in the
-two-spin system) on the most significant bit, so for two qubits ``"10"``
-maps to index 2.
+States are 1-D complex numpy arrays and operators are square complex
+arrays.
 """
 
 from __future__ import annotations
@@ -12,13 +10,6 @@ import numpy as np
 
 # Tolerance for algebraic identities on directly constructed objects.
 ATOL = 1e-12
-
-
-def basis_index(bits: str) -> int:
-    """Index of the computational basis state labelled by a bit string."""
-    if not bits or any(c not in "01" for c in bits):
-        raise ValueError(f"not a bit string: {bits!r}")
-    return int(bits, 2)
 
 
 def equal_up_to_global_phase(u: np.ndarray, v: np.ndarray, tol: float) -> bool:

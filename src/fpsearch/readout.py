@@ -38,7 +38,7 @@ class Spectrum:
 
     left_amp: float
     right_amp: float
-    line_freqs: tuple[float, float] = (97.4, -97.4)
+    line_freqs: tuple[float, float]
 
 
 def crush(rho: np.ndarray) -> np.ndarray:
@@ -86,29 +86,24 @@ def invert_fractional_signal(f: float, k: int) -> float:
 def signal_weights(oracle: OracleSpec) -> tuple[float, float]:
     """Weights (wl, wr) so that wl*left + wr*right estimates the signal.
 
-    For one matching state a single signed component carries the result;
-    for two, the sum or difference of the components does. The two k=2
-    sets whose members differ only in qubit 1 put the whole population
-    difference on the unobserved carbon channel and are flagged instead.
+    Each matching state adds one signed unit: qubit 1 sets the sign
+    (positive for 0) and qubit 2 picks the component (left for 0). For one
+    matching state a single signed component carries the result; for two,
+    the sum or difference of the components does. The two k=2 sets whose
+    members differ only in qubit 1 cancel to (0, 0): they put the whole
+    population difference on the unobserved carbon channel and are
+    flagged instead.
     """
-    sets = {
-        frozenset({"00"}): (1.0, 0.0),
-        frozenset({"01"}): (0.0, 1.0),
-        frozenset({"10"}): (-1.0, 0.0),
-        frozenset({"11"}): (0.0, -1.0),
-        frozenset({"00", "01"}): (1.0, 1.0),
-        frozenset({"10", "11"}): (-1.0, -1.0),
-        frozenset({"00", "11"}): (1.0, -1.0),
-        frozenset({"01", "10"}): (-1.0, 1.0),
-    }
-    if oracle.n != 2 or oracle.k not in (1, 2):
-        raise ValueError("signal pattern defined for n=2 with k in {1, 2}")
-    try:
-        return sets[oracle.matching]
-    except KeyError:
+    if oracle.k not in (1, 2):
+        raise ValueError("signal pattern defined for k in {1, 2}")
+    weights = [0.0, 0.0]
+    for s in oracle.matching:
+        weights[int(s[1])] += 1.0 if s[0] == "0" else -1.0
+    if weights == [0.0, 0.0]:
         raise NoSignalOracleError(
             f"matching set {oracle.label()} produces no net proton signal"
-        ) from None
+        )
+    return weights[0], weights[1]
 
 
 def is_signal_visible(oracle: OracleSpec) -> bool:
@@ -121,7 +116,7 @@ def is_signal_visible(oracle: OracleSpec) -> bool:
 
 def direct_target_density(oracle: OracleSpec) -> np.ndarray:
     """Crushed density of the directly prepared target superposition."""
-    rho = np.zeros((oracle.dim, oracle.dim), dtype=complex)
+    rho = np.zeros((4, 4), dtype=complex)
     for i in oracle.indices:
         rho[i, i] = 1.0 / oracle.k
     return rho

@@ -23,39 +23,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-
 # Cap on the recursion order. The operator recursion itself is cheap, but
 # pulse compilation of order r grows like 3**r events.
 MAX_ORDER = 8
 
-# Register size guard; dense matrices above this are a configuration error.
-MAX_QUBITS = 12
+# The register is two spins, and a basis state is labelled by its two bits.
+# States are 1-D complex arrays of length 4 indexed in this order, which
+# puts qubit 1 (the proton) on the most significant bit: ``"10"`` maps to
+# index 2.
+STATES = ("00", "01", "10", "11")
 
 
 @dataclass(frozen=True)
 class OracleSpec:
-    """A marking function: the set of n-bit strings picking up ``phase``.
+    """A marking function: the set of basis states picking up ``phase``.
 
     ``matching`` holds the inputs on which the function is 1; the oracle
     multiplies exactly those basis states by ``exp(i*phase)``.
     """
 
-    n: int
     matching: frozenset[str]
     phase: float = np.pi / 3
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matching", frozenset(self.matching))
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise ValueError(f"qubit count {self.n} outside 1..{MAX_QUBITS}")
         if not self.matching:
             raise ValueError("matching set is empty")
         for s in self.matching:
-            if len(s) != self.n or any(c not in "01" for c in s):
-                raise ValueError(f"bad basis string {s!r} for n={self.n}")
-        if len(self.matching) > self.dim:
-            raise ValueError("more matching strings than basis states")
+            if s not in STATES:
+                raise ValueError(f"bad basis string {s!r}; expected one of {STATES}")
         if not -2 * np.pi < self.phase < 2 * np.pi:
             raise ValueError(f"phase {self.phase} outside (-2*pi, 2*pi)")
 
@@ -64,13 +60,9 @@ class OracleSpec:
         return len(self.matching)
 
     @property
-    def dim(self) -> int:
-        return 1 << self.n
-
-    @property
     def indices(self) -> tuple[int, ...]:
         """Matching basis indices in increasing order."""
-        return tuple(sorted(linalg.basis_index(s) for s in self.matching))
+        return tuple(sorted(STATES.index(s) for s in self.matching))
 
     def label(self) -> str:
         """Stable text form of the matching set, e.g. ``00+01``."""
@@ -78,81 +70,52 @@ class OracleSpec:
 
     def adjoint(self) -> "OracleSpec":
         """Same matching set with the phase negated."""
-        return OracleSpec(self.n, self.matching, -self.phase)
+        return OracleSpec(self.matching, -self.phase)
 
     def complement(self) -> "OracleSpec":
         """Oracle marking the complementary set of inputs, same phase."""
-        universe = {"".join(b) for b in itertools.product("01", repeat=self.n)}
-        rest = universe - self.matching
+        rest = frozenset(STATES) - self.matching
         if not rest:
             raise ValueError("complement of the full set is empty")
-        return OracleSpec(self.n, frozenset(rest), self.phase)
+        return OracleSpec(rest, self.phase)
 
 
-def origin_spec(n: int, phase: float = np.pi / 3) -> OracleSpec:
+def origin_spec(phase: float = np.pi / 3) -> OracleSpec:
     """The oracle marking only the all-zeros state."""
-    return OracleSpec(n, frozenset({"0" * n}), phase)
+    return OracleSpec(frozenset({STATES[0]}), phase)
 
 
-def all_oracles(n: int, k: int, phase: float = np.pi / 3) -> tuple[OracleSpec, ...]:
-    """All size-k marking sets of an n-qubit register, in sorted order."""
-    labels = ["".join(b) for b in itertools.product("01", repeat=n)]
+def all_oracles(k: int, phase: float = np.pi / 3) -> tuple[OracleSpec, ...]:
+    """All size-k marking sets, in sorted order."""
     return tuple(
-        OracleSpec(n, frozenset(c), phase)
-        for c in itertools.combinations(labels, k)
+        OracleSpec(frozenset(c), phase) for c in itertools.combinations(STATES, k)
     )
 
 
 def phase_oracle(spec: OracleSpec) -> np.ndarray:
     """Diagonal unitary with ``exp(i*phase)`` on the matching states."""
-    diag = np.ones(spec.dim, dtype=complex)
+    diag = np.ones(len(STATES), dtype=complex)
     diag[list(spec.indices)] = np.exp(1j * spec.phase)
     return np.diag(diag)
 
 
-def _ry(theta: float) -> np.ndarray:
-    # exp(-i*theta*sigma_y/2)
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def pseudo_hadamard(n: int) -> np.ndarray:
-    """n-fold tensor power of a 90-degree y rotation.
+def pseudo_hadamard() -> np.ndarray:
+    """Simultaneous 90-degree y rotations of both spins.
 
     Maps the all-zeros state to the uniform superposition with real,
     positive amplitudes.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    u = _ry(np.pi / 2.0)
-    out = u
-    for _ in range(n - 1):
-        out = np.kron(out, u)
-    return out
+    # exp(-i*theta*sigma_y/2) at theta = pi/2
+    c, s = np.cos(np.pi / 4.0), np.sin(np.pi / 4.0)
+    ry = np.array([[c, -s], [s, c]], dtype=complex)
+    return np.kron(ry, ry)
 
 
-@dataclass(frozen=True)
-class GateOp:
-    """Symbolic gate descriptor: base transformation or phase gate.
-
-    Inverses are first-class descriptors rather than recomputed matrices,
-    so a pulse backend is free to realize a gate and its inverse with
-    different pulse sequences.
-    """
-
-    kind: str  # "U" | "Rf" | "R0"
-    dagger: bool = False
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("U", "Rf", "R0"):
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-
-    @property
-    def label(self) -> str:
-        return self.kind + ("dag" if self.dagger else "")
-
-    def adjoint(self) -> "GateOp":
-        return GateOp(self.kind, not self.dagger)
+# The six gate labels and the label of each one's inverse. Inverses are
+# gates of their own rather than recomputed matrices, so a pulse backend is
+# free to realize a gate and its inverse with different pulse sequences.
+ADJOINT = {"U": "Udag", "Udag": "U", "Rf": "Rfdag", "Rfdag": "Rf",
+           "R0": "R0dag", "R0dag": "R0"}
 
 
 def _check_order(r: int) -> None:
@@ -172,26 +135,26 @@ def query_count(r: int) -> int:
     return (3**r - 1) // 2
 
 
-def expand_gate_list(r: int) -> tuple[GateOp, ...]:
-    """Flat gate sequence of the order-r operator, in application order.
+def expand_gate_list(r: int) -> tuple[str, ...]:
+    """Flat gate labels of the order-r operator, in application order.
 
     The first element acts first; the operator is the right-to-left matrix
     product of the per-gate unitaries. Each recursion level wraps the
     previous list as  ``seq + [Rf] + adjoint(seq) + [R0] + seq``.
     """
     _check_order(r)
-    seq: list[GateOp] = [GateOp("U")]
+    seq = ["U"]
     for _ in range(r):
-        adj = [g.adjoint() for g in reversed(seq)]
-        seq = seq + [GateOp("Rf")] + adj + [GateOp("R0")] + seq
+        adj = [ADJOINT[g] for g in reversed(seq)]
+        seq = seq + ["Rf"] + adj + ["R0"] + seq
     return tuple(seq)
 
 
 def ideal_gates(oracle: OracleSpec) -> dict[str, np.ndarray]:
-    """Exact matrices of the six gates, keyed by ``GateOp.label``."""
-    u = pseudo_hadamard(oracle.n)
+    """Exact matrices of the six gates, keyed by label."""
+    u = pseudo_hadamard()
     rf = phase_oracle(oracle)
-    r0 = phase_oracle(origin_spec(oracle.n, oracle.phase))
+    r0 = phase_oracle(origin_spec(oracle.phase))
     return {"U": u, "Udag": u.conj().T, "Rf": rf, "Rfdag": rf.conj().T,
             "R0": r0, "R0dag": r0.conj().T}
 
@@ -199,7 +162,7 @@ def ideal_gates(oracle: OracleSpec) -> dict[str, np.ndarray]:
 def operators(r_max: int, gates: dict[str, np.ndarray]) -> list[np.ndarray]:
     """The operators V(0)..V(r_max) built from six gate matrices.
 
-    ``gates`` maps each ``GateOp`` label to a gate's matrix: the exact ones
+    ``gates`` maps each gate label to a gate's matrix: the exact ones
     of :func:`ideal_gates`, or simulated pulse programs. In matrix order
 
         V(r+1) = V(r) R0 W(r) Rf V(r),   W(r+1) = W(r) Rf^dag V(r) R0^dag W(r)
@@ -228,16 +191,16 @@ def recursive_operator(r: int, oracle: OracleSpec) -> np.ndarray:
 
 def success_probability(v: np.ndarray, oracle: OracleSpec) -> float:
     """Total probability on the matching states after applying ``v`` to zeros."""
-    if v.shape != (oracle.dim, oracle.dim):
-        raise ValueError(f"operator shape {v.shape} does not match n={oracle.n}")
+    if v.shape != (len(STATES), len(STATES)):
+        raise ValueError(f"operator shape {v.shape} is not 4x4")
     amps = v[:, 0]
     return float(sum(abs(amps[i]) ** 2 for i in oracle.indices))
 
 
-def closed_form_success(r: int, k: int, n: int) -> float:
-    """Closed-form success probability 1 - (1 - k/2**n)**(3**r) at phase pi/3."""
+def closed_form_success(r: int, k: int) -> float:
+    """Closed-form success probability 1 - (1 - k/4)**(3**r) at phase pi/3."""
     if r < 0:
         raise ValueError("recursion order must be nonnegative")
-    if not 1 <= k <= (1 << n):
-        raise ValueError(f"k={k} outside 1..2**{n}")
-    return 1.0 - (1.0 - k / (1 << n)) ** (3**r)
+    if not 1 <= k <= len(STATES):
+        raise ValueError(f"k={k} outside 1..{len(STATES)}")
+    return 1.0 - (1.0 - k / len(STATES)) ** (3**r)

@@ -9,7 +9,6 @@ temporary directories.
 
 from __future__ import annotations
 
-import itertools
 import tempfile
 import time
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import readout
 from .compiler import compile_algorithm, compile_gates
-from .config import build_config, default_mapping
+from .config import build_config
 from .experiments import (
     eps_grid,
     fit_loglog_slope,
@@ -30,6 +29,7 @@ from .experiments import (
 from .linalg import equal_up_to_global_phase, pure_density
 from .pulses import ErrorModel, NO_ERROR, SpinSystem, sequence_unitary
 from .search import (
+    STATES,
     OracleSpec,
     all_oracles,
     closed_form_success,
@@ -112,7 +112,7 @@ def check_table1() -> CheckResult:
 def check_cube_law_ideal() -> CheckResult:
     def body():
         worst = 0.0
-        oracles = all_oracles(2, 1) + all_oracles(2, 2) + all_oracles(2, 3)[:2]
+        oracles = all_oracles(1) + all_oracles(2) + all_oracles(3)[:2]
         for oracle in oracles:
             probs = [
                 success_probability(recursive_operator(r, oracle), oracle)
@@ -128,7 +128,7 @@ def check_cube_law_ideal() -> CheckResult:
 def check_compilation_soundness() -> CheckResult:
     def body():
         system = SpinSystem()
-        oracles = all_oracles(2, 1) + all_oracles(2, 2)
+        oracles = all_oracles(1) + all_oracles(2)
         for oracle in oracles:
             for r in range(4):
                 ideal = recursive_operator(r, oracle)
@@ -141,13 +141,14 @@ def check_compilation_soundness() -> CheckResult:
                             "from the gate-level operator"
                         )
         gates = expand_gate_list(3)
-        n_rf = sum(1 for g in gates if g.kind == "Rf")
-        n_r0 = sum(1 for g in gates if g.kind == "R0")
+        # an oracle gate is Rf or its inverse, an origin gate R0 or its inverse
+        n_rf = sum(1 for g in gates if g in ("Rf", "Rfdag"))
+        n_r0 = sum(1 for g in gates if g in ("R0", "R0dag"))
         if (n_rf, n_r0) != (13, 13):
             return False, f"r=3 gate list has {n_rf} Rf / {n_r0} R0, expected 13/13"
         counts = {
             o.label(): compile_algorithm(3, o, system, style="naive").rf_pulse_count()
-            for o in all_oracles(2, 1)
+            for o in all_oracles(1)
         }
         bad = {k: v for k, v in counts.items() if not 150 <= v <= 250}
         if bad:
@@ -163,11 +164,11 @@ def check_compilation_soundness() -> CheckResult:
 def check_error_tolerance() -> CheckResult:
     def body():
         system = SpinSystem()
-        gates = {o: compile_gates(o, system, "naive") for o in all_oracles(2, 1)}
+        gates = {o: compile_gates(o, system, "naive") for o in all_oracles(1)}
         worst, where = 0.0, ""
         for eps in (-0.1, -0.05, -0.02, 0.02, 0.05, 0.1):
             error = ErrorModel.uniform_rf(eps)
-            for oracle in all_oracles(2, 1):
+            for oracle in all_oracles(1):
                 probs = [
                     success_probability(u, oracle)
                     for u in pulse_operators(3, gates[oracle], system, error)
@@ -188,7 +189,7 @@ def check_coupling_error_breaks_fixed_point() -> CheckResult:
         system = SpinSystem()
         error = ErrorModel(delta_J=0.05)
         residuals = {}
-        for oracle in all_oracles(2, 1):
+        for oracle in all_oracles(1):
             gates = compile_gates(oracle, system, "naive")
             probs = [
                 success_probability(u, oracle)
@@ -238,7 +239,7 @@ def check_readout_round_trip() -> CheckResult:
     def body():
         system = SpinSystem()
         patterns = {}
-        for oracle in all_oracles(2, 1):
+        for oracle in all_oracles(1):
             spec = readout.reference_spectrum(oracle, system)
             component = "left" if abs(spec.left_amp) > abs(spec.right_amp) else "right"
             amp = spec.left_amp if component == "left" else spec.right_amp
@@ -254,18 +255,18 @@ def check_readout_round_trip() -> CheckResult:
         if patterns != expected:
             return False, f"k=1 patterns {patterns} != {expected}"
         both_pos = readout.reference_spectrum(
-            OracleSpec(2, frozenset({"00", "01"})), system
+            OracleSpec(frozenset({"00", "01"})), system
         )
         if not (both_pos.left_amp > 0 and both_pos.right_amp > 0):
             return False, "00+01 target is not both-components-positive"
         mixed = readout.reference_spectrum(
-            OracleSpec(2, frozenset({"01", "10"})), system
+            OracleSpec(frozenset({"01", "10"})), system
         )
         if not (mixed.left_amp < 0 and mixed.right_amp > 0):
             return False, "01+10 target is not left-negative/right-positive"
 
         worst = 0.0
-        visible = [o for o in all_oracles(2, 1) + all_oracles(2, 2)
+        visible = [o for o in all_oracles(1) + all_oracles(2)
                    if readout.is_signal_visible(o)]
         for oracle in visible:
             ref = readout.reference_spectrum(oracle, system)
@@ -275,7 +276,7 @@ def check_readout_round_trip() -> CheckResult:
                 spec = readout.spectrum_from_populations(rho, system)
                 p_est = readout.estimate_probability(spec, ref, oracle)
                 worst = max(
-                    worst, abs(p_est - closed_form_success(r, oracle.k, 2))
+                    worst, abs(p_est - closed_form_success(r, oracle.k))
                 )
         return worst <= 1e-9, (
             f"4 distinct k=1 patterns match; k=2 signs match; "
@@ -287,11 +288,11 @@ def check_readout_round_trip() -> CheckResult:
 
 def check_equivalences() -> CheckResult:
     def body():
-        full = OracleSpec(2, frozenset({"00", "01", "10", "11"}), np.pi / 3)
+        full = OracleSpec(frozenset(STATES), np.pi / 3)
         if not equal_up_to_global_phase(phase_oracle(full), np.eye(4), 1e-12):
             return False, "k=4 oracle is not the identity up to global phase"
         for k in (1, 2, 3):
-            for oracle in all_oracles(2, k):
+            for oracle in all_oracles(k):
                 comp = oracle.complement().adjoint()
                 if not equal_up_to_global_phase(
                     phase_oracle(oracle), phase_oracle(comp), 1e-12
@@ -300,7 +301,7 @@ def check_equivalences() -> CheckResult:
                         f"complement equivalence fails for {oracle.label()}"
                     )
         worst = 0.0
-        for oracle in all_oracles(2, 1, phase=np.pi):
+        for oracle in all_oracles(1, phase=np.pi):
             p1 = success_probability(recursive_operator(1, oracle), oracle)
             worst = max(worst, abs(p1 - 1.0))
         return worst <= 1e-12, (

@@ -18,12 +18,12 @@ def system():
 
 @pytest.fixture(scope="session")
 def k1_oracles():
-    return all_oracles(2, 1)
+    return all_oracles(1)
 
 
 @pytest.fixture(scope="session")
 def k2_oracles():
-    return all_oracles(2, 2)
+    return all_oracles(2)
 
 
 @pytest.fixture()

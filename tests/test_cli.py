@@ -1,7 +1,9 @@
-import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fpsearch.cli import main
+from fpsearch.config import EXPERIMENT_NAMES, default_mapping
 
 
 def test_list_names_all_experiments(capsys):
@@ -99,10 +101,16 @@ def test_bad_value_exits_2(tmp_path, capsys):
                         "--override", "r.max=1"]),
         # an existing file as output directory: writing the outputs fails
         ("table1", ["--out", "latin-1.cfg"]),
+        # 1 set x 10 orders x 100001 points: each key within its own cap,
+        # the total over the trace-point cap; rejected before the run
+        ("spectra", ["--override", "oracle.matching=00",
+                     "--override", "r.values=0,1,2,3,4,5,6,7,8,inf",
+                     "--override", "freq.points=100001"]),
     ],
     ids=["j", "t2_h", "t90", "t2_c", "undecodable-file", "j-subnormal",
          "t2_h-tiny", "duplicate-matching", "freq-span-huge", "freq-span-subnormal",
-         "duplicate-style", "duplicate-orders", "duplicate-eps", "out-is-a-file"],
+         "duplicate-style", "duplicate-orders", "duplicate-eps", "out-is-a-file",
+         "trace-points"],
 )
 def test_bad_config_input_exits_2(tmp_path, capsys, experiment, args):
     (tmp_path / "latin-1.cfg").write_bytes("style = na\xefve\n".encode("latin-1"))
@@ -130,3 +138,71 @@ def test_byte_identity_across_cli_runs(tmp_path):
     a = (tmp_path / "a" / "bb1_scaling.csv").read_bytes()
     b = (tmp_path / "b" / "bb1_scaling.csv").read_bytes()
     assert a == b
+
+
+# Override values per key: mostly valid, with the range ends and values
+# just beyond them, kept small (r <= 3, lists of at most 3 entries,
+# freq.points <= 2001) so that every accepted draw runs in a fraction of a
+# second. Malformed text comes from _GARBAGE.
+def _list(entries):
+    return st.lists(entries, min_size=1, max_size=3).map(",".join)
+
+
+_ORDER = st.sampled_from(["0", "1", "2", "3"])
+_ERROR = st.sampled_from(["0", "0.05", "-0.1", "0.2", "-0.99", "1e-300", "1"])
+_MAGNITUDE = st.sampled_from(["194.8", "1e-9", "1e9", "0.9e-9", "1e-320", "1e308"])
+_EPS_END = st.sampled_from(["1e-3", "2e-3", "0.05", "0.1", "0.5"])
+_MATCHING = st.sampled_from(["all", "00", "11;01", "00+01", "01+10;00+11", "00+10",
+                             "00+01+10", "00;00"])
+OVERRIDE_VALUES = {
+    "r.max": _ORDER,
+    "r.values": _list(st.one_of(_ORDER, st.just("inf"))),
+    "style": _list(st.sampled_from(["naive", "bb1"])),
+    "error.eps": _list(_ERROR),
+    "error.delta_j": _list(_ERROR),
+    "oracle.matching": _MATCHING,
+    "oracle.k": st.sampled_from(["1", "2", "3"]),
+    "oracle.k1": _MATCHING,
+    "oracle.k2": _MATCHING,
+    "system.j": _MAGNITUDE,
+    "system.t90": _MAGNITUDE,
+    "system.t2_h": _MAGNITUDE,
+    "system.t2_c": _MAGNITUDE,
+    "eps.min": _EPS_END,
+    "eps.max": _EPS_END,
+    "eps.points": st.sampled_from(["2", "3", "5"]),
+    "freq.span": st.sampled_from(["150", "1e-9", "1e9", "1e-320", "1e308"]),
+    "freq.points": st.integers(1, 2001).map(str),
+}
+_GARBAGE = st.text(max_size=6)
+
+
+def _overrides(experiment):
+    """Up to three overrides of the experiment's own keys, drawn from
+    ``OVERRIDE_VALUES``, and at most one malformed item: a known key with
+    garbage, a key of another experiment, or text that may lack ``=``."""
+    keys = sorted(set(default_mapping(experiment)) - {"output.dir"})
+    known = st.sampled_from(keys)
+    bad = st.one_of(
+        known.flatmap(lambda k: _GARBAGE.map(lambda v: f"{k}={v}")),
+        st.sampled_from(sorted(OVERRIDE_VALUES)).map(lambda k: f"{k}=1"),
+        _GARBAGE,
+    )
+    good = known.flatmap(lambda k: OVERRIDE_VALUES[k].map(lambda v: f"{k}={v}"))
+    return st.tuples(
+        st.lists(good, max_size=3), st.lists(bad, max_size=1)
+    ).map(lambda pair: pair[0] + pair[1])
+
+
+_RUNS = st.sampled_from(EXPERIMENT_NAMES).flatmap(
+    lambda e: st.tuples(st.just(e), _overrides(e))
+)
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run=_RUNS)
+def test_random_overrides_exit_0_or_2(tmp_path, run):
+    experiment, overrides = run
+    argv = ["run", experiment, "--out", str(tmp_path / "out")]
+    argv += [f"--override={item}" for item in overrides]
+    assert main(argv) in (0, 2)

@@ -26,7 +26,6 @@ from fpsearch.search import (
     operators,
     origin_spec,
     phase_oracle,
-    pseudo_hadamard,
     recursive_operator,
     success_probability,
 )
@@ -40,14 +39,14 @@ def _delays(seq: PulseSequence) -> int:
 
 class TestDiagonalDecomposition:
     def test_single_state_coefficients(self):
-        g0, a, b, g = diagonal_phase_coefficients(OracleSpec(2, {"11"}, PI3))
+        g0, a, b, g = diagonal_phase_coefficients(OracleSpec({"11"}, PI3))
         assert g0 == pytest.approx(PI3 / 4)
         assert a == pytest.approx(-PI3 / 2)
         assert b == pytest.approx(-PI3 / 2)
         assert g == pytest.approx(PI3 / 2)
 
     def test_proton_only_pair(self):
-        g0, a, b, g = diagonal_phase_coefficients(OracleSpec(2, {"00", "01"}, PI3))
+        g0, a, b, g = diagonal_phase_coefficients(OracleSpec({"00", "01"}, PI3))
         assert a == pytest.approx(PI3)
         assert b == pytest.approx(0.0)
         assert g == pytest.approx(0.0)
@@ -56,16 +55,12 @@ class TestDiagonalDecomposition:
         hz = np.array([0.5, 0.5, -0.5, -0.5])
         cz = np.array([0.5, -0.5, 0.5, -0.5])
         dd = np.array([0.5, -0.5, -0.5, 0.5])
-        for spec in all_oracles(2, 1) + all_oracles(2, 2):
+        for spec in all_oracles(1) + all_oracles(2):
             g0, a, b, g = diagonal_phase_coefficients(spec)
             phases = g0 + a * hz + b * cz + g * dd
             assert np.max(
                 np.abs(np.diag(np.exp(1j * phases)) - phase_oracle(spec))
             ) < 1e-12
-
-    def test_two_qubit_only(self):
-        with pytest.raises(ValueError):
-            diagonal_phase_coefficients(OracleSpec(3, {"000"}, PI3))
 
 
 class TestCompilePhaseGate:
@@ -75,7 +70,7 @@ class TestCompilePhaseGate:
     @pytest.mark.parametrize("phase", [PI3, -PI3, np.pi, -np.pi + 0.1, 1.9])
     def test_sound_for_all_matching_sets(self, system, phase):
         for k in (1, 2, 3):
-            for spec in all_oracles(2, k, phase=phase):
+            for spec in all_oracles(k, phase=phase):
                 gates = compile_gates(spec, system)
                 for label, target in (("Rf", spec), ("Rfdag", spec.adjoint())):
                     u = sequence_unitary(gates[label], system)
@@ -84,34 +79,34 @@ class TestCompilePhaseGate:
                     ), f"{label} {spec.label()} @ {phase}"
 
     def test_origin_gate_roundtrip(self, system):
-        gates = compile_gates(OracleSpec(2, {"11"}, PI3), system)
-        origin = origin_spec(2, PI3)
+        gates = compile_gates(OracleSpec({"11"}, PI3), system)
+        origin = origin_spec(PI3)
         for label, target in (("R0", origin), ("R0dag", origin.adjoint())):
             u = sequence_unitary(gates[label], system)
             assert linalg.equal_up_to_global_phase(u, phase_oracle(target), 1e-10)
 
     def test_proton_only_pair_has_no_delay(self, system):
-        seq = compile_gates(OracleSpec(2, {"00", "01"}, PI3), system)["Rf"]
+        seq = compile_gates(OracleSpec({"00", "01"}, PI3), system)["Rf"]
         assert _delays(seq) == 0
         targets = {t for ev in seq.events for t in ev.targets}
         assert targets == {"H"}
         assert seq.rf_pulse_count() == 3
 
     def test_carbon_only_pair(self, system):
-        seq = compile_gates(OracleSpec(2, {"00", "10"}, PI3), system)["Rf"]
+        seq = compile_gates(OracleSpec({"00", "10"}, PI3), system)["Rf"]
         assert _delays(seq) == 0
         targets = {t for ev in seq.events for t in ev.targets}
         assert targets == {"C"}
 
     def test_antialigned_pair_is_delay_only(self, system):
-        seq = compile_gates(OracleSpec(2, {"01", "10"}, PI3), system)["Rf"]
+        seq = compile_gates(OracleSpec({"01", "10"}, PI3), system)["Rf"]
         assert seq.rf_pulse_count() == 0 and _delays(seq) == 1
         assert seq.total_delay_time() == pytest.approx(PI3 / (np.pi * system.J))
 
     def test_inverse_gate_uses_short_delay(self, system):
         # the forward gate needs the phase-shifted long delay, the
         # negated-phase inverse the direct short one
-        gates = compile_gates(OracleSpec(2, {"11"}, PI3), system)
+        gates = compile_gates(OracleSpec({"11"}, PI3), system)
         t_fwd, t_inv = gates["Rf"].total_delay_time(), gates["Rfdag"].total_delay_time()
         assert t_inv == pytest.approx((PI3 / 2) / (np.pi * system.J))
         assert t_inv == pytest.approx(855.578e-6, abs=0.01e-6)
@@ -120,7 +115,7 @@ class TestCompilePhaseGate:
 
     def test_zero_phase_rejected(self, system):
         with pytest.raises(ValueError):
-            compile_gates(OracleSpec(2, {"11"}, 0.0), system)
+            compile_gates(OracleSpec({"11"}, 0.0), system)
 
 
 class TestCompileAlgorithm:
@@ -134,7 +129,7 @@ class TestCompileAlgorithm:
 
     @pytest.mark.parametrize("style", ["naive", "bb1"])
     def test_soundness_all_oracles(self, system, style):
-        for spec in all_oracles(2, 1) + all_oracles(2, 2):
+        for spec in all_oracles(1) + all_oracles(2):
             ideal = [recursive_operator(r, spec) for r in range(4)]
             for r in range(4):
                 seq = compile_algorithm(r, spec, system, style=style)
@@ -142,7 +137,7 @@ class TestCompileAlgorithm:
                 assert linalg.equal_up_to_global_phase(u, ideal[r], 1e-10)
 
     def test_soundness_at_pi(self, system):
-        for spec in all_oracles(2, 1, phase=np.pi):
+        for spec in all_oracles(1, phase=np.pi):
             seq = compile_algorithm(1, spec, system)
             u = sequence_unitary(seq, system)
             assert linalg.equal_up_to_global_phase(
@@ -156,7 +151,7 @@ class TestCompileAlgorithm:
             assert seq.rf_pulse_count() == 183 and _delays(seq) == 26
 
     def test_k2_success_probability(self, system):
-        spec = OracleSpec(2, {"00", "01"}, PI3)
+        spec = OracleSpec({"00", "01"}, PI3)
         seq = compile_algorithm(1, spec, system)
         u = sequence_unitary(seq, system)
         assert success_probability(u, spec) == pytest.approx(0.8750, abs=1e-10)
@@ -260,7 +255,7 @@ class TestErrorBehaviour:
         # contraction survives any miscalibration: the paper's
         # exact-robustness statement, for every k <= 2 oracle and r <= 4
         error = ErrorModel(eps_H=eps_h, eps_C=eps_c, delta_J=delta_j)
-        for spec in all_oracles(2, 1) + all_oracles(2, 2):
+        for spec in all_oracles(1) + all_oracles(2):
             compiled = compile_gates(spec, system, "naive")
             gates = ideal_gates(spec)
             for label in ("U", "Udag"):

@@ -9,6 +9,7 @@ from fpsearch.config import (
     MAX_EPS_POINTS,
     MAX_FREQ_POINTS,
     MAX_GRID_VALUES,
+    MAX_TRACE_POINTS,
     ConfigError,
     apply_overrides,
     build_config,
@@ -63,6 +64,11 @@ class TestParse:
 def _grid(n: int) -> str:
     """A comma list of n distinct error values."""
     return ",".join(f"{i / 1000:g}" for i in range(n))
+
+
+# freq.points is tested at its own cap on one matching set and one order,
+# where the total trace-point cap does not apply
+CAP_CONTEXT = {"freq.points": {"oracle.matching": "00", "r.values": "0"}}
 
 
 class TestBuild:
@@ -141,9 +147,19 @@ class TestBuild:
     def test_resource_caps(self, experiment, key, cap, value):
         # validation only: neither value is ever run, so nothing of the
         # capped size is allocated
-        build_config(experiment, {key: cap})
+        context = CAP_CONTEXT.get(key, {})
+        build_config(experiment, {**context, key: cap})
         with pytest.raises(ConfigError, match=key):
-            build_config(experiment, {key: value})
+            build_config(experiment, {**context, key: value})
+
+    def test_trace_point_cap(self):
+        # validation only, as above: one matching set x 10 orders x
+        # freq.points, at the total cap and one grid point over it
+        orders = {"oracle.matching": "00", "r.values": "0,1,2,3,4,5,6,7,8,inf"}
+        points = MAX_TRACE_POINTS // 10
+        build_config("spectra", {**orders, "freq.points": str(points)})
+        with pytest.raises(ConfigError, match="trace points"):
+            build_config("spectra", {**orders, "freq.points": str(points + 1)})
 
 
 class TestHash:

@@ -17,7 +17,7 @@ from fpsearch.experiments import pulse_operators
 from fpsearch.pulses import ErrorModel, pulse_unitary, sequence_unitary
 from fpsearch.search import all_oracles, ideal_gates
 
-ORACLES = all_oracles(2, 1) + all_oracles(2, 2)
+ORACLES = all_oracles(1) + all_oracles(2)
 
 ERRORS = {
     "none": ErrorModel(),

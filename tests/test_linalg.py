@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fpsearch import linalg
+from fpsearch.search import OracleSpec
 from conftest import random_state, random_unitary
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -9,16 +10,16 @@ I2 = np.eye(2, dtype=complex)
 
 
 def test_basis_indexing_msb_first():
-    # qubit 1 is the most significant bit
-    assert linalg.basis_index("10") == 2
-    assert linalg.basis_index("01") == 1
-    assert linalg.basis_index("110") == 6
+    # qubit 1 (the proton) is the most significant bit
+    assert OracleSpec({"10"}).indices == (2,)
+    assert OracleSpec({"01"}).indices == (1,)
+    assert OracleSpec({"11", "00"}).indices == (0, 3)
 
 
 def test_basis_state_rejects_bad_labels():
-    for label in ("1x", "", "2"):
+    for label in ("1x", "", "2", "110"):
         with pytest.raises(ValueError):
-            linalg.basis_index(label)
+            OracleSpec({label})
 
 
 def test_apply_identity_and_phase_oracle_action():

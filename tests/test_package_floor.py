@@ -1,10 +1,11 @@
-"""Every function in ``src/fpsearch`` is used by the package itself.
+"""Every function, class and constant in ``src/fpsearch`` is used by the
+package itself.
 
-A function that only tests call is dead weight in ``src/``: the tests can
-build the value inline. The check parses every module and asks, for each
-top-level function and each non-dunder method, whether some module other
-than ``__init__.py`` reads its name outside the function's own body.
-Imports do not count as uses.
+A function, class or constant that only tests read is dead weight in
+``src/``: the tests can build the value inline. The checks parse every
+module and ask, for each top-level function, non-dunder method, class and
+module-level assignment, whether some module other than ``__init__.py``
+reads its name outside its own definition. Imports do not count as uses.
 """
 
 import ast
@@ -36,22 +37,49 @@ def _reads(tree: ast.Module, name: str, skip: set[int]) -> bool:
         if id(node) in skip:
             continue
         if isinstance(node, ast.Name) and node.id == name:
-            return True
+            if isinstance(node.ctx, ast.Load):
+                return True
         if isinstance(node, ast.Attribute) and node.attr == name:
             return True
     return False
 
 
-def test_every_src_function_is_used_in_src():
-    trees = [
+def _trees() -> list[ast.Module]:
+    return [
         ast.parse(path.read_text())
         for path in sorted(SRC.glob("*.py"))
         if path.name != "__init__.py"
     ]
+
+
+def _unused(trees: list[ast.Module], definitions) -> set[str]:
+    """Names of ``(name, node)`` definitions read nowhere outside ``node``."""
     unused = set()
-    for tree in trees:
-        for fn in _definitions(tree):
-            own_body = {id(n) for n in ast.walk(fn)}
-            if not any(_reads(t, fn.name, own_body) for t in trees):
-                unused.add(fn.name)
-    assert unused == ALLOWED_UNUSED
+    for name, node in definitions:
+        own = {id(n) for n in ast.walk(node)}
+        if not any(_reads(t, name, own) for t in trees):
+            unused.add(name)
+    return unused
+
+
+def test_every_src_function_is_used_in_src():
+    trees = _trees()
+    functions = [(fn.name, fn) for tree in trees for fn in _definitions(tree)]
+    assert _unused(trees, functions) == ALLOWED_UNUSED
+
+
+def _classes_and_constants(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+
+
+def test_every_src_class_and_constant_is_used_in_src():
+    trees = _trees()
+    names = [item for tree in trees for item in _classes_and_constants(tree)]
+    assert _unused(trees, names) == set()

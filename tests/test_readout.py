@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from fpsearch import readout
 from fpsearch.linalg import pure_density
 from fpsearch.readout import (
     NoSignalOracleError,
@@ -106,54 +105,75 @@ class TestFractionalSignal:
             invert_fractional_signal(0.5, 3)
 
 
+# Reference weights (wl, wr) of every visible set with k <= 2; the sets
+# 00+10 and 01+11 carry no proton signal.
+SIGNAL_WEIGHTS = {
+    "00": (1.0, 0.0),
+    "01": (0.0, 1.0),
+    "10": (-1.0, 0.0),
+    "11": (0.0, -1.0),
+    "00+01": (1.0, 1.0),
+    "10+11": (-1.0, -1.0),
+    "00+11": (1.0, -1.0),
+    "01+10": (-1.0, 1.0),
+}
+
+
 class TestSignalPatterns:
     def test_k1_truth_table(self, system):
-        expected = {
-            "00": (1.0, 0.0),
-            "01": (0.0, 1.0),
-            "10": (-1.0, 0.0),
-            "11": (0.0, -1.0),
-        }
-        for spec in all_oracles(2, 1):
-            assert signal_weights(spec) == expected[spec.label()]
+        for spec in all_oracles(1):
+            assert signal_weights(spec) == SIGNAL_WEIGHTS[spec.label()]
             ref = reference_spectrum(spec, system)
-            wl, wr = expected[spec.label()]
+            wl, wr = SIGNAL_WEIGHTS[spec.label()]
             assert wl * ref.left_amp + wr * ref.right_amp == pytest.approx(1.0)
+
+    def test_rule_matches_reference_table(self):
+        for spec in all_oracles(1) + all_oracles(2):
+            if spec.label() in SIGNAL_WEIGHTS:
+                assert signal_weights(spec) == SIGNAL_WEIGHTS[spec.label()]
+            else:
+                with pytest.raises(NoSignalOracleError):
+                    signal_weights(spec)
+        assert len(all_oracles(1) + all_oracles(2)) == len(SIGNAL_WEIGHTS) + 2
+
+    def test_three_states_rejected(self):
+        with pytest.raises(ValueError):
+            signal_weights(OracleSpec({"00", "01", "10"}))
 
     def test_flagged_no_signal_sets(self):
         for matching in ({"00", "10"}, {"01", "11"}):
-            spec = OracleSpec(2, frozenset(matching), PI3)
+            spec = OracleSpec(frozenset(matching), PI3)
             assert not is_signal_visible(spec)
             with pytest.raises(NoSignalOracleError):
                 signal_weights(spec)
 
     def test_visible_k2_patterns(self, system):
-        both_pos = reference_spectrum(OracleSpec(2, {"00", "01"}, PI3), system)
+        both_pos = reference_spectrum(OracleSpec({"00", "01"}, PI3), system)
         assert both_pos.left_amp > 0 and both_pos.right_amp > 0
-        mixed = reference_spectrum(OracleSpec(2, {"01", "10"}, PI3), system)
+        mixed = reference_spectrum(OracleSpec({"01", "10"}, PI3), system)
         assert mixed.left_amp < 0 and mixed.right_amp > 0
 
 
 class TestEstimateProbability:
     def test_reference_against_itself(self, system):
-        for spec in all_oracles(2, 1):
+        for spec in all_oracles(1):
             ref = reference_spectrum(spec, system)
             assert estimate_probability(ref, ref, spec) == pytest.approx(1.0)
 
     def test_zero_signal_inverts_to_quarter(self, system):
-        spec = OracleSpec(2, {"11"}, PI3)
+        spec = OracleSpec({"11"}, PI3)
         ref = reference_spectrum(spec, system)
         silent = Spectrum(0.0, 0.0, ref.line_freqs)
         assert estimate_probability(silent, ref, spec) == pytest.approx(0.25)
 
     def test_clamped_to_unit_interval(self, system):
-        spec = OracleSpec(2, {"00"}, PI3)
+        spec = OracleSpec({"00"}, PI3)
         ref = reference_spectrum(spec, system)
         overdriven = Spectrum(1.5, 0.0, ref.line_freqs)
         assert estimate_probability(overdriven, ref, spec) == 1.0
 
     def test_zero_reference_rejected(self, system):
-        spec = OracleSpec(2, {"00"}, PI3)
+        spec = OracleSpec({"00"}, PI3)
         empty = Spectrum(0.0, 0.0, (97.4, -97.4))
         with pytest.raises(ReadoutError, match="reference"):
             estimate_probability(empty, empty, spec)
@@ -161,7 +181,7 @@ class TestEstimateProbability:
     def test_roundtrip_recovers_closed_form(self, system):
         visible = [
             o
-            for o in all_oracles(2, 1) + all_oracles(2, 2)
+            for o in all_oracles(1) + all_oracles(2)
             if is_signal_visible(o)
         ]
         assert len(visible) == 8
@@ -174,13 +194,13 @@ class TestEstimateProbability:
                     spectrum_from_populations(rho, system), ref, spec
                 )
                 assert est == pytest.approx(
-                    closed_form_success(r, spec.k, 2), abs=1e-9
+                    closed_form_success(r, spec.k), abs=1e-9
                 )
 
     def test_residual_population_symmetry(self):
         # the ideal run leaves the three non-matching populations equal,
         # which is what the k=1 fractional-signal relation relies on
-        for spec in all_oracles(2, 1):
+        for spec in all_oracles(1):
             v = recursive_operator(2, spec)
             pops = np.abs(v[:, 0]) ** 2
             rest = [pops[i] for i in range(4) if i != spec.indices[0]]
@@ -226,5 +246,5 @@ class TestLorentzianTrace:
 
 
 def test_direct_target_density_k2():
-    rho = direct_target_density(OracleSpec(2, {"01", "10"}, PI3))
+    rho = direct_target_density(OracleSpec({"01", "10"}, PI3))
     assert np.allclose(rho, np.diag([0.0, 0.5, 0.5, 0.0]))
