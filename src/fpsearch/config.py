@@ -252,6 +252,8 @@ class PulseConfig(ExperimentConfig):
             oracles = _oracles_of_size(self.oracles, self.oracle_k)
         except ConfigError as exc:
             raise ConfigError(f"oracle.matching: {exc}") from None
+        # experiments iterate the oracles in this order
+        oracles = tuple(sorted(oracles, key=OracleSpec.label))
         object.__setattr__(self, "oracles", oracles)
 
     @cached_property
@@ -291,6 +293,12 @@ class Bb1ScalingConfig(PulseConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        if len(self.oracles) != 1:
+            labels = ";".join(o.label() for o in self.oracles)
+            raise ConfigError(
+                f"oracle.matching: bb1-scaling takes one single-state set, "
+                f"got {len(self.oracles)} ({labels})"
+            )
         if not 1e-3 <= self.eps_min < self.eps_max <= 1e-1:
             raise ConfigError("eps grid must satisfy 1e-3 <= min < max <= 1e-1")
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import readout, svgplot
+from . import svgplot
 # compile_algorithm is unused here; perfbench/tracer.py wraps it under this name.
 from .compiler import compile_algorithm, compile_gates
 from .config import (
@@ -25,7 +25,6 @@ from .config import (
     SpectraConfig,
     Table1Config,
 )
-from .linalg import pure_density
 from .pulses import ErrorModel, PulseSequence, rf_pulse, bb1_expand, pulse_unitary
 from .pulses import NO_ERROR, SpinSystem, rotation_infidelity, sequence_unitary
 from .pulses import check_unitary
@@ -37,6 +36,7 @@ from .readout import (
     lorentzian_trace,
     reference_spectrum,
     spectrum_from_populations,
+    target_populations,
 )
 from .search import (
     OracleSpec,
@@ -111,15 +111,12 @@ def pulse_operators(
     return ops
 
 
-def _estimated_success(
-    u: np.ndarray, oracle: OracleSpec, system: SpinSystem
-) -> float | None:
+def _estimated_success(u: np.ndarray, oracle: OracleSpec) -> float | None:
     """Round trip through the spectral readout chain; None when no signal."""
     if not is_signal_visible(oracle):
         return None
-    rho = crush(pure_density(u[:, 0]))
-    spec = spectrum_from_populations(rho, system)
-    return estimate_probability(spec, reference_spectrum(oracle, system), oracle)
+    spec = spectrum_from_populations(crush(u[:, 0]))
+    return estimate_probability(spec, reference_spectrum(oracle), oracle)
 
 
 def run_table1(cfg: Table1Config) -> list[Path]:
@@ -152,15 +149,14 @@ def run_curves(cfg: CurvesConfig) -> list[Path]:
     error = ErrorModel(eps_H=cfg.eps, eps_C=cfg.eps, delta_J=cfg.delta_j)
     rows = []
     series: list[svgplot.Series] = []
-    oracles = sorted(cfg.oracles, key=lambda o: o.label())
-    for oi, oracle in enumerate(oracles):
+    for oi, oracle in enumerate(cfg.oracles):
         for style in cfg.styles:
             gates = compile_gates(oracle, cfg.system, style)
             ops = pulse_operators(cfg.r_max, gates, cfg.system, error)
             xs, ys = [], []
             for r, u in enumerate(ops):
                 p_pulse = success_probability(u, oracle)
-                p_est = _estimated_success(u, oracle, cfg.system)
+                p_est = _estimated_success(u, oracle)
                 rows.append(
                     [
                         oracle.label(),
@@ -211,8 +207,7 @@ def run_robustness(cfg: RobustnessConfig) -> list[Path]:
     """
     rows = []
     residual_by_grid: dict[tuple[float, float], float] = {}
-    oracles = sorted(cfg.oracles, key=lambda o: o.label())
-    for oracle in oracles:
+    for oracle in cfg.oracles:
         gates = compile_gates(oracle, cfg.system, "naive")
         for eps in cfg.eps_values:
             for dj in cfg.delta_j_values:
@@ -344,21 +339,20 @@ def run_spectra(cfg: SpectraConfig) -> list[Path]:
     paths: list[Path] = []
     panels: list[list[svgplot.Panel]] = []
     peak = 0.0
-    oracles = sorted(cfg.oracles, key=lambda o: o.label())
     traces: dict[tuple[str, str], np.ndarray] = {}
     r_top = max((r for r in cfg.r_values if r is not None), default=0)
-    for oracle in oracles:
+    for oracle in cfg.oracles:
         gates = compile_gates(oracle, cfg.system, style)
         ops = pulse_operators(r_top, gates, cfg.system, error)
         row: list[svgplot.Panel] = []
         for r in cfg.r_values:
             if r is None:
-                rho = readout.direct_target_density(oracle)
+                populations = target_populations(oracle)
                 tag = "inf"
             else:
-                rho = crush(pure_density(ops[r][:, 0]))
+                populations = crush(ops[r][:, 0])
                 tag = str(r)
-            spec = spectrum_from_populations(rho, cfg.system)
+            spec = spectrum_from_populations(populations)
             trace = lorentzian_trace(spec, cfg.system, freqs)
             traces[(oracle.label(), tag)] = trace
             peak = max(peak, float(np.max(np.abs(trace[:, 1]))))

@@ -1,10 +1,11 @@
 """Crush-gradient readout: doublet amplitudes and probability estimates.
 
-After a crush gradient removes coherences, the proton spectrum taken
-through a 90-degree y observation pulse reduces to two signed line
-amplitudes, one per doublet component. The population difference across
-each proton transition sets the line height: the sign encodes the state of
-qubit 1 (positive for 0) and the component encodes qubit 2 (left, the
+A crush gradient dephases the register, so everything the readout sees is
+the four basis-state populations. The proton spectrum taken through a
+90-degree y observation pulse then reduces to two signed line amplitudes,
+one per doublet component. The population difference across each proton
+transition sets the line height: the sign encodes the state of qubit 1
+(positive for 0) and the component encodes qubit 2 (left, the
 higher-frequency line, for 0). Line amplitudes are handled analytically;
 Lorentzian traces exist only for rendering.
 """
@@ -15,13 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL
 from .pulses import SpinSystem
 from .search import OracleSpec
 
 
 class ReadoutError(ValueError):
-    """Readout chain misuse (non-diagonal input, empty reference, ...)."""
+    """Readout chain misuse, such as a reference with no signal."""
 
 
 class NoSignalOracleError(ReadoutError):
@@ -38,39 +38,21 @@ class Spectrum:
 
     left_amp: float
     right_amp: float
-    line_freqs: tuple[float, float]
 
 
-def crush(rho: np.ndarray) -> np.ndarray:
-    """Project a density matrix onto its diagonal (dephase coherences)."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ReadoutError(f"not a square matrix: shape {rho.shape}")
-    return np.diag(np.diag(rho))
+def crush(psi: np.ndarray) -> np.ndarray:
+    """Populations ``|psi_i|^2`` left by dephasing the state ``psi``."""
+    return (psi * psi.conj()).real
 
 
-def spectrum_from_populations(rho: np.ndarray, system: SpinSystem) -> Spectrum:
-    """Doublet amplitudes of a diagonal two-qubit density matrix.
+def spectrum_from_populations(p: np.ndarray) -> Spectrum:
+    """Doublet amplitudes of the two-qubit populations ``p``.
 
     left = p(00) - p(10) and right = p(01) - p(11): the population
     difference across each proton transition, with the carbon state
-    selecting the component. Raises on off-diagonal input; crush first.
+    selecting the component.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ReadoutError(f"expected a 4x4 density matrix, got {rho.shape}")
-    off = rho - np.diag(np.diag(rho))
-    if np.max(np.abs(off)) > ATOL:
-        raise ReadoutError(
-            "density matrix has coherences; apply crush() before readout"
-        )
-    p = np.real(np.diag(rho))
-    half_j = system.J / 2.0
-    return Spectrum(
-        left_amp=float(p[0] - p[2]),
-        right_amp=float(p[1] - p[3]),
-        line_freqs=(half_j, -half_j),
-    )
+    return Spectrum(left_amp=float(p[0] - p[2]), right_amp=float(p[1] - p[3]))
 
 
 def invert_fractional_signal(f: float, k: int) -> float:
@@ -114,17 +96,16 @@ def is_signal_visible(oracle: OracleSpec) -> bool:
     return True
 
 
-def direct_target_density(oracle: OracleSpec) -> np.ndarray:
-    """Crushed density of the directly prepared target superposition."""
-    rho = np.zeros((4, 4), dtype=complex)
-    for i in oracle.indices:
-        rho[i, i] = 1.0 / oracle.k
-    return rho
+def target_populations(oracle: OracleSpec) -> np.ndarray:
+    """Populations of the directly prepared target superposition."""
+    p = np.zeros(4)
+    p[list(oracle.indices)] = 1.0 / oracle.k
+    return p
 
 
-def reference_spectrum(oracle: OracleSpec, system: SpinSystem) -> Spectrum:
+def reference_spectrum(oracle: OracleSpec) -> Spectrum:
     """Spectrum of the direct target preparation, used for normalization."""
-    return spectrum_from_populations(direct_target_density(oracle), system)
+    return spectrum_from_populations(target_populations(oracle))
 
 
 def estimate_probability(
@@ -149,9 +130,10 @@ def lorentzian_trace(
 ) -> np.ndarray:
     """Rendered lineshape: two Lorentzians with T2-limited width.
 
-    Returns an (N, 2) array of (frequency, intensity). Peak heights equal
-    the line amplitudes; the full width at half maximum is 1/(pi*T2) of
-    the observed proton.
+    Returns an (N, 2) array of (frequency, intensity). The lines sit at
+    +J/2 (left) and -J/2 (right) and their peak heights equal the line
+    amplitudes; the full width at half maximum is 1/(pi*T2) of the
+    observed proton.
     """
     freqs = np.asarray(freqs, dtype=float)
     if freqs.ndim != 1 or freqs.size < 2:
@@ -160,8 +142,8 @@ def lorentzian_trace(
         raise ValueError("frequency grid must be strictly increasing")
     hwhm = 1.0 / (2.0 * np.pi * system.T2_H)
     y = np.zeros_like(freqs)
-    for amp, f0 in ((spectrum.left_amp, spectrum.line_freqs[0]),
-                    (spectrum.right_amp, spectrum.line_freqs[1])):
+    half_j = system.J / 2.0
+    for amp, f0 in ((spectrum.left_amp, half_j), (spectrum.right_amp, -half_j)):
         y += amp * hwhm**2 / ((freqs - f0) ** 2 + hwhm**2)
     return np.column_stack([freqs, y])
 

@@ -14,6 +14,8 @@ at every level, so the operator never overshoots the target.
 :func:`operators` runs this recursion over six gate matrices, with the
 adjoint ``V(r)^dag`` carried along as the operator W(r) of the inverse
 gates, so the same code serves exact gates and simulated pulse programs.
+:func:`equal_up_to_global_phase` compares gates and operators up to the
+global phase no measurement can see.
 """
 
 from __future__ import annotations
@@ -116,6 +118,28 @@ def pseudo_hadamard() -> np.ndarray:
 # free to realize a gate and its inverse with different pulse sequences.
 ADJOINT = {"U": "Udag", "Udag": "U", "Rf": "Rfdag", "Rfdag": "Rf",
            "R0": "R0dag", "R0dag": "R0"}
+
+
+def equal_up_to_global_phase(u: np.ndarray, v: np.ndarray, tol: float) -> bool:
+    """True iff ``u == c * v`` entrywise within ``tol`` for some unit-modulus c.
+
+    The candidate phase is read off the largest-magnitude entry of ``v``;
+    an all-zero ``v`` compares unequal to everything.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    u = np.asarray(u, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    if u.shape != v.shape:
+        raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
+    idx = np.unravel_index(np.argmax(np.abs(v)), v.shape)
+    if abs(v[idx]) == 0.0:
+        return False
+    c = u[idx] * np.conj(v[idx])
+    if abs(c) == 0.0:
+        return False
+    c /= abs(c)
+    return bool(np.max(np.abs(u - c * v)) <= tol)
 
 
 def _check_order(r: int) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import readout
 from .compiler import compile_algorithm, compile_gates
-from .config import build_config
+from .config import EXPERIMENT_NAMES, build_config
 from .experiments import (
     eps_grid,
     fit_loglog_slope,
@@ -26,13 +26,13 @@ from .experiments import (
     pulse_operators,
     run_experiment,
 )
-from .linalg import equal_up_to_global_phase, pure_density
 from .pulses import ErrorModel, NO_ERROR, SpinSystem, sequence_unitary
 from .search import (
     STATES,
     OracleSpec,
     all_oracles,
     closed_form_success,
+    equal_up_to_global_phase,
     expand_gate_list,
     phase_oracle,
     recursive_operator,
@@ -237,10 +237,9 @@ def check_bb1_scaling() -> CheckResult:
 
 def check_readout_round_trip() -> CheckResult:
     def body():
-        system = SpinSystem()
         patterns = {}
         for oracle in all_oracles(1):
-            spec = readout.reference_spectrum(oracle, system)
+            spec = readout.reference_spectrum(oracle)
             component = "left" if abs(spec.left_amp) > abs(spec.right_amp) else "right"
             amp = spec.left_amp if component == "left" else spec.right_amp
             patterns[oracle.label()] = (component, "+" if amp > 0 else "-")
@@ -254,14 +253,10 @@ def check_readout_round_trip() -> CheckResult:
         }
         if patterns != expected:
             return False, f"k=1 patterns {patterns} != {expected}"
-        both_pos = readout.reference_spectrum(
-            OracleSpec(frozenset({"00", "01"})), system
-        )
+        both_pos = readout.reference_spectrum(OracleSpec(frozenset({"00", "01"})))
         if not (both_pos.left_amp > 0 and both_pos.right_amp > 0):
             return False, "00+01 target is not both-components-positive"
-        mixed = readout.reference_spectrum(
-            OracleSpec(frozenset({"01", "10"})), system
-        )
+        mixed = readout.reference_spectrum(OracleSpec(frozenset({"01", "10"})))
         if not (mixed.left_amp < 0 and mixed.right_amp > 0):
             return False, "01+10 target is not left-negative/right-positive"
 
@@ -269,11 +264,10 @@ def check_readout_round_trip() -> CheckResult:
         visible = [o for o in all_oracles(1) + all_oracles(2)
                    if readout.is_signal_visible(o)]
         for oracle in visible:
-            ref = readout.reference_spectrum(oracle, system)
+            ref = readout.reference_spectrum(oracle)
             for r in range(4):
                 v = recursive_operator(r, oracle)
-                rho = readout.crush(pure_density(v[:, 0]))
-                spec = readout.spectrum_from_populations(rho, system)
+                spec = readout.spectrum_from_populations(readout.crush(v[:, 0]))
                 p_est = readout.estimate_probability(spec, ref, oracle)
                 worst = max(
                     worst, abs(p_est - closed_form_success(r, oracle.k))
@@ -314,14 +308,7 @@ def check_equivalences() -> CheckResult:
 
 def check_determinism() -> CheckResult:
     def body():
-        for name in (
-            "table1",
-            "k1-curves",
-            "k2-curves",
-            "robustness",
-            "bb1-scaling",
-            "spectra",
-        ):
+        for name in EXPERIMENT_NAMES:
             snapshots = []
             for _ in range(2):
                 with tempfile.TemporaryDirectory() as tmp:

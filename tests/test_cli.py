@@ -106,11 +106,13 @@ def test_bad_value_exits_2(tmp_path, capsys):
         ("spectra", ["--override", "oracle.matching=00",
                      "--override", "r.values=0,1,2,3,4,5,6,7,8,inf",
                      "--override", "freq.points=100001"]),
+        # bb1-scaling runs one matching set; a second one would be ignored
+        ("bb1-scaling", ["--override", "oracle.matching=11;00"]),
     ],
     ids=["j", "t2_h", "t90", "t2_c", "undecodable-file", "j-subnormal",
          "t2_h-tiny", "duplicate-matching", "freq-span-huge", "freq-span-subnormal",
          "duplicate-style", "duplicate-orders", "duplicate-eps", "out-is-a-file",
-         "trace-points"],
+         "trace-points", "bb1-multiple-sets"],
 )
 def test_bad_config_input_exits_2(tmp_path, capsys, experiment, args):
     (tmp_path / "latin-1.cfg").write_bytes("style = na\xefve\n".encode("latin-1"))

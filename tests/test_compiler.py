@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import sequence_unitary_expm
-from fpsearch import linalg
 from fpsearch.compiler import (
     compile_algorithm,
     compile_gates,
@@ -22,6 +21,7 @@ from fpsearch.search import (
     MAX_ORDER,
     OracleSpec,
     all_oracles,
+    equal_up_to_global_phase,
     ideal_gates,
     operators,
     origin_spec,
@@ -74,7 +74,7 @@ class TestCompilePhaseGate:
                 gates = compile_gates(spec, system)
                 for label, target in (("Rf", spec), ("Rfdag", spec.adjoint())):
                     u = sequence_unitary(gates[label], system)
-                    assert linalg.equal_up_to_global_phase(
+                    assert equal_up_to_global_phase(
                         u, phase_oracle(target), 1e-10
                     ), f"{label} {spec.label()} @ {phase}"
 
@@ -83,7 +83,7 @@ class TestCompilePhaseGate:
         origin = origin_spec(PI3)
         for label, target in (("R0", origin), ("R0dag", origin.adjoint())):
             u = sequence_unitary(gates[label], system)
-            assert linalg.equal_up_to_global_phase(u, phase_oracle(target), 1e-10)
+            assert equal_up_to_global_phase(u, phase_oracle(target), 1e-10)
 
     def test_proton_only_pair_has_no_delay(self, system):
         seq = compile_gates(OracleSpec({"00", "01"}, PI3), system)["Rf"]
@@ -134,13 +134,13 @@ class TestCompileAlgorithm:
             for r in range(4):
                 seq = compile_algorithm(r, spec, system, style=style)
                 u = sequence_unitary(seq, system)
-                assert linalg.equal_up_to_global_phase(u, ideal[r], 1e-10)
+                assert equal_up_to_global_phase(u, ideal[r], 1e-10)
 
     def test_soundness_at_pi(self, system):
         for spec in all_oracles(1, phase=np.pi):
             seq = compile_algorithm(1, spec, system)
             u = sequence_unitary(seq, system)
-            assert linalg.equal_up_to_global_phase(
+            assert equal_up_to_global_phase(
                 u, recursive_operator(1, spec), 1e-10
             )
 
@@ -192,7 +192,7 @@ class TestCompileAlgorithm:
         for spec in k1_oracles[:2]:
             a = sequence_unitary(compile_algorithm(2, spec, system, "naive"), system)
             b = sequence_unitary(compile_algorithm(2, spec, system, "bb1"), system)
-            assert linalg.equal_up_to_global_phase(a, b, 1e-10)
+            assert equal_up_to_global_phase(a, b, 1e-10)
 
     def test_depth_cap(self, system, k1_oracles):
         with pytest.raises(ValueError, match="maximum"):

@@ -94,6 +94,9 @@ class TestBuild:
     def test_oracle_selection(self):
         cfg = build_config("k1-curves", {"oracle.matching": "00;11"})
         assert [o.label() for o in cfg.oracles] == ["00", "11"]
+        # the config puts the sets in label order, whatever order they are given in
+        cfg = build_config("k1-curves", {"oracle.matching": "11;00"})
+        assert [o.label() for o in cfg.oracles] == ["00", "11"]
         cfg = build_config("k2-curves", {"oracle.matching": "00+01;10+01"})
         assert sorted(o.label() for o in cfg.oracles) == ["00+01", "01+10"]
 

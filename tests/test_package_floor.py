@@ -1,17 +1,24 @@
 """Every function, class and constant in ``src/fpsearch`` is used by the
-package itself.
+package itself, and every name the benchmark tracer wraps exists.
 
 A function, class or constant that only tests read is dead weight in
 ``src/``: the tests can build the value inline. The checks parse every
 module and ask, for each top-level function, non-dunder method, class and
 module-level assignment, whether some module other than ``__init__.py``
 reads its name outside its own definition. Imports do not count as uses.
+
+The other side of that floor: ``perfbench/tracer.py`` wraps functions by
+the name their caller looks them up under, so deleting or renaming one
+breaks every traced benchmark run. One test installs the tracer and
+checks that it finds and restores each name.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "fpsearch"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "fpsearch"
 
 # Reached only through the public PulseSequence API until the planned
 # `fpsearch inspect` command prints them (ROADMAP item 4).
@@ -83,3 +90,23 @@ def test_every_src_class_and_constant_is_used_in_src():
     trees = _trees()
     names = [item for tree in trees for item in _classes_and_constants(tree)]
     assert _unused(trees, names) == set()
+
+
+def test_tracer_wraps_and_restores_every_name(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    names = [(m, a) for m, a, *_ in tracer.FUNCTIONS]
+    names += [(m, a) for m, a, _ in tracer.MODULE_VIEWS]
+
+    def current():
+        return [getattr(importlib.import_module(m), a) for m, a in names]
+
+    before = current()
+    t = tracer.Tracer()
+    try:
+        t.install()
+        wrapped = current()
+    finally:
+        t.uninstall()
+    assert all(w is not b for w, b in zip(wrapped, before))
+    assert all(a is b for a, b in zip(current(), before))

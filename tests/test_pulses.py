@@ -3,7 +3,6 @@ import pytest
 
 from bruteforce import event_unitary_expm, sequence_unitary_expm
 from conftest import random_unitary
-from fpsearch import linalg
 from fpsearch.pulses import (
     NO_ERROR,
     ErrorModel,
@@ -20,7 +19,7 @@ from fpsearch.pulses import (
     rotation_infidelity,
     sequence_unitary,
 )
-from fpsearch.search import pseudo_hadamard
+from fpsearch.search import equal_up_to_global_phase, pseudo_hadamard
 
 
 def _rz(theta):
@@ -139,7 +138,7 @@ class TestCompositeZ:
     def test_zero_angle_is_identity(self, system):
         seq = PulseSequence(composite_z(0.0, "H"))
         u = sequence_unitary(seq, system)
-        assert linalg.equal_up_to_global_phase(u, np.eye(4), 1e-12)
+        assert equal_up_to_global_phase(u, np.eye(4), 1e-12)
 
     def test_pi_flips_transverse_state(self, system):
         seq = PulseSequence(composite_z(np.pi, "H"))
@@ -156,7 +155,7 @@ class TestCompositeZ:
         u = sequence_unitary(seq, system)
         factors = {"H": (_rz(theta), np.eye(2)), "C": (np.eye(2), _rz(theta))}
         expected = np.kron(*factors[spin])
-        assert linalg.equal_up_to_global_phase(u, expected, 1e-12)
+        assert equal_up_to_global_phase(u, expected, 1e-12)
 
     def test_angle_cap(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from fpsearch import linalg
 from fpsearch.pulses import check_unitary
 from fpsearch.search import (
     ADJOINT,
@@ -9,6 +8,7 @@ from fpsearch.search import (
     OracleSpec,
     all_oracles,
     closed_form_success,
+    equal_up_to_global_phase,
     expand_gate_list,
     ideal_gates,
     operators,
@@ -19,7 +19,10 @@ from fpsearch.search import (
     recursive_operator,
     success_probability,
 )
+from conftest import random_unitary
 
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+I2 = np.eye(2, dtype=complex)
 PI3 = np.pi / 3
 
 
@@ -44,6 +47,17 @@ class TestOracleSpec:
         with pytest.raises(ValueError):
             OracleSpec({"11"}, phase=2 * np.pi)
 
+    def test_basis_indexing_msb_first(self):
+        # qubit 1 (the proton) is the most significant bit
+        assert OracleSpec({"10"}).indices == (2,)
+        assert OracleSpec({"01"}).indices == (1,)
+        assert OracleSpec({"11", "00"}).indices == (0, 3)
+
+    def test_basis_state_rejects_bad_labels(self):
+        for label in ("1x", "", "2", "110"):
+            with pytest.raises(ValueError):
+                OracleSpec({label})
+
     def test_complement_and_adjoint(self):
         spec = OracleSpec({"11"}, PI3)
         comp = spec.complement()
@@ -58,7 +72,7 @@ class TestPhaseOracle:
 
     def test_full_set_is_global_phase(self):
         spec = OracleSpec({"00", "01", "10", "11"}, PI3)
-        assert linalg.equal_up_to_global_phase(phase_oracle(spec), np.eye(4), 1e-12)
+        assert equal_up_to_global_phase(phase_oracle(spec), np.eye(4), 1e-12)
 
     def test_origin_gate(self):
         spec = OracleSpec({"00"}, PI3)
@@ -202,7 +216,7 @@ class TestCubeLawAndEquivalences:
         for k in (1, 2, 3):
             for spec in all_oracles(k, phase=PI3):
                 comp = spec.complement().adjoint()
-                assert linalg.equal_up_to_global_phase(
+                assert equal_up_to_global_phase(
                     phase_oracle(spec), phase_oracle(comp), 1e-12
                 )
 
@@ -212,7 +226,7 @@ class TestCubeLawAndEquivalences:
         spec3 = OracleSpec({"00", "01", "10"}, np.pi)
         spec1 = OracleSpec({"11"}, np.pi)
         for r in (0, 1, 2):
-            assert linalg.equal_up_to_global_phase(
+            assert equal_up_to_global_phase(
                 recursive_operator(r, spec3), recursive_operator(r, spec1), 1e-12
             )
 
@@ -256,3 +270,38 @@ def test_adjoint_is_an_involution():
     assert set(ADJOINT) == set(ideal_gates(OracleSpec({"11"})))
     for label, inverse in ADJOINT.items():
         assert inverse != label and ADJOINT[inverse] == label
+
+
+class TestEqualUpToGlobalPhase:
+    def test_phase_multiple(self, rng):
+        u = random_unitary(rng, 4)
+        assert equal_up_to_global_phase(u, np.exp(1j * np.pi / 7) * u, 1e-10)
+
+    def test_distinct_gates(self):
+        assert not equal_up_to_global_phase(I2, X, 0.999)
+
+    def test_all_zero_right_argument(self):
+        assert not equal_up_to_global_phase(np.eye(2), np.zeros((2, 2)), 1e-10)
+
+    def test_conjugate_oracles_differ(self):
+        # a pi/3 phase on one state is not a global phase away from the
+        # same phase on the three other states; verified against a scan
+        u = np.diag([1, 1, 1, np.exp(1j * np.pi / 3)])
+        v = np.diag([np.exp(1j * np.pi / 3)] * 3 + [1])
+        assert not equal_up_to_global_phase(u, v, 1e-10)
+        gaps = [
+            np.max(np.abs(u - np.exp(1j * t) * v))
+            for t in np.linspace(0, 2 * np.pi, 20001)
+        ]
+        assert min(gaps) > 0.5
+
+    def test_reflexive_symmetric_invariant(self, rng):
+        u = random_unitary(rng, 4)
+        v = u * np.exp(0.3j)
+        for c in (1.0, np.exp(1.1j), -1j):
+            assert equal_up_to_global_phase(c * u, v, 1e-10)
+            assert equal_up_to_global_phase(v, c * u, 1e-10)
+
+    def test_requires_positive_tol(self):
+        with pytest.raises(ValueError):
+            equal_up_to_global_phase(I2, I2, 0.0)
