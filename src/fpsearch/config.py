@@ -6,8 +6,9 @@ exact keys it accepts; unknown or inapplicable keys are hard errors, since
 a silently ignored typo would corrupt a sweep.
 
 Each experiment's config is a frozen dataclass whose keyed fields declare
-their config key, default text, help text and a parser that returns the
-final validated value. Rules that relate two keys live in ``__post_init__``.
+their config key, default text and a parser that returns the final
+validated value; a subclass changes a default by redeclaring the field.
+Rules that relate two keys live in ``__post_init__``.
 """
 
 from __future__ import annotations
@@ -200,11 +201,9 @@ def _representative(k: int) -> Callable[[str], OracleSpec]:
 # ---------------------------------------------------------------------------
 # per-experiment configs
 
-def _key(name: str, default: str, parse: Callable[[str], object], help: str):
+def _key(name: str, default: str, parse: Callable[[str], object]):
     """A config field read from key ``name``."""
-    return field(
-        metadata={"key": name, "default": default, "parse": parse, "help": help}
-    )
+    return field(metadata={"key": name, "default": default, "parse": parse})
 
 
 def _keyed_fields(cls: type) -> list:
@@ -217,7 +216,7 @@ class ExperimentConfig:
 
     experiment: str
     mapping: dict[str, str]
-    out_dir: str = _key("output.dir", "out", str, "output directory")
+    out_dir: str = _key("output.dir", "out", str)
 
     def hash(self) -> str:
         return config_hash(self.mapping)
@@ -225,27 +224,21 @@ class ExperimentConfig:
 
 @dataclass(frozen=True, kw_only=True)
 class Table1Config(ExperimentConfig):
-    r_max: int = _key("r.max", "4", _order, "largest recursion order row")
-    table_k1: OracleSpec = _key(
-        "oracle.k1", "11", _representative(1), "representative single matching state"
-    )
-    table_k2: OracleSpec = _key(
-        "oracle.k2", "00+01", _representative(2), "representative matching pair"
-    )
+    r_max: int = _key("r.max", "4", _order)
+    table_k1: OracleSpec = _key("oracle.k1", "11", _representative(1))
+    table_k2: OracleSpec = _key("oracle.k2", "00+01", _representative(2))
 
 
 @dataclass(frozen=True, kw_only=True)
 class PulseConfig(ExperimentConfig):
     """Base of the pulse-level experiments: the spin system and the oracles."""
 
-    J: float = _key("system.j", "194.8", _magnitude, "scalar coupling in Hz")
-    t90: float = _key("system.t90", "15e-6", _magnitude, "90-degree pulse time in s")
-    T2_H: float = _key("system.t2_h", "1.2", _magnitude, "proton T2 in s")
-    T2_C: float = _key("system.t2_c", "0.6", _magnitude, "carbon T2 in s")
+    J: float = _key("system.j", "194.8", _magnitude)
+    t90: float = _key("system.t90", "15e-6", _magnitude)
+    T2_H: float = _key("system.t2_h", "1.2", _magnitude)
+    T2_C: float = _key("system.t2_c", "0.6", _magnitude)
     oracle_k: int = 1
-    oracles: tuple[OracleSpec, ...] = _key(
-        "oracle.matching", "all", _matching, "matching sets, e.g. 00;01 or all"
-    )
+    oracles: tuple[OracleSpec, ...] = _key("oracle.matching", "all", _matching)
 
     def __post_init__(self) -> None:
         try:
@@ -263,33 +256,31 @@ class PulseConfig(ExperimentConfig):
 
 @dataclass(frozen=True, kw_only=True)
 class CurvesConfig(PulseConfig):
-    r_max: int = _key("r.max", "3", _order, "largest recursion order")
-    styles: tuple[str, ...] = _key("style", "naive,bb1", _styles, "pulse styles to run")
-    eps: float = _key("error.eps", "0", _error, "rf amplitude error on both channels")
-    delta_j: float = _key("error.delta_j", "0", _error, "coupling miscalibration")
+    r_max: int = _key("r.max", "3", _order)
+    styles: tuple[str, ...] = _key("style", "naive,bb1", _styles)
+    eps: float = _key("error.eps", "0", _error)
+    delta_j: float = _key("error.delta_j", "0", _error)
+
+
+@dataclass(frozen=True, kw_only=True)
+class K2CurvesConfig(CurvesConfig):
+    oracle_k: int = 2
+    styles: tuple[str, ...] = _key("style", "naive", _styles)
 
 
 @dataclass(frozen=True, kw_only=True)
 class RobustnessConfig(PulseConfig):
-    r_max: int = _key("r.max", "3", _order, "largest recursion order")
-    eps_values: tuple[float, ...] = _key(
-        "error.eps", "0,0.02,0.05,0.1", _error_list, "rf error grid"
-    )
-    delta_j_values: tuple[float, ...] = _key(
-        "error.delta_j", "0,0.05", _error_list, "coupling error grid"
-    )
+    r_max: int = _key("r.max", "3", _order)
+    eps_values: tuple[float, ...] = _key("error.eps", "0,0.02,0.05,0.1", _error_list)
+    delta_j_values: tuple[float, ...] = _key("error.delta_j", "0,0.05", _error_list)
 
 
 @dataclass(frozen=True, kw_only=True)
 class Bb1ScalingConfig(PulseConfig):
-    oracles: tuple[OracleSpec, ...] = _key(
-        "oracle.matching", "11", _matching, "single-match set for r=0 success"
-    )
-    eps_min: float = _key("eps.min", "1e-3", _float, "smallest rf error")
-    eps_max: float = _key("eps.max", "1e-2", _float, "largest rf error")
-    eps_points: int = _key(
-        "eps.points", "8", _int_in(2, MAX_EPS_POINTS), "log-spaced grid size"
-    )
+    oracles: tuple[OracleSpec, ...] = _key("oracle.matching", "11", _matching)
+    eps_min: float = _key("eps.min", "1e-3", _float)
+    eps_max: float = _key("eps.max", "1e-2", _float)
+    eps_points: int = _key("eps.points", "8", _int_in(2, MAX_EPS_POINTS))
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -305,21 +296,15 @@ class Bb1ScalingConfig(PulseConfig):
 
 @dataclass(frozen=True, kw_only=True)
 class SpectraConfig(PulseConfig):
-    oracle_k: int = _key("oracle.k", "1", _int_in(1, 2), "number of matching states")
-    r_values: tuple[int | None, ...] = _key(
-        "r.values", "0,1,2,3,inf", _orders, "orders per panel column"
-    )
-    styles: tuple[str, ...] = _key(
-        "style", "naive", lambda s: (_style(s),), "the one pulse style"
-    )
-    eps: float = _key("error.eps", "0", _error, "rf amplitude error on both channels")
-    delta_j: float = _key("error.delta_j", "0", _error, "coupling miscalibration")
+    oracle_k: int = _key("oracle.k", "1", _int_in(1, 2))
+    r_values: tuple[int | None, ...] = _key("r.values", "0,1,2,3,inf", _orders)
+    styles: tuple[str, ...] = _key("style", "naive", lambda s: (_style(s),))
+    eps: float = _key("error.eps", "0", _error)
+    delta_j: float = _key("error.delta_j", "0", _error)
     # T2-limited lines are a fraction of a Hz wide; the default grid
     # spacing of 0.1 Hz keeps sampled peak heights within ~12 percent
-    freq_span: float = _key("freq.span", "150", _magnitude, "grid half-width in Hz")
-    freq_points: int = _key(
-        "freq.points", "3001", _int_in(2, MAX_FREQ_POINTS), "number of grid points"
-    )
+    freq_span: float = _key("freq.span", "150", _magnitude)
+    freq_points: int = _key("freq.points", "3001", _int_in(2, MAX_FREQ_POINTS))
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -333,20 +318,19 @@ class SpectraConfig(PulseConfig):
             )
 
 
-# experiment -> (config class, default text overrides by key, fixed field values)
-CONFIGS: dict[str, tuple[type[ExperimentConfig], dict[str, str], dict[str, object]]] = {
-    "table1": (Table1Config, {}, {}),
-    "k1-curves": (CurvesConfig, {}, {"oracle_k": 1}),
-    "k2-curves": (CurvesConfig, {"style": "naive"}, {"oracle_k": 2}),
-    "robustness": (RobustnessConfig, {}, {}),
-    "bb1-scaling": (Bb1ScalingConfig, {}, {}),
-    "spectra": (SpectraConfig, {}, {}),
+CONFIGS: dict[str, type[ExperimentConfig]] = {
+    "table1": Table1Config,
+    "k1-curves": CurvesConfig,
+    "k2-curves": K2CurvesConfig,
+    "robustness": RobustnessConfig,
+    "bb1-scaling": Bb1ScalingConfig,
+    "spectra": SpectraConfig,
 }
 
 EXPERIMENT_NAMES = tuple(CONFIGS)
 
 
-def _entry(experiment: str):
+def _config_class(experiment: str) -> type[ExperimentConfig]:
     if experiment not in CONFIGS:
         raise ConfigError(
             f"unknown experiment {experiment!r}; expected one of {EXPERIMENT_NAMES}"
@@ -355,16 +339,15 @@ def _entry(experiment: str):
 
 
 def default_mapping(experiment: str) -> dict[str, str]:
-    cls, defaults, _ = _entry(experiment)
     return {
-        f.metadata["key"]: defaults.get(f.metadata["key"], f.metadata["default"])
-        for f in _keyed_fields(cls)
+        f.metadata["key"]: f.metadata["default"]
+        for f in _keyed_fields(_config_class(experiment))
     }
 
 
 def build_config(experiment: str, mapping: dict[str, str]) -> ExperimentConfig:
     """Validate a raw mapping against the experiment's config class."""
-    cls, _, fixed = _entry(experiment)
+    cls = _config_class(experiment)
     effective = default_mapping(experiment)
     unknown = sorted(set(mapping) - set(effective))
     if unknown:
@@ -380,4 +363,4 @@ def build_config(experiment: str, mapping: dict[str, str]) -> ExperimentConfig:
             values[f.name] = f.metadata["parse"](effective[name])
         except ConfigError as exc:
             raise ConfigError(f"{name}: {exc}") from None
-    return cls(experiment=experiment, mapping=effective, **fixed, **values)
+    return cls(experiment=experiment, mapping=effective, **values)

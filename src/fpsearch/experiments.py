@@ -1,7 +1,9 @@
 """Named experiments: tables, curves, error sweeps, and spectra.
 
-Every experiment is a pure function of its configuration and writes CSV
-(and SVG) files into the configured output directory. Runs are
+Every experiment is a pure function of its configuration: a generator of
+``(file name, text)`` pairs (CSV, SVG and spectrum traces) that touches no
+file system. :func:`run_experiment` is the only writer; it writes each text
+into the configured output directory as it is yielded. Runs are
 bit-reproducible: iteration orders are sorted, nothing draws randomness,
 and all numeric output is formatted explicitly. CSV files carry a header
 comment with the schema version and a hash of the effective configuration.
@@ -10,6 +12,7 @@ comment with the schema version and a hash of the effective configuration.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -62,20 +65,12 @@ def _fmt(value) -> str:
     return f"{float(value):.12g}"
 
 
-def _write_text(path: Path, text: str) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
-    return path
-
-
-def _write_csv(
+def _csv(
     cfg: ExperimentConfig,
-    path: Path,
     columns: list[str],
     rows: list[list],
     footer: list[str] | None = None,
-) -> Path:
+) -> str:
     lines = [
         f"# fpsearch schema={SCHEMA_VERSION} experiment={cfg.experiment} "
         f"config={cfg.hash()}"
@@ -85,7 +80,7 @@ def _write_csv(
         lines.append(",".join(_fmt(v) for v in row))
     for comment in footer or []:
         lines.append(f"# {comment}")
-    return _write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def pulse_operators(
@@ -119,7 +114,7 @@ def _estimated_success(u: np.ndarray, oracle: OracleSpec) -> float | None:
     return estimate_probability(spec, reference_spectrum(oracle), oracle)
 
 
-def run_table1(cfg: Table1Config) -> list[Path]:
+def run_table1(cfg: Table1Config) -> Iterator[tuple[str, str]]:
     """Closed-form and simulated success probabilities with query counts."""
     k1, k2 = cfg.table_k1, cfg.table_k2
     rows = []
@@ -134,16 +129,11 @@ def run_table1(cfg: Table1Config) -> list[Path]:
                 query_count(r),
             ]
         )
-    path = _write_csv(
-        cfg,
-        Path(cfg.out_dir) / "table1.csv",
-        ["r", "P_k1_closed", "P_k1_sim", "P_k2_closed", "P_k2_sim", "Q"],
-        rows,
-    )
-    return [path]
+    columns = ["r", "P_k1_closed", "P_k1_sim", "P_k2_closed", "P_k2_sim", "Q"]
+    yield "table1.csv", _csv(cfg, columns, rows)
 
 
-def run_curves(cfg: CurvesConfig) -> list[Path]:
+def run_curves(cfg: CurvesConfig) -> Iterator[tuple[str, str]]:
     """Success probability against recursion order, pulse level and closed form."""
     k = cfg.oracle_k
     error = ErrorModel(eps_H=cfg.eps, eps_C=cfg.eps, delta_J=cfg.delta_j)
@@ -181,25 +171,17 @@ def run_curves(cfg: CurvesConfig) -> list[Path]:
     smooth_y = [1.0 - (1.0 - k / 4.0) ** (3.0**x) for x in smooth_x]
     series.insert(0, svgplot.Series("closed form", smooth_x, smooth_y, dashed=True))
     name = cfg.experiment
-    csv_path = _write_csv(
-        cfg,
-        Path(cfg.out_dir) / f"{name}.csv",
-        ["oracle", "r", "style", "P_pulse", "P_estimated", "P_closed"],
-        rows,
+    columns = ["oracle", "r", "style", "P_pulse", "P_estimated", "P_closed"]
+    yield f"{name}.csv", _csv(cfg, columns, rows)
+    yield f"{name}.svg", svgplot.xy_plot(
+        series,
+        title=f"success probability, {k} matching state(s)",
+        xlabel="recursion order r",
+        ylabel="P",
     )
-    svg_path = _write_text(
-        Path(cfg.out_dir) / f"{name}.svg",
-        svgplot.xy_plot(
-            series,
-            title=f"success probability, {k} matching state(s)",
-            xlabel="recursion order r",
-            ylabel="P",
-        ),
-    )
-    return [csv_path, svg_path]
 
 
-def run_robustness(cfg: RobustnessConfig) -> list[Path]:
+def run_robustness(cfg: RobustnessConfig) -> Iterator[tuple[str, str]]:
     """Cube-law residuals across an (rf, coupling) error grid.
 
     The residual |(1-P_r) - (1-P_{r-1})^3| measures how far the pulse-level
@@ -228,12 +210,8 @@ def run_robustness(cfg: RobustnessConfig) -> list[Path]:
                         residual_by_grid[key] = max(
                             residual_by_grid.get(key, 0.0), residual
                         )
-    csv_path = _write_csv(
-        cfg,
-        Path(cfg.out_dir) / "robustness.csv",
-        ["oracle", "eps", "delta_j", "r", "P_pulse", "cube_residual"],
-        rows,
-    )
+    columns = ["oracle", "eps", "delta_j", "r", "P_pulse", "cube_residual"]
+    yield "robustness.csv", _csv(cfg, columns, rows)
     series = []
     for dj in cfg.delta_j_values:
         xs = [eps for eps in cfg.eps_values]
@@ -242,16 +220,12 @@ def run_robustness(cfg: RobustnessConfig) -> list[Path]:
             for eps in cfg.eps_values
         ]
         series.append(svgplot.Series(f"delta_j={dj:g}", xs, ys, marker="circle"))
-    svg_path = _write_text(
-        Path(cfg.out_dir) / "robustness.svg",
-        svgplot.xy_plot(
-            series,
-            title="fixed-point contraction residual",
-            xlabel="rf amplitude error eps",
-            ylabel="log10 max cube residual",
-        ),
+    yield "robustness.svg", svgplot.xy_plot(
+        series,
+        title="fixed-point contraction residual",
+        xlabel="rf amplitude error eps",
+        ylabel="log10 max cube residual",
     )
-    return [csv_path, svg_path]
 
 
 def eps_grid(cfg: Bb1ScalingConfig) -> list[float]:
@@ -276,7 +250,7 @@ def fit_loglog_slope(xs: list[float], ys: list[float]) -> float:
     return float(np.polyfit(lx, ly, 1)[0])
 
 
-def run_bb1_scaling(cfg: Bb1ScalingConfig) -> list[Path]:
+def run_bb1_scaling(cfg: Bb1ScalingConfig) -> Iterator[tuple[str, str]]:
     """Infidelity scaling of naive against BB1 pulses, plus r=0 success."""
     oracle = cfg.oracles[0]
     gates = [compile_gates(oracle, cfg.system, style) for style in ("naive", "bb1")]
@@ -295,16 +269,9 @@ def run_bb1_scaling(cfg: Bb1ScalingConfig) -> list[Path]:
         inf_bb1.append(i_b)
     slope_n = fit_loglog_slope(grid, inf_naive)
     slope_b = fit_loglog_slope(grid, inf_bb1)
-    csv_path = _write_csv(
-        cfg,
-        Path(cfg.out_dir) / "bb1_scaling.csv",
-        ["eps", "infidelity_naive", "infidelity_bb1", "P0_naive", "P0_bb1"],
-        rows,
-        footer=[
-            f"slope_naive={slope_n:.12g}",
-            f"slope_bb1={slope_b:.12g}",
-        ],
-    )
+    columns = ["eps", "infidelity_naive", "infidelity_bb1", "P0_naive", "P0_bb1"]
+    footer = [f"slope_naive={slope_n:.12g}", f"slope_bb1={slope_b:.12g}"]
+    yield "bb1_scaling.csv", _csv(cfg, columns, rows, footer)
     series = [
         svgplot.Series(
             "naive", [math.log10(e) for e in grid],
@@ -315,19 +282,15 @@ def run_bb1_scaling(cfg: Bb1ScalingConfig) -> list[Path]:
             [math.log10(v) for v in inf_bb1], marker="square",
         ),
     ]
-    svg_path = _write_text(
-        Path(cfg.out_dir) / "bb1_scaling.svg",
-        svgplot.xy_plot(
-            series,
-            title="90-degree pulse infidelity",
-            xlabel="log10 eps",
-            ylabel="log10 infidelity",
-        ),
+    yield "bb1_scaling.svg", svgplot.xy_plot(
+        series,
+        title="90-degree pulse infidelity",
+        xlabel="log10 eps",
+        ylabel="log10 infidelity",
     )
-    return [csv_path, svg_path]
 
 
-def run_spectra(cfg: SpectraConfig) -> list[Path]:
+def run_spectra(cfg: SpectraConfig) -> Iterator[tuple[str, str]]:
     """Rendered doublet spectra per oracle and recursion order.
 
     The ``inf`` column holds the directly prepared target state. All panels
@@ -336,7 +299,6 @@ def run_spectra(cfg: SpectraConfig) -> list[Path]:
     style = cfg.styles[0]
     error = ErrorModel(eps_H=cfg.eps, eps_C=cfg.eps, delta_J=cfg.delta_j)
     freqs = np.linspace(-cfg.freq_span, cfg.freq_span, cfg.freq_points)
-    paths: list[Path] = []
     panels: list[list[svgplot.Panel]] = []
     peak = 0.0
     traces: dict[tuple[str, str], np.ndarray] = {}
@@ -366,23 +328,13 @@ def run_spectra(cfg: SpectraConfig) -> list[Path]:
             )
         panels.append(row)
     for (label, tag), trace in sorted(traces.items()):
-        paths.append(
-            _write_text(
-                Path(cfg.out_dir) / f"spectrum_k{cfg.oracle_k}_{label}_r{tag}.txt",
-                format_trace(trace),
-            )
-        )
-    svg_path = _write_text(
-        Path(cfg.out_dir) / f"spectra_k{cfg.oracle_k}.svg",
-        svgplot.panel_grid(
-            panels,
-            title=f"proton doublet spectra, {cfg.oracle_k} matching state(s)",
-            y_limit=peak if peak > 0 else 1.0,
-            reverse_x=True,
-        ),
+        yield f"spectrum_k{cfg.oracle_k}_{label}_r{tag}.txt", format_trace(trace)
+    yield f"spectra_k{cfg.oracle_k}.svg", svgplot.panel_grid(
+        panels,
+        title=f"proton doublet spectra, {cfg.oracle_k} matching state(s)",
+        y_limit=peak if peak > 0 else 1.0,
+        reverse_x=True,
     )
-    paths.append(svg_path)
-    return paths
 
 
 EXPERIMENTS = {
@@ -396,5 +348,14 @@ EXPERIMENTS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[Path]:
+    """Run ``cfg``'s experiment, writing each file into ``cfg.out_dir`` as it
+    is yielded; return the paths in the order written."""
     runner, _ = EXPERIMENTS[cfg.experiment]
-    return runner(cfg)
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for name, text in runner(cfg):
+        path = out / name
+        path.write_text(text, newline="\n")
+        paths.append(path)
+    return paths

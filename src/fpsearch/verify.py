@@ -323,7 +323,8 @@ def check_determinism() -> CheckResult:
             diff = [k for k in first if first[k] != second[k]]
             if diff:
                 return False, f"{name}: bytes differ for {diff}"
-        return True, "all six experiments byte-identical across repeat runs"
+        n = len(EXPERIMENT_NAMES)
+        return True, f"all {n} experiments byte-identical across repeat runs"
 
     return _timed("experiment determinism", None, body)
 

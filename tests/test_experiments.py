@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fpsearch.config import build_config
+from fpsearch.config import EXPERIMENT_NAMES, build_config
 from fpsearch.experiments import (
+    EXPERIMENTS,
     eps_grid,
     fit_loglog_slope,
     pulse_infidelities,
@@ -202,3 +203,19 @@ class TestSpectra:
         assert np.max(left[:, 1]) > 0.45 and np.max(right[:, 1]) > 0.45
         assert np.min(trace[:, 1]) > -1e-9
 
+
+@pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+def test_runners_touch_no_files(name, tmp_path):
+    out = tmp_path / "out"
+    mapping = {"output.dir": str(out)}
+    if name == "spectra":
+        mapping["freq.points"] = "101"
+    cfg = build_config(name, mapping)
+    texts = list(EXPERIMENTS[name][0](cfg))
+    assert not out.exists()
+    names = [n for n, _ in texts]
+    assert len(set(names)) == len(names)
+    paths = run_experiment(cfg)
+    assert paths == [out / n for n in names]
+    for path, (_, text) in zip(paths, texts):
+        assert path.read_bytes() == text.encode()
