@@ -116,7 +116,7 @@ def _estimated_success(u: np.ndarray, oracle: OracleSpec) -> float | None:
 
 def run_table1(cfg: Table1Config) -> Iterator[tuple[str, str]]:
     """Closed-form and simulated success probabilities with query counts."""
-    k1, k2 = cfg.table_k1, cfg.table_k2
+    k1, k2 = OracleSpec({"11"}), OracleSpec({"00", "01"})
     rows = []
     for r in range(cfg.r_max + 1):
         rows.append(
@@ -137,12 +137,13 @@ def run_curves(cfg: CurvesConfig) -> Iterator[tuple[str, str]]:
     """Success probability against recursion order, pulse level and closed form."""
     k = cfg.oracle_k
     error = ErrorModel(eps_H=cfg.eps, eps_C=cfg.eps, delta_J=cfg.delta_j)
+    system = SpinSystem()
     rows = []
     series: list[svgplot.Series] = []
     for oi, oracle in enumerate(cfg.oracles):
         for style in cfg.styles:
-            gates = compile_gates(oracle, cfg.system, style)
-            ops = pulse_operators(cfg.r_max, gates, cfg.system, error)
+            gates = compile_gates(oracle, system, style)
+            ops = pulse_operators(cfg.r_max, gates, system, error)
             xs, ys = [], []
             for r, u in enumerate(ops):
                 p_pulse = success_probability(u, oracle)
@@ -215,8 +216,9 @@ def run_robustness(cfg: RobustnessConfig) -> Iterator[tuple[str, str]]:
     series = []
     for dj in cfg.delta_j_values:
         xs = [eps for eps in cfg.eps_values]
+        # the ideal cube law holds to 1e-12; rounding noise below it plots at -12
         ys = [
-            math.log10(max(residual_by_grid.get((eps, dj), 0.0), 1e-18))
+            math.log10(max(residual_by_grid.get((eps, dj), 0.0), 1e-12))
             for eps in cfg.eps_values
         ]
         series.append(svgplot.Series(f"delta_j={dj:g}", xs, ys, marker="circle"))
@@ -253,15 +255,16 @@ def fit_loglog_slope(xs: list[float], ys: list[float]) -> float:
 def run_bb1_scaling(cfg: Bb1ScalingConfig) -> Iterator[tuple[str, str]]:
     """Infidelity scaling of naive against BB1 pulses, plus r=0 success."""
     oracle = cfg.oracles[0]
-    gates = [compile_gates(oracle, cfg.system, style) for style in ("naive", "bb1")]
+    system = SpinSystem()
+    gates = [compile_gates(oracle, system, style) for style in ("naive", "bb1")]
     grid = eps_grid(cfg)
     rows = []
     inf_naive, inf_bb1 = [], []
     for eps in grid:
-        i_n, i_b = pulse_infidelities(eps, cfg.system)
+        i_n, i_b = pulse_infidelities(eps, system)
         error = ErrorModel(eps_H=eps, eps_C=eps)
         p_n, p_b = (
-            success_probability(sequence_unitary(g["U"], cfg.system, error), oracle)
+            success_probability(sequence_unitary(g["U"], system, error), oracle)
             for g in gates
         )
         rows.append([eps, i_n, i_b, p_n, p_b])

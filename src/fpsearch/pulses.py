@@ -38,18 +38,16 @@ class UnitarityError(RuntimeError):
 class SpinSystem:
     """Static parameters of the two-spin system.
 
-    ``t90`` is carried for completeness and serialization; under the hard
-    pulse approximation it never enters a unitary. The T2 values only set
-    spectral linewidths.
+    ``J`` (Hz) sets the compiled delay durations and the doublet splitting;
+    ``T2_H`` (seconds) only sets the proton line width. Pulse durations and the
+    carbon T2 enter nothing the package computes, so they are not modelled.
     """
 
     J: float = 194.8
-    t90: float = 15e-6
     T2_H: float = 1.2
-    T2_C: float = 0.6
 
     def __post_init__(self) -> None:
-        for name in ("J", "t90", "T2_H", "T2_C"):
+        for name in ("J", "T2_H"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -66,11 +64,6 @@ class ErrorModel:
         for name in ("eps_H", "eps_C", "delta_J"):
             if not abs(getattr(self, name)) < 1.0:
                 raise ValueError(f"|{name}| must be below 1")
-
-    @classmethod
-    def uniform_rf(cls, eps: float) -> "ErrorModel":
-        """Same rf amplitude error on both channels, exact coupling."""
-        return cls(eps_H=eps, eps_C=eps)
 
     def eps_for(self, spin: str) -> float:
         return self.eps_H if spin == "H" else self.eps_C

@@ -7,7 +7,7 @@ Coordinates are formatted with fixed precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 _PALETTE = ("#1f6fb4", "#c84b4b", "#3a9a5a", "#8458b0", "#b08a2e", "#4ba8a8")
 
@@ -55,8 +55,6 @@ def xy_plot(series: list[Series], title: str, xlabel: str, ylabel: str) -> str:
     ph = height - margin_t - margin_b
     xs_all = [x for s in series for x in s.xs]
     ys_all = [y for s in series for y in s.ys]
-    if not xs_all:
-        xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
     x0, x1 = min(xs_all), max(xs_all)
     y0, y1 = min(ys_all), max(ys_all)
     if x1 == x0:
@@ -126,8 +124,8 @@ def xy_plot(series: list[Series], title: str, xlabel: str, ylabel: str) -> str:
 class Panel:
     row_label: str
     col_label: str
-    xs: list[float] = field(default_factory=list)
-    ys: list[float] = field(default_factory=list)
+    xs: list[float]
+    ys: list[float]
 
 
 def panel_grid(
@@ -169,8 +167,6 @@ def panel_grid(
                     f'font-size="11" text-anchor="middle" font-family="sans-serif">'
                     f"{panel.col_label}</text>"
                 )
-            if not panel.xs:
-                continue
             x0, x1 = min(panel.xs), max(panel.xs)
             span = (x1 - x0) or 1.0
             mid = oy + (cell_h - 8) / 2.0

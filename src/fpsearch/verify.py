@@ -167,7 +167,7 @@ def check_error_tolerance() -> CheckResult:
         gates = {o: compile_gates(o, system, "naive") for o in all_oracles(1)}
         worst, where = 0.0, ""
         for eps in (-0.1, -0.05, -0.02, 0.02, 0.05, 0.1):
-            error = ErrorModel.uniform_rf(eps)
+            error = ErrorModel(eps_H=eps, eps_C=eps)
             for oracle in all_oracles(1):
                 probs = [
                     success_probability(u, oracle)
@@ -211,16 +211,16 @@ def check_coupling_error_breaks_fixed_point() -> CheckResult:
 
 def check_bb1_scaling() -> CheckResult:
     def body():
-        cfg = build_config("bb1-scaling", {})
-        grid = eps_grid(cfg)
+        system = SpinSystem()
+        grid = eps_grid(build_config("bb1-scaling", {}))
         inf_n, inf_b = [], []
         for eps in grid:
-            i_n, i_b = pulse_infidelities(eps, cfg.system)
+            i_n, i_b = pulse_infidelities(eps, system)
             inf_n.append(i_n)
             inf_b.append(i_b)
         slope_n = fit_loglog_slope(grid, inf_n)
         slope_b = fit_loglog_slope(grid, inf_b)
-        zero_n, zero_b = pulse_infidelities(0.0, cfg.system)
+        zero_n, zero_b = pulse_infidelities(0.0, system)
         ok = (
             abs(slope_n - 2.0) <= 0.2
             and abs(slope_b - 6.0) <= 0.5

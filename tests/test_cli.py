@@ -80,46 +80,59 @@ def test_bad_value_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+_RANGE = "outside [1e-09, 1e+09]"
+
+
+# Each case names the key it breaks and why: exit 2 alone would also pass
+# for a key the experiment does not take ("unknown keys").
 @pytest.mark.parametrize(
-    "experiment,args",
+    "experiment,args,reason",
     [
-        ("k1-curves", ["--override", "system.j=-1"]),
-        ("k1-curves", ["--override", "system.t2_h=0"]),
-        ("k1-curves", ["--override", "system.t90=0"]),
-        ("k1-curves", ["--override", "system.t2_c=0"]),
-        ("k1-curves", ["--config", "latin-1.cfg"]),
-        ("k1-curves", ["--override", "system.j=1e-320"]),
-        ("spectra", ["--override", "system.t2_h=1e-300"]),
+        ("spectra", ["--override", "system.j=-1"], f"system.j: -1 {_RANGE}"),
+        ("spectra", ["--override", "system.t2_h=0"], f"system.t2_h: 0 {_RANGE}"),
+        ("robustness", ["--override", "system.t90=0"], f"system.t90: 0 {_RANGE}"),
+        ("robustness", ["--override", "system.t2_c=0"], f"system.t2_c: 0 {_RANGE}"),
+        ("k1-curves", ["--config", "latin-1.cfg"], "'utf-8' codec can't decode"),
+        ("spectra", ["--override", "system.j=1e-320"], f"system.j: 1e-320 {_RANGE}"),
+        ("spectra", ["--override", "system.t2_h=1e-300"],
+         f"system.t2_h: 1e-300 {_RANGE}"),
         ("robustness", ["--override", "oracle.matching=00;00;00",
-                        "--override", "r.max=1"]),
-        ("spectra", ["--override", "freq.span=1e308"]),
+                        "--override", "r.max=1"],
+         "oracle.matching: matching set 00 given twice"),
+        ("spectra", ["--override", "freq.span=1e308"], f"freq.span: 1e308 {_RANGE}"),
         ("spectra", ["--override", "freq.span=1e-320",
-                     "--override", "freq.points=100001"]),
-        ("k1-curves", ["--override", "style=naive,naive,naive"]),
-        ("spectra", ["--override", "r.values=1,01"]),
+                     "--override", "freq.points=100001"],
+         f"freq.span: 1e-320 {_RANGE}"),
+        ("k1-curves", ["--override", "style=naive,naive,naive"],
+         "style: entry 'naive' given twice"),
+        ("spectra", ["--override", "r.values=1,01"],
+         "r.values: entry '01' given twice"),
         ("robustness", ["--override", "error.eps=0.1,0.10",
-                        "--override", "r.max=1"]),
+                        "--override", "r.max=1"],
+         "error.eps: entry '0.10' given twice"),
         # an existing file as output directory: writing the outputs fails
-        ("table1", ["--out", "latin-1.cfg"]),
+        ("table1", ["--out", "latin-1.cfg"], "output.dir: "),
         # 1 set x 10 orders x 100001 points: each key within its own cap,
         # the total over the trace-point cap; rejected before the run
         ("spectra", ["--override", "oracle.matching=00",
                      "--override", "r.values=0,1,2,3,4,5,6,7,8,inf",
-                     "--override", "freq.points=100001"]),
+                     "--override", "freq.points=100001"],
+         "trace points: 1 matching sets x 10 r.values x 100001 freq.points"),
         # bb1-scaling runs one matching set; a second one would be ignored
-        ("bb1-scaling", ["--override", "oracle.matching=11;00"]),
+        ("bb1-scaling", ["--override", "oracle.matching=11;00"],
+         "oracle.matching: bb1-scaling takes one single-state set"),
     ],
     ids=["j", "t2_h", "t90", "t2_c", "undecodable-file", "j-subnormal",
          "t2_h-tiny", "duplicate-matching", "freq-span-huge", "freq-span-subnormal",
          "duplicate-style", "duplicate-orders", "duplicate-eps", "out-is-a-file",
          "trace-points", "bb1-multiple-sets"],
 )
-def test_bad_config_input_exits_2(tmp_path, capsys, experiment, args):
+def test_bad_config_input_exits_2(tmp_path, capsys, experiment, args, reason):
     (tmp_path / "latin-1.cfg").write_bytes("style = na\xefve\n".encode("latin-1"))
     args = [str(tmp_path / a) if a.endswith(".cfg") else a for a in args]
     code = main(["run", experiment, "--out", str(tmp_path / "out"), *args])
     assert code == 2
-    assert "config error" in capsys.readouterr().err
+    assert f"config error: {reason}" in capsys.readouterr().err
 
 
 def test_byte_identity_across_cli_runs(tmp_path):
@@ -164,8 +177,6 @@ OVERRIDE_VALUES = {
     "error.delta_j": _list(_ERROR),
     "oracle.matching": _MATCHING,
     "oracle.k": st.sampled_from(["1", "2", "3"]),
-    "oracle.k1": _MATCHING,
-    "oracle.k2": _MATCHING,
     "system.j": _MAGNITUDE,
     "system.t90": _MAGNITUDE,
     "system.t2_h": _MAGNITUDE,

@@ -176,7 +176,7 @@ class TestCompileAlgorithm:
         (udag_ev,) = by_label["Udag"]
         assert u_ev.angle == udag_ev.angle
         assert (udag_ev.phase - u_ev.phase) % (2 * np.pi) == pytest.approx(np.pi)
-        err = ErrorModel.uniform_rf(0.07)
+        err = ErrorModel(eps_H=0.07, eps_C=0.07)
         from fpsearch.pulses import pulse_unitary
 
         prod = pulse_unitary(udag_ev, system, err) @ pulse_unitary(u_ev, system, err)
@@ -271,7 +271,7 @@ class TestErrorBehaviour:
         # the transverse pulses realizing the z rotations tilt under the
         # same rf error, so the physically compiled phase gates are no
         # longer exact and the contraction degrades
-        err = ErrorModel.uniform_rf(0.05)
+        err = ErrorModel(eps_H=0.05, eps_C=0.05)
         residuals = []
         for spec in k1_oracles:
             p = self._pulse_probs(spec, system, err, r_top=2)

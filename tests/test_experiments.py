@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fpsearch import svgplot
 from fpsearch.config import EXPERIMENT_NAMES, build_config
 from fpsearch.experiments import (
     EXPERIMENTS,
@@ -11,6 +12,7 @@ from fpsearch.experiments import (
     pulse_infidelities,
     run_experiment,
 )
+from fpsearch.pulses import SpinSystem
 
 
 def _read_csv(path):
@@ -130,6 +132,17 @@ class TestRobustness:
         assert min(broken) > 1e-6
         assert svg_path.read_text().startswith("<svg")
 
+    def test_zero_error_cell_plots_at_the_floor(self, monkeypatch):
+        # the default eps=0, delta_j=0 residual is rounding noise below the
+        # 1e-12 cube-law bound; it plots at the floor, not at its last bits
+        plotted = []
+        monkeypatch.setattr(
+            svgplot, "xy_plot", lambda series, **_: plotted.extend(series) or ""
+        )
+        list(EXPERIMENTS["robustness"][0](build_config("robustness", {})))
+        assert plotted[0].label == "delta_j=0" and plotted[0].xs[0] == 0.0
+        assert plotted[0].ys[0] == -12.0
+
 
 class TestBB1Scaling:
     def test_slopes_and_footer(self, tmp_path):
@@ -151,7 +164,7 @@ class TestBB1Scaling:
         assert grid[0] == pytest.approx(1e-3) and grid[-1] == pytest.approx(1e-2)
         ratios = [b / a for a, b in zip(grid, grid[1:])]
         assert max(ratios) - min(ratios) < 1e-9
-        i_n, i_b = pulse_infidelities(0.0, cfg.system)
+        i_n, i_b = pulse_infidelities(0.0, SpinSystem())
         assert i_n <= 1e-12 and i_b <= 1e-12
 
     def test_fit_recovers_power_law(self):

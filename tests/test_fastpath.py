@@ -21,8 +21,8 @@ ORACLES = all_oracles(1) + all_oracles(2)
 
 ERRORS = {
     "none": ErrorModel(),
-    "rf+0.1": ErrorModel.uniform_rf(0.1),
-    "rf-0.1": ErrorModel.uniform_rf(-0.1),
+    "rf+0.1": ErrorModel(eps_H=0.1, eps_C=0.1),
+    "rf-0.1": ErrorModel(eps_H=-0.1, eps_C=-0.1),
     "delta_j": ErrorModel(delta_J=0.05),
     "mixed": ErrorModel(eps_H=0.05, eps_C=0.03, delta_J=0.05),
 }

@@ -236,10 +236,6 @@ class TestErrorModel:
         with pytest.raises(ValueError):
             ErrorModel(delta_J=-1.5)
 
-    def test_uniform(self):
-        err = ErrorModel.uniform_rf(0.05)
-        assert err.eps_H == err.eps_C == 0.05 and err.delta_J == 0.0
-
 
 def test_spin_system_validation():
     with pytest.raises(ValueError):
