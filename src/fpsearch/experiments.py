@@ -325,8 +325,8 @@ def run_spectra(cfg: SpectraConfig) -> Iterator[tuple[str, str]]:
                 svgplot.Panel(
                     row_label=oracle.label(),
                     col_label=f"r={tag}",
-                    xs=list(trace[:, 0]),
-                    ys=list(trace[:, 1]),
+                    xs=trace[:, 0],
+                    ys=trace[:, 1],
                 )
             )
         panels.append(row)

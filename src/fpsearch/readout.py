@@ -150,5 +150,5 @@ def lorentzian_trace(
 
 def format_trace(trace: np.ndarray) -> str:
     """Two-column text form of a rendered trace (frequency Hz, intensity)."""
-    lines = [f"{f:.12g} {y:.12g}" for f, y in np.asarray(trace)]
-    return "\n".join(lines) + "\n"
+    a = np.asarray(trace)
+    return ("%.12g %.12g\n" * len(a)) % tuple(a.ravel().tolist())

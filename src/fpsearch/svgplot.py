@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 _PALETTE = ("#1f6fb4", "#c84b4b", "#3a9a5a", "#8458b0", "#b08a2e", "#4ba8a8")
 
 
@@ -124,8 +126,8 @@ def xy_plot(series: list[Series], title: str, xlabel: str, ylabel: str) -> str:
 class Panel:
     row_label: str
     col_label: str
-    xs: list[float]
-    ys: list[float]
+    xs: np.ndarray | list[float]
+    ys: np.ndarray | list[float]
 
 
 def panel_grid(
@@ -167,18 +169,21 @@ def panel_grid(
                     f'font-size="11" text-anchor="middle" font-family="sans-serif">'
                     f"{panel.col_label}</text>"
                 )
-            x0, x1 = min(panel.xs), max(panel.xs)
+            xs = np.asarray(panel.xs, dtype=float)
+            ys = np.asarray(panel.ys, dtype=float)
+            x0, x1 = xs.min(), xs.max()
             span = (x1 - x0) or 1.0
             mid = oy + (cell_h - 8) / 2.0
             scale = (cell_h - 12) / (2.0 * y_limit) if y_limit > 0 else 0.0
-            pts = []
-            for x, y in zip(panel.xs, panel.ys):
-                u = (x - x0) / span
-                if reverse_x:
-                    u = 1.0 - u
-                pts.append(f"{_f(ox + 4 + u * (cell_w - 16))},{_f(mid - y * scale)}")
+            # element-wise in the order a per-point loop would compute, so
+            # every coordinate, and its %.6g text, is bitwise that loop's
+            u = (xs - x0) / span
+            if reverse_x:
+                u = 1.0 - u
+            xy = np.column_stack([(ox + 4) + u * (cell_w - 16), mid - ys * scale])
+            pts = " ".join(["%.6g,%.6g"] * len(xs)) % tuple(xy.ravel().tolist())
             parts.append(
-                f'<polyline points="{" ".join(pts)}" fill="none" stroke="#1f6fb4" '
+                f'<polyline points="{pts}" fill="none" stroke="#1f6fb4" '
                 'stroke-width="1.1"/>'
             )
             parts.append(

@@ -3,8 +3,9 @@
 Each check exercises one end-to-end guarantee of the package at a pinned
 tolerance and returns a structured result. The ``fpsearch verify`` command
 runs them all and reports one line per check; the test suite asserts them
-individually. Checks are self-contained: experiment-based ones run into
-temporary directories.
+individually. Checks are self-contained and leave no files behind: the
+table check writes into a temporary directory, and the determinism check
+compares the texts two runs of each experiment yield, in memory.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from . import readout
 from .compiler import compile_algorithm, compile_gates
 from .config import EXPERIMENT_NAMES, build_config
 from .experiments import (
+    EXPERIMENTS,
     eps_grid,
     fit_loglog_slope,
     pulse_infidelities,
@@ -309,15 +311,8 @@ def check_equivalences() -> CheckResult:
 def check_determinism() -> CheckResult:
     def body():
         for name in EXPERIMENT_NAMES:
-            snapshots = []
-            for _ in range(2):
-                with tempfile.TemporaryDirectory() as tmp:
-                    cfg = build_config(name, {"output.dir": tmp})
-                    paths = run_experiment(cfg)
-                    snapshots.append(
-                        {p.relative_to(tmp).as_posix(): p.read_bytes() for p in paths}
-                    )
-            first, second = snapshots
+            runner, _ = EXPERIMENTS[name]
+            first, second = (dict(runner(build_config(name, {}))) for _ in range(2))
             if first.keys() != second.keys():
                 return False, f"{name}: file sets differ between runs"
             diff = [k for k in first if first[k] != second[k]]

@@ -1,20 +1,41 @@
-"""The gate-memoized pulse recursion against the event-by-event reference.
+"""Fast paths against the plain forms they replace.
 
 ``pulse_operators`` simulates the six compiled gates once and recurses on
 V (compiled program) and W (compiled adjoint program). The reference
 simulates the whole ``compile_algorithm`` program event by event, and the
 scipy ``expm`` brute force checks every compiled gate independently.
+
+The output layer and the per-event kernel are vectorised without changing
+a bit: ``format_trace`` and ``panel_grid`` format whole arrays in one pass,
+``pulse_unitary`` forms the Kronecker product by broadcasting, and
+``sequence_unitary`` memoises event unitaries. Each is checked here for
+byte or bit equality against the per-value form, kept only in this file.
 """
+
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bruteforce import sequence_unitary_expm
+from fpsearch import svgplot
 from fpsearch.compiler import STYLES, compile_algorithm, compile_gates
 from fpsearch.experiments import pulse_operators
-from fpsearch.pulses import ErrorModel, pulse_unitary, sequence_unitary
+from fpsearch.pulses import (
+    RF_PULSE,
+    SPINS,
+    ErrorModel,
+    PulseEvent,
+    PulseSequence,
+    _rot_xy,
+    coupling_delay,
+    pulse_unitary,
+    sequence_unitary,
+)
+from fpsearch.readout import format_trace
 from fpsearch.search import all_oracles, ideal_gates
 
 ORACLES = all_oracles(1) + all_oracles(2)
@@ -111,3 +132,145 @@ def test_gates_match_bruteforce(system, eps_h, eps_c, delta_j, oracle, style):
     for label, seq in gates.items():
         u = sequence_unitary(seq, system, error)
         assert np.max(np.abs(u - sequence_unitary_expm(seq, system, error))) <= 1e-9, label
+
+
+# ---- output layer: one-pass formatting against per-value formatting ----
+
+# zeros of both signs, subnormals and values near the float range's ends
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+                1e-300, -1e-300, 1e300, -1.7976931348623157e308]
+_any_float = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(width=64))
+
+
+def _format_trace_per_value(trace):
+    return "".join(f"{f:.12g} {y:.12g}\n" for f, y in np.asarray(trace))
+
+
+@settings(max_examples=100)
+@given(arrays(np.float64, st.tuples(st.integers(1, 40), st.just(2)), elements=_any_float))
+def test_format_trace_is_per_value_formatting(trace):
+    assert format_trace(trace) == _format_trace_per_value(trace)
+
+
+def test_format_trace_edge_values():
+    trace = np.array(_EDGE_FLOATS + [np.inf, np.nan, 1.0]).reshape(-1, 2)
+    assert format_trace(trace) == _format_trace_per_value(trace)
+
+
+# panel_grid's layout: 150x96 cells below a 70 px left and 40 px top margin
+_CELL_W, _CELL_H, _LEFT, _TOP = 150, 96, 70, 40
+
+
+def _polyline_per_point(panel, i, j, y_limit, reverse_x):
+    ox, oy = _LEFT + j * _CELL_W, _TOP + i * _CELL_H
+    x0, x1 = min(panel.xs), max(panel.xs)
+    span = (x1 - x0) or 1.0
+    mid = oy + (_CELL_H - 8) / 2.0
+    scale = (_CELL_H - 12) / (2.0 * y_limit) if y_limit > 0 else 0.0
+    pts = []
+    for x, y in zip(panel.xs, panel.ys):
+        u = (x - x0) / span
+        if reverse_x:
+            u = 1.0 - u
+        pts.append(f"{ox + 4 + u * (_CELL_W - 16):.6g},{mid - y * scale:.6g}")
+    return " ".join(pts)
+
+
+_coord = st.floats(-1e6, 1e6, allow_subnormal=True)
+
+
+@st.composite
+def _panel_data(draw):
+    n = draw(st.integers(1, 30))
+    xs = draw(st.one_of(
+        st.lists(_coord, min_size=n, max_size=n),
+        st.lists(st.just(draw(_coord)), min_size=n, max_size=n),  # constant x
+    ))
+    ys = draw(st.lists(_coord, min_size=n, max_size=n))
+    return xs, ys
+
+
+@settings(max_examples=40)
+@given(
+    data=st.lists(_panel_data(), min_size=4, max_size=4),
+    y_limit=st.one_of(st.just(0.0), st.just(-1.0), st.floats(1e-3, 1e6)),
+    reverse_x=st.booleans(),
+    as_array=st.booleans(),
+)
+# a constant-x panel (zero span) and both non-positive y limits, every time
+@example(data=[([2.5] * 3, [1.0, -2.0, 0.0])] * 4, y_limit=0.0, reverse_x=True,
+         as_array=True)
+@example(data=[([0.0, -1.0, 3.0], [0.5, 0.0, -0.5])] * 4, y_limit=-1.0,
+         reverse_x=False, as_array=False)
+def test_panel_grid_is_per_point_formatting(data, y_limit, reverse_x, as_array):
+    wrap = np.array if as_array else list
+    panels = [
+        [svgplot.Panel(f"row{i}", f"col{j}", wrap(xs), wrap(ys))
+         for j, (xs, ys) in enumerate(data[2 * i: 2 * i + 2])]
+        for i in range(2)
+    ]
+    svg = svgplot.panel_grid(panels, "t", y_limit, reverse_x=reverse_x)
+    got = re.findall(r'<polyline points="([^"]*)"', svg)
+    expected = [
+        _polyline_per_point(panel, i, j, y_limit, reverse_x)
+        for i, row in enumerate(panels)
+        for j, panel in enumerate(row)
+    ]
+    assert got == expected
+
+
+# ---- pulse kernel: broadcast Kronecker product and per-call event memo ----
+
+
+def _pulse_unitary_kron(event, error):
+    factors = [
+        _rot_xy(event.angle * (1.0 + error.eps_for(spin)), event.phase)
+        if spin in event.targets
+        else np.eye(2, dtype=complex)
+        for spin in SPINS
+    ]
+    return np.kron(factors[0], factors[1])
+
+
+_angle = st.one_of(st.sampled_from([0.0, -0.0, np.pi / 2, np.pi, 2 * np.pi]),
+                   st.floats(-20.0, 20.0))
+_rf_event = st.builds(
+    PulseEvent,
+    kind=st.just(RF_PULSE),
+    targets=st.sampled_from([frozenset("H"), frozenset("C"), frozenset("HC")]),
+    angle=_angle,
+    phase=_angle,
+)
+_error_model = st.builds(ErrorModel, eps_H=st.floats(-0.5, 0.5),
+                         eps_C=st.floats(-0.5, 0.5), delta_J=st.floats(-0.5, 0.5))
+
+
+@settings(max_examples=200)
+@given(event=_rf_event, error=_error_model)
+def test_pulse_unitary_is_bitwise_kron(system, event, error):
+    # bytes, which unlike np.array_equal also see the sign of a zero
+    assert pulse_unitary(event, system, error).tobytes() == (
+        _pulse_unitary_kron(event, error).tobytes()
+    )
+
+
+def _sequence_unitary_unmemoised(sequence, system, error):
+    u = np.eye(4, dtype=complex)
+    for event in sequence.events:
+        u = pulse_unitary(event, system, error) @ u
+    return u
+
+
+@settings(max_examples=50)
+@given(
+    pool=st.lists(_rf_event, min_size=1, max_size=6),
+    picks=st.lists(st.integers(0, 6), min_size=1, max_size=60),
+    error=_error_model,
+)
+def test_sequence_unitary_is_bitwise_the_unmemoised_product(system, pool, picks, error):
+    pool = pool + [coupling_delay(1e-3)]
+    # repeated objects, as compiled programs have, and equal distinct ones
+    events = [pool[k % len(pool)] for k in picks] + [PulseEvent(**vars(pool[0]))]
+    seq = PulseSequence(tuple(events))
+    u = sequence_unitary(seq, system, error)
+    assert u.tobytes() == _sequence_unitary_unmemoised(seq, system, error).tobytes()

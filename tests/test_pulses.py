@@ -119,6 +119,12 @@ class TestSequenceUnitary:
             with pytest.raises(UnitarityError, match="lost unitarity"):
                 check_unitary(bad, "bad")
 
+    def test_check_unitary_tolerance_boundary(self):
+        # u^dag u - 1 = diag(dev, 0, 0, 0), on either side of SEQUENCE_ATOL = 1e-10
+        check_unitary(np.diag([np.sqrt(1.0 + 1e-11), 1.0, 1.0, 1.0]), "dev 1e-11")
+        with pytest.raises(UnitarityError, match="lost unitarity"):
+            check_unitary(np.diag([np.sqrt(1.0 + 1e-9), 1.0, 1.0, 1.0]), "dev 1e-9")
+
     def test_agrees_with_bruteforce(self, system):
         seq = PulseSequence(
             (

@@ -235,6 +235,8 @@ class TestLorentzianTrace:
         spec = Spectrum(1.0, 0.0)
         with pytest.raises(ValueError, match="increasing"):
             lorentzian_trace(spec, system, np.array([1.0, 0.5, 2.0]))
+        with pytest.raises(ValueError, match="increasing"):
+            lorentzian_trace(spec, system, np.array([0.0, 0.0, 1.0]))
 
     def test_format_two_columns(self, system):
         spec = Spectrum(0.25, 0.0)

@@ -265,6 +265,11 @@ class TestGateList:
         with pytest.raises(ValueError, match="maximum"):
             expand_gate_list(MAX_ORDER + 1)
 
+    def test_cap_itself_is_accepted(self):
+        assert len(expand_gate_list(MAX_ORDER)) == 2 * 3**MAX_ORDER - 1
+        ops = operators(MAX_ORDER, ideal_gates(OracleSpec({"11"}, PI3)))
+        assert len(ops) == MAX_ORDER + 1
+
 
 def test_adjoint_is_an_involution():
     assert set(ADJOINT) == set(ideal_gates(OracleSpec({"11"})))
