@@ -40,6 +40,7 @@ from .readout import (
     reference_spectrum,
     spectrum_from_populations,
     target_populations,
+    trace_template,
 )
 from .search import (
     OracleSpec,
@@ -304,7 +305,7 @@ def run_spectra(cfg: SpectraConfig) -> Iterator[tuple[str, str]]:
     freqs = np.linspace(-cfg.freq_span, cfg.freq_span, cfg.freq_points)
     panels: list[list[svgplot.Panel]] = []
     peak = 0.0
-    traces: dict[tuple[str, str], np.ndarray] = {}
+    traces: dict[tuple[str, str], np.ndarray] = {}  # intensities on freqs
     r_top = max((r for r in cfg.r_values if r is not None), default=0)
     for oracle in cfg.oracles:
         gates = compile_gates(oracle, cfg.system, style)
@@ -318,20 +319,21 @@ def run_spectra(cfg: SpectraConfig) -> Iterator[tuple[str, str]]:
                 populations = crush(ops[r][:, 0])
                 tag = str(r)
             spec = spectrum_from_populations(populations)
-            trace = lorentzian_trace(spec, cfg.system, freqs)
-            traces[(oracle.label(), tag)] = trace
-            peak = max(peak, float(np.max(np.abs(trace[:, 1]))))
+            ys = lorentzian_trace(spec, cfg.system, freqs)
+            traces[(oracle.label(), tag)] = ys
+            peak = max(peak, float(np.max(np.abs(ys))))
             row.append(
                 svgplot.Panel(
                     row_label=oracle.label(),
                     col_label=f"r={tag}",
-                    xs=trace[:, 0],
-                    ys=trace[:, 1],
+                    xs=freqs,
+                    ys=ys,
                 )
             )
         panels.append(row)
-    for (label, tag), trace in sorted(traces.items()):
-        yield f"spectrum_k{cfg.oracle_k}_{label}_r{tag}.txt", format_trace(trace)
+    template = trace_template(freqs)
+    for (label, tag), ys in sorted(traces.items()):
+        yield f"spectrum_k{cfg.oracle_k}_{label}_r{tag}.txt", format_trace(template, ys)
     yield f"spectra_k{cfg.oracle_k}.svg", svgplot.panel_grid(
         panels,
         title=f"proton doublet spectra, {cfg.oracle_k} matching state(s)",

@@ -26,6 +26,8 @@ SEQUENCE_ATOL = 1e-10
 # Diagonal of the 2HzCz product operator in the |HC> basis.
 _COUPLING_DIAG = np.array([0.5, -0.5, -0.5, 0.5])
 
+_IDENTITY2 = np.eye(2, dtype=complex)  # an untargeted spin's rf factor; never written
+
 RF_PULSE = "rf_pulse"
 DELAY = "delay"
 
@@ -186,7 +188,7 @@ def pulse_unitary(
         a, b = (
             _rot_xy(event.angle * (1.0 + error.eps_for(spin)), event.phase)
             if spin in event.targets
-            else np.eye(2, dtype=complex)
+            else _IDENTITY2
             for spin in SPINS
         )
         # np.kron(a, b), bitwise, without its per-call overhead

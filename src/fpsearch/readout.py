@@ -130,7 +130,7 @@ def lorentzian_trace(
 ) -> np.ndarray:
     """Rendered lineshape: two Lorentzians with T2-limited width.
 
-    Returns an (N, 2) array of (frequency, intensity). The lines sit at
+    Returns the intensity at each frequency of ``freqs``. The lines sit at
     +J/2 (left) and -J/2 (right) and their peak heights equal the line
     amplitudes; the full width at half maximum is 1/(pi*T2) of the
     observed proton.
@@ -145,10 +145,14 @@ def lorentzian_trace(
     half_j = system.J / 2.0
     for amp, f0 in ((spectrum.left_amp, half_j), (spectrum.right_amp, -half_j)):
         y += amp * hwhm**2 / ((freqs - f0) ** 2 + hwhm**2)
-    return np.column_stack([freqs, y])
+    return y
 
 
-def format_trace(trace: np.ndarray) -> str:
-    """Two-column text form of a rendered trace (frequency Hz, intensity)."""
-    a = np.asarray(trace)
-    return ("%.12g %.12g\n" * len(a)) % tuple(a.ravel().tolist())
+def trace_template(freqs: np.ndarray) -> str:
+    """Text of a trace on the grid ``freqs``, with a ``%.12g`` slot per intensity."""
+    return ("%.12g %%.12g\n" * len(freqs)) % tuple(freqs.tolist())
+
+
+def format_trace(template: str, intensities: np.ndarray) -> str:
+    """One trace's text (frequency Hz, intensity): its grid's template, filled."""
+    return template % tuple(intensities.tolist())

@@ -151,6 +151,8 @@ def panel_grid(
         f'<text x="{width // 2}" y="20" font-size="14" text-anchor="middle" '
         f'font-family="sans-serif">{title}</text>',
     ]
+    # column -> (the last xs object drawn there, its x text with %.6g y slots)
+    x_text: dict[int, tuple] = {}
     for i, row in enumerate(panels):
         oy = margin_t + i * cell_h
         parts.append(
@@ -169,19 +171,22 @@ def panel_grid(
                     f'font-size="11" text-anchor="middle" font-family="sans-serif">'
                     f"{panel.col_label}</text>"
                 )
-            xs = np.asarray(panel.xs, dtype=float)
-            ys = np.asarray(panel.ys, dtype=float)
-            x0, x1 = xs.min(), xs.max()
-            span = (x1 - x0) or 1.0
             mid = oy + (cell_h - 8) / 2.0
             scale = (cell_h - 12) / (2.0 * y_limit) if y_limit > 0 else 0.0
             # element-wise in the order a per-point loop would compute, so
             # every coordinate, and its %.6g text, is bitwise that loop's
-            u = (xs - x0) / span
-            if reverse_x:
-                u = 1.0 - u
-            xy = np.column_stack([(ox + 4) + u * (cell_w - 16), mid - ys * scale])
-            pts = " ".join(["%.6g,%.6g"] * len(xs)) % tuple(xy.ravel().tolist())
+            last_xs, text = x_text.get(j, (None, ""))
+            if last_xs is not panel.xs:
+                xs = np.asarray(panel.xs, dtype=float)
+                x0, x1 = xs.min(), xs.max()
+                u = (xs - x0) / ((x1 - x0) or 1.0)
+                if reverse_x:
+                    u = 1.0 - u
+                x = (ox + 4) + u * (cell_w - 16)
+                text = " ".join(["%.6g,%%.6g"] * len(xs)) % tuple(x.tolist())
+                x_text[j] = (panel.xs, text)
+            ys = np.asarray(panel.ys, dtype=float)
+            pts = text % tuple((mid - ys * scale).tolist())
             parts.append(
                 f'<polyline points="{pts}" fill="none" stroke="#1f6fb4" '
                 'stroke-width="1.1"/>'

@@ -6,10 +6,13 @@ simulates the whole ``compile_algorithm`` program event by event, and the
 scipy ``expm`` brute force checks every compiled gate independently.
 
 The output layer and the per-event kernel are vectorised without changing
-a bit: ``format_trace`` and ``panel_grid`` format whole arrays in one pass,
-``pulse_unitary`` forms the Kronecker product by broadcasting, and
-``sequence_unitary`` memoises event unitaries. Each is checked here for
-byte or bit equality against the per-value form, kept only in this file.
+a bit. ``format_trace`` fills a ``%``-template whose frequency column
+``trace_template`` prints once per grid, and ``panel_grid`` reuses a
+column's polyline x text while its panels pass the same ``xs`` object and
+formats only the y values of each panel. ``pulse_unitary`` forms the Kronecker product
+by broadcasting, and ``sequence_unitary`` memoises event unitaries. Each
+is checked here for byte or bit equality against the per-value form, kept
+only in this file.
 """
 
 import re
@@ -35,7 +38,7 @@ from fpsearch.pulses import (
     pulse_unitary,
     sequence_unitary,
 )
-from fpsearch.readout import format_trace
+from fpsearch.readout import format_trace, trace_template
 from fpsearch.search import all_oracles, ideal_gates
 
 ORACLES = all_oracles(1) + all_oracles(2)
@@ -142,19 +145,36 @@ _EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
 _any_float = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(width=64))
 
 
-def _format_trace_per_value(trace):
-    return "".join(f"{f:.12g} {y:.12g}\n" for f, y in np.asarray(trace))
+def _format_trace_per_value(freqs, ys):
+    return "".join(f"{f:.12g} {y:.12g}\n" for f, y in zip(freqs, ys))
+
+
+_any_value = st.one_of(_any_float, st.sampled_from([np.inf, -np.inf, np.nan]))
+
+
+@st.composite
+def _shared_grid(draw):
+    """A frequency grid and the intensities of several traces drawn on it."""
+    n = draw(st.integers(1, 40))
+    freqs = draw(arrays(np.float64, n, elements=_any_value))
+    ys = draw(st.lists(arrays(np.float64, n, elements=_any_value), min_size=1, max_size=4))
+    return freqs, ys
 
 
 @settings(max_examples=100)
-@given(arrays(np.float64, st.tuples(st.integers(1, 40), st.just(2)), elements=_any_float))
-def test_format_trace_is_per_value_formatting(trace):
-    assert format_trace(trace) == _format_trace_per_value(trace)
+@given(_shared_grid())
+def test_format_trace_is_per_value_formatting(grid):
+    # run_spectra prints its grid once and fills in each trace's intensities
+    freqs, ys = grid
+    template = trace_template(freqs)
+    for y in ys:
+        assert format_trace(template, y) == _format_trace_per_value(freqs, y)
 
 
 def test_format_trace_edge_values():
-    trace = np.array(_EDGE_FLOATS + [np.inf, np.nan, 1.0]).reshape(-1, 2)
-    assert format_trace(trace) == _format_trace_per_value(trace)
+    freqs = np.array(_EDGE_FLOATS + [np.inf, np.nan])
+    ys = np.array([np.nan, -np.inf] + _EDGE_FLOATS[::-1])
+    assert format_trace(trace_template(freqs), ys) == _format_trace_per_value(freqs, ys)
 
 
 # panel_grid's layout: 150x96 cells below a 70 px left and 40 px top margin
@@ -181,32 +201,54 @@ _coord = st.floats(-1e6, 1e6, allow_subnormal=True)
 
 @st.composite
 def _panel_data(draw):
+    """Four (xs, ys) panels of one length, row-major in a 2x2 grid."""
     n = draw(st.integers(1, 30))
-    xs = draw(st.one_of(
-        st.lists(_coord, min_size=n, max_size=n),
-        st.lists(st.just(draw(_coord)), min_size=n, max_size=n),  # constant x
-    ))
-    ys = draw(st.lists(_coord, min_size=n, max_size=n))
-    return xs, ys
+    panels = []
+    for _ in range(4):
+        xs = draw(st.one_of(
+            st.lists(_coord, min_size=n, max_size=n),
+            st.lists(st.just(draw(_coord)), min_size=n, max_size=n),  # constant x
+        ))
+        panels.append((xs, draw(st.lists(_coord, min_size=n, max_size=n))))
+    return panels
 
 
-@settings(max_examples=40)
+# where each panel's xs comes from: its own list, one object per column, one
+# object for the whole grid (run_spectra's freqs), or equal distinct copies of
+# its column's list (perfbench/check.py's list(...) per panel)
+_XS_SHARING = ("own", "column", "grid", "copies")
+
+
+@settings(max_examples=60)
 @given(
-    data=st.lists(_panel_data(), min_size=4, max_size=4),
+    data=_panel_data(),
     y_limit=st.one_of(st.just(0.0), st.just(-1.0), st.floats(1e-3, 1e6)),
     reverse_x=st.booleans(),
     as_array=st.booleans(),
+    sharing=st.sampled_from(_XS_SHARING),
 )
 # a constant-x panel (zero span) and both non-positive y limits, every time
 @example(data=[([2.5] * 3, [1.0, -2.0, 0.0])] * 4, y_limit=0.0, reverse_x=True,
-         as_array=True)
+         as_array=True, sharing="grid")
 @example(data=[([0.0, -1.0, 3.0], [0.5, 0.0, -0.5])] * 4, y_limit=-1.0,
-         reverse_x=False, as_array=False)
-def test_panel_grid_is_per_point_formatting(data, y_limit, reverse_x, as_array):
+         reverse_x=False, as_array=False, sharing="copies")
+# the rows of a column differ in xs, so they must not share x text
+@example(data=[([0.0, 1.0], [1.0, 2.0]), ([5.0, 7.0], [0.0, 1.0]),
+               ([3.0, 1.0], [1.0, 2.0]), ([7.0, 6.0], [1.0, 0.0])],
+         y_limit=2.0, reverse_x=True, as_array=True, sharing="own")
+def test_panel_grid_is_per_point_formatting(data, y_limit, reverse_x, as_array, sharing):
     wrap = np.array if as_array else list
+    shared = {"column": [wrap(data[0][0]), wrap(data[1][0])],
+              "grid": [wrap(data[0][0])] * 2}.get(sharing)
+
+    def xs(i, j):
+        if shared is not None:
+            return shared[j]
+        return wrap(data[j][0] if sharing == "copies" else data[2 * i + j][0])
+
     panels = [
-        [svgplot.Panel(f"row{i}", f"col{j}", wrap(xs), wrap(ys))
-         for j, (xs, ys) in enumerate(data[2 * i: 2 * i + 2])]
+        [svgplot.Panel(f"row{i}", f"col{j}", xs(i, j), wrap(data[2 * i + j][1]))
+         for j in range(2)]
         for i in range(2)
     ]
     svg = svgplot.panel_grid(panels, "t", y_limit, reverse_x=reverse_x)

@@ -44,6 +44,12 @@ class TestEventValidation:
         assert ev.angle == pytest.approx(np.pi / 2)
         assert ev.phase == pytest.approx(np.pi)
 
+    def test_folded_phase_wraps_into_one_turn(self):
+        # 3*pi/2 + pi wraps to pi/2; unwrapped it would serialize as 450
+        ev = rf_pulse("H", -np.pi / 2, 3 * np.pi / 2)
+        assert ev.phase == pytest.approx(np.pi / 2)
+        assert PulseSequence((ev,)).serialize() == "PULSE H 90 90\n"
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             PulseEvent("z_virtual", frozenset({"H"}), angle=1.0)

@@ -15,6 +15,7 @@ from fpsearch.readout import (
     signal_weights,
     spectrum_from_populations,
     target_populations,
+    trace_template,
 )
 from fpsearch.search import (
     OracleSpec,
@@ -206,30 +207,29 @@ class TestEstimateProbability:
 class TestLorentzianTrace:
     def test_silent_spectrum_is_flat(self, system):
         spec = Spectrum(0.0, 0.0)
-        trace = lorentzian_trace(spec, system, np.linspace(-200.0, 200.0, 101))
-        assert np.allclose(trace[:, 1], 0.0)
+        y = lorentzian_trace(spec, system, np.linspace(-200.0, 200.0, 101))
+        assert np.allclose(y, 0.0)
 
     def test_single_line_peaks_at_half_j(self, system):
         spec = Spectrum(1.0, 0.0)
         freqs = np.linspace(-200.0, 200.0, 8001)
-        trace = lorentzian_trace(spec, system, freqs)
-        peak_freq = trace[np.argmax(trace[:, 1]), 0]
-        assert peak_freq == pytest.approx(97.4, abs=0.05)
-        assert np.max(trace[:, 1]) == pytest.approx(1.0, abs=1e-3)
+        y = lorentzian_trace(spec, system, freqs)
+        assert freqs[np.argmax(y)] == pytest.approx(97.4, abs=0.05)
+        assert np.max(y) == pytest.approx(1.0, abs=1e-3)
 
     def test_linewidth_from_t2(self, system):
         spec = Spectrum(1.0, 0.0)
         hwhm = 1.0 / (2 * np.pi * system.T2_H)
         half_j = system.J / 2
-        trace = lorentzian_trace(spec, system, np.array([half_j, half_j + hwhm]))
-        assert trace[0, 1] == pytest.approx(1.0)
-        assert trace[1, 1] == pytest.approx(0.5, abs=1e-6)
+        y = lorentzian_trace(spec, system, np.array([half_j, half_j + hwhm]))
+        assert y[0] == pytest.approx(1.0)
+        assert y[1] == pytest.approx(0.5, abs=1e-6)
 
     def test_antisymmetric_pair(self, system):
         spec = Spectrum(1.0, -1.0)
         freqs = np.linspace(-200.0, 200.0, 401)
-        trace = lorentzian_trace(spec, system, freqs)
-        assert np.max(trace[:, 1]) == pytest.approx(-np.min(trace[:, 1]), abs=1e-9)
+        y = lorentzian_trace(spec, system, freqs)
+        assert np.max(y) == pytest.approx(-np.min(y), abs=1e-9)
 
     def test_requires_monotone_grid(self, system):
         spec = Spectrum(1.0, 0.0)
@@ -240,7 +240,8 @@ class TestLorentzianTrace:
 
     def test_format_two_columns(self, system):
         spec = Spectrum(0.25, 0.0)
-        text = format_trace(lorentzian_trace(spec, system, np.linspace(-1, 1, 3)))
+        freqs = np.linspace(-1, 1, 3)
+        text = format_trace(trace_template(freqs), lorentzian_trace(spec, system, freqs))
         lines = text.strip().splitlines()
         assert len(lines) == 3 and all(len(ln.split()) == 2 for ln in lines)
 

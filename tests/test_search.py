@@ -44,8 +44,14 @@ class TestOracleSpec:
             OracleSpec(set())
 
     def test_rejects_out_of_range_phase(self):
-        with pytest.raises(ValueError):
-            OracleSpec({"11"}, phase=2 * np.pi)
+        for phase in (2 * np.pi, -2 * np.pi):
+            with pytest.raises(ValueError):
+                OracleSpec({"11"}, phase=phase)
+
+    def test_accepts_phases_just_inside_the_bound(self):
+        for bound in (2 * np.pi, -2 * np.pi):
+            phase = np.nextafter(bound, 0.0)
+            assert OracleSpec({"11"}, phase=phase).phase == phase
 
     def test_basis_indexing_msb_first(self):
         # qubit 1 (the proton) is the most significant bit
