@@ -14,6 +14,8 @@ miscalibration makes delays programmed for J evolve under ``J*(1+delta_J)``.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,9 +69,6 @@ class ErrorModel:
             if not abs(getattr(self, name)) < 1.0:
                 raise ValueError(f"|{name}| must be below 1")
 
-    def eps_for(self, spin: str) -> float:
-        return self.eps_H if spin == "H" else self.eps_C
-
 
 NO_ERROR = ErrorModel()
 
@@ -93,9 +92,9 @@ class PulseEvent:
         if self.kind == RF_PULSE:
             if not self.targets:
                 raise ValueError("rf pulse needs at least one target spin")
-            if not np.isfinite(self.angle) or not np.isfinite(self.phase):
+            if not math.isfinite(self.angle) or not math.isfinite(self.phase):
                 raise ValueError("rf pulse angle and phase must be finite")
-        elif not self.duration > 0 or not np.isfinite(self.duration):
+        elif not self.duration > 0 or not math.isfinite(self.duration):
             raise ValueError("delay duration must be positive and finite")
 
     def target_label(self) -> str:
@@ -178,23 +177,39 @@ def _rot_xy(theta: float, phase: float) -> np.ndarray:
     )
 
 
+# typed, as np.float32(0.5) == 0.5 with one hash, yet computes in float32
+@functools.lru_cache(maxsize=4096, typed=True)  # a verify run needs ~200
+def _event_unitary(angle, phase=None, signs=None, eps_H=None, eps_C=None) -> np.ndarray:
+    if phase is None:  # a delay; angle is its coupling phase
+        u = np.diag(np.exp(-1j * angle * _COUPLING_DIAG))
+    else:  # an rf pulse; signs only key the memo, and eps is None off target
+        a, b = (
+            _IDENTITY2 if eps is None else _rot_xy(angle * (1.0 + eps), phase)
+            for eps in (eps_H, eps_C)
+        )
+        # np.kron(a, b), bitwise, without its per-call overhead
+        u = (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+    u.flags.writeable = False  # the memo hands this array to every caller
+    return u
+
+
+clear_event_memo = _event_unitary.cache_clear
+
+
 def pulse_unitary(
     event: PulseEvent,
     system: SpinSystem,
     error: ErrorModel = NO_ERROR,
 ) -> np.ndarray:
-    """4x4 unitary of a single event under the given error model."""
+    """4x4 unitary of one event under the given error model (memoised, read-only)."""
     if event.kind == RF_PULSE:
-        a, b = (
-            _rot_xy(event.angle * (1.0 + error.eps_for(spin)), event.phase)
-            if spin in event.targets
-            else _IDENTITY2
-            for spin in SPINS
-        )
-        # np.kron(a, b), bitwise, without its per-call overhead
-        return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
-    angle = np.pi * system.J * (1.0 + error.delta_J) * event.duration
-    return np.diag(np.exp(-1j * angle * _COUPLING_DIAG))
+        angle, phase, targets = event.angle, event.phase, event.targets
+        # 0.0 == -0.0, yet the two give unitaries whose zeros differ in sign
+        signs = (math.copysign(1.0, angle), math.copysign(1.0, phase))
+        eps_H = error.eps_H if "H" in targets else None
+        eps_C = error.eps_C if "C" in targets else None
+        return _event_unitary(angle, phase, signs, eps_H, eps_C)
+    return _event_unitary(np.pi * system.J * (1.0 + error.delta_J) * event.duration)
 
 
 def sequence_unitary(
@@ -204,24 +219,22 @@ def sequence_unitary(
 ) -> np.ndarray:
     """Time-ordered product of the event unitaries (first event acts first).
 
-    Each event object is simulated once per call, keyed by identity: events
-    with angles 0.0 and -0.0 compare equal, yet their unitaries differ in the
-    signs of zeros. So the product is bitwise the unmemoised one.
+    Each distinct event is simulated once per process, through
+    :func:`pulse_unitary`'s value-keyed memo. The product keeps its order and
+    operands, so it is bitwise the unmemoised one.
     """
-    cache: dict[int, np.ndarray] = {}
     u = np.eye(4, dtype=complex)
     for event in sequence.events:
-        p = cache.get(id(event))
-        if p is None:
-            p = cache[id(event)] = pulse_unitary(event, system, error)
-        u = p @ u
+        u = pulse_unitary(event, system, error) @ u
     check_unitary(u, f"sequence of {len(sequence)} events")
     return u
 
 
 def check_unitary(u: np.ndarray, what: str) -> None:
     """Raise :class:`UnitarityError` unless ``u`` is unitary to ``SEQUENCE_ATOL``."""
-    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(len(u)))))
+    m = u.conj().T @ u
+    m.ravel()[:: len(m) + 1] -= 1.0  # m is a fresh product, so ravel is a view
+    dev = float(np.abs(m).max())
     if not dev <= SEQUENCE_ATOL:
         raise UnitarityError(
             f"{what} lost unitarity (deviation {dev:.3e}); check event parameters"

@@ -25,7 +25,7 @@ def event_unitary_expm(event, system: SpinSystem, error: ErrorModel) -> np.ndarr
         gen = np.zeros((4, 4), dtype=complex)
         axis = np.cos(event.phase) * _SX + np.sin(event.phase) * _SY
         for spin in event.targets:
-            theta = event.angle * (1.0 + error.eps_for(spin))
+            theta = event.angle * (1.0 + getattr(error, f"eps_{spin}"))
             gen = gen + theta * _on_spin(axis / 2.0, spin)
         return expm(-1j * gen)
     if event.kind == DELAY:

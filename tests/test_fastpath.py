@@ -10,11 +10,13 @@ a bit. ``format_trace`` fills a ``%``-template whose frequency column
 ``trace_template`` prints once per grid, and ``panel_grid`` reuses a
 column's polyline x text while its panels pass the same ``xs`` object and
 formats only the y values of each panel. ``pulse_unitary`` forms the Kronecker product
-by broadcasting, and ``sequence_unitary`` memoises event unitaries. Each
+by broadcasting and memoises event unitaries by value, process-wide and
+bounded, so ``sequence_unitary`` simulates each distinct event once. Each
 is checked here for byte or bit equality against the per-value form, kept
-only in this file.
+only in this file, with the memo cold and warm.
 """
 
+import itertools
 import re
 
 import numpy as np
@@ -24,18 +26,22 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bruteforce import sequence_unitary_expm
-from fpsearch import svgplot
+from fpsearch import svgplot, verify
 from fpsearch.compiler import STYLES, compile_algorithm, compile_gates
-from fpsearch.experiments import pulse_operators
+from fpsearch.experiments import EXPERIMENTS, pulse_operators
 from fpsearch.pulses import (
+    _COUPLING_DIAG,
     RF_PULSE,
     SPINS,
     ErrorModel,
     PulseEvent,
     PulseSequence,
+    _event_unitary,
     _rot_xy,
+    clear_event_memo,
     coupling_delay,
     pulse_unitary,
+    rf_pulse,
     sequence_unitary,
 )
 from fpsearch.readout import format_trace, trace_template
@@ -261,12 +267,16 @@ def test_panel_grid_is_per_point_formatting(data, y_limit, reverse_x, as_array, 
     assert got == expected
 
 
-# ---- pulse kernel: broadcast Kronecker product and per-call event memo ----
+# ---- pulse kernel: broadcast Kronecker product and value-keyed event memo ----
 
 
-def _pulse_unitary_kron(event, error):
+def _pulse_unitary_unmemoised(event, system, error):
+    """The event unitary as np.kron of per-spin factors, or a delay's diagonal."""
+    if event.kind != RF_PULSE:
+        angle = np.pi * system.J * (1.0 + error.delta_J) * event.duration
+        return np.diag(np.exp(-1j * angle * _COUPLING_DIAG))
     factors = [
-        _rot_xy(event.angle * (1.0 + error.eps_for(spin)), event.phase)
+        _rot_xy(event.angle * (1.0 + getattr(error, f"eps_{spin}")), event.phase)
         if spin in event.targets
         else np.eye(2, dtype=complex)
         for spin in SPINS
@@ -274,6 +284,7 @@ def _pulse_unitary_kron(event, error):
     return np.kron(factors[0], factors[1])
 
 
+# zeros of both signs are drawn often: they compare equal but differ in bits
 _angle = st.one_of(st.sampled_from([0.0, -0.0, np.pi / 2, np.pi, 2 * np.pi]),
                    st.floats(-20.0, 20.0))
 _rf_event = st.builds(
@@ -283,23 +294,96 @@ _rf_event = st.builds(
     angle=_angle,
     phase=_angle,
 )
-_error_model = st.builds(ErrorModel, eps_H=st.floats(-0.5, 0.5),
-                         eps_C=st.floats(-0.5, 0.5), delta_J=st.floats(-0.5, 0.5))
+_event = st.one_of(_rf_event, st.builds(coupling_delay, st.floats(1e-6, 1e-2)))
+_error_field = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.5, 0.5))
+_error_model = st.builds(ErrorModel, eps_H=_error_field, eps_C=_error_field,
+                         delta_J=_error_field)
+
+
+def _signed_zero_variants(event, error):
+    """``(event, error)`` with every zero field taken as both 0.0 and -0.0."""
+    def signs(obj, names):
+        choices = [(0.0, -0.0) if getattr(obj, n) == 0 else (getattr(obj, n),)
+                   for n in names]
+        return [dict(zip(names, values)) for values in itertools.product(*choices)]
+
+    return [
+        (PulseEvent(**{**vars(event), **e}), ErrorModel(**m))
+        for e in signs(event, ("angle", "phase"))
+        for m in signs(error, ("eps_H", "eps_C", "delta_J"))
+    ]
 
 
 @settings(max_examples=200)
-@given(event=_rf_event, error=_error_model)
+@given(event=_event, error=_error_model)
 def test_pulse_unitary_is_bitwise_kron(system, event, error):
-    # bytes, which unlike np.array_equal also see the sign of a zero
-    assert pulse_unitary(event, system, error).tobytes() == (
-        _pulse_unitary_kron(event, error).tobytes()
-    )
+    # A cold and then a warm pass, with 0.0 seen first and then -0.0 seen
+    # first. Bytes, unlike np.array_equal, also see the sign of a zero.
+    variants = _signed_zero_variants(event, error)
+    for order in (variants, variants[::-1]):
+        clear_event_memo()
+        for ev, err in order + order:
+            assert pulse_unitary(ev, system, err).tobytes() == (
+                _pulse_unitary_unmemoised(ev, system, err).tobytes()
+            )
+
+
+def test_memo_keeps_float_widths_apart(system):
+    # np.float32(0.5) == 0.5 with the same hash, yet it computes in float32
+    for event, field in ((rf_pulse("H", 1.0), "eps_H"), (coupling_delay(1e-3), "delta_J")):
+        for value in (0.5, np.float32(0.5), 0.5):
+            error = ErrorModel(**{field: value})
+            assert pulse_unitary(event, system, error).tobytes() == (
+                _pulse_unitary_unmemoised(event, system, error).tobytes()
+            )
+
+
+def test_memoised_unitaries_are_read_only(system):
+    for event in (rf_pulse({"H", "C"}, np.pi / 2, 0.25), coupling_delay(1e-3)):
+        u = pulse_unitary(event, system)
+        assert u is pulse_unitary(event, system)  # shared by every caller
+        with pytest.raises(ValueError, match="read-only"):
+            u[0, 0] = 0.0
+    # a product is the caller's own array
+    assert sequence_unitary(PulseSequence((coupling_delay(1e-3),)), system).flags.writeable
+
+
+def test_event_memo_is_bounded(system):
+    maxsize = _event_unitary.cache_info().maxsize
+    assert maxsize is not None
+    clear_event_memo()
+    for i in range(maxsize + 10):
+        pulse_unitary(coupling_delay(1e-3 + i * 1e-9), system)
+    info = _event_unitary.cache_info()
+    assert (info.currsize, info.misses) == (maxsize, maxsize + 10)
+    clear_event_memo()
+
+
+def test_determinism_check_starts_each_run_cold(system, monkeypatch):
+    # criterion 9 compares two runs, so the second must simulate its events
+    # afresh rather than read the first run's memo
+    name = "bb1-scaling"
+    runner, description = EXPERIMENTS[name]
+    runs = []
+
+    def counted(cfg):
+        before = _event_unitary.cache_info()
+        files = list(runner(cfg))
+        runs.append((before.currsize, _event_unitary.cache_info().misses - before.misses))
+        return files
+
+    monkeypatch.setattr(verify, "EXPERIMENT_NAMES", (name,))
+    monkeypatch.setattr(verify, "EXPERIMENTS", {name: (counted, description)})
+    pulse_unitary(coupling_delay(1e-3), system)  # a warm memo beforehand
+    assert verify.check_determinism().passed
+    assert len(runs) == 2
+    assert all(size == 0 and misses > 0 for size, misses in runs)
 
 
 def _sequence_unitary_unmemoised(sequence, system, error):
     u = np.eye(4, dtype=complex)
     for event in sequence.events:
-        u = pulse_unitary(event, system, error) @ u
+        u = _pulse_unitary_unmemoised(event, system, error) @ u
     return u
 
 
@@ -310,6 +394,7 @@ def _sequence_unitary_unmemoised(sequence, system, error):
     error=_error_model,
 )
 def test_sequence_unitary_is_bitwise_the_unmemoised_product(system, pool, picks, error):
+    # the memo stays warm across examples, as it does across a process
     pool = pool + [coupling_delay(1e-3)]
     # repeated objects, as compiled programs have, and equal distinct ones
     events = [pool[k % len(pool)] for k in picks] + [PulseEvent(**vars(pool[0]))]

@@ -11,10 +11,16 @@ The other side of that floor: ``perfbench/tracer.py`` wraps functions by
 the name their caller looks them up under, so deleting or renaming one
 breaks every traced benchmark run. One test installs the tracer and
 checks that it finds and restores each name.
+
+Start-up is most of a short command's time, so a last check imports the
+command-line module in a fresh interpreter and fails if that loads a
+test-only dependency.
 """
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -110,3 +116,14 @@ def test_tracer_wraps_and_restores_every_name(monkeypatch):
         t.uninstall()
     assert all(w is not b for w, b in zip(wrapped, before))
     assert all(a is b for a, b in zip(current(), before))
+
+
+TEST_ONLY = {"scipy", "hypothesis", "pytest", "_pytest", "mpmath"}
+
+
+def test_cli_import_loads_no_test_only_dependency():
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import fpsearch.cli; "
+            "print(*sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert {name.partition(".")[0] for name in out.split()} & TEST_ONLY == set()

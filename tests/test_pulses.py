@@ -50,6 +50,25 @@ class TestEventValidation:
         assert ev.phase == pytest.approx(np.pi / 2)
         assert PulseSequence((ev,)).serialize() == "PULSE H 90 90\n"
 
+    def test_finiteness_is_checked_as_np_isfinite_does(self):
+        values = [0.0, -0.0, 1.5, 3, True, np.float64(2.0), np.float32(0.5), np.float16(1.0),
+                  np.int64(2), np.longdouble(1.0), 1e308, np.inf, -np.inf, np.nan,
+                  np.float32(np.inf), np.float64(-np.inf), np.float32(np.nan)]
+        for value in values:
+            finite = bool(np.isfinite(value))
+            for event in (
+                dict(kind="rf_pulse", targets=frozenset("H"), angle=value),
+                dict(kind="rf_pulse", targets=frozenset("H"), phase=value),
+                dict(kind="delay", duration=value),
+            ):
+                accepted = finite and (event["kind"] == "rf_pulse" or value > 0)
+                try:
+                    PulseEvent(**event)
+                except ValueError:
+                    assert not accepted, event
+                else:
+                    assert accepted, event
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             PulseEvent("z_virtual", frozenset({"H"}), angle=1.0)
