@@ -22,6 +22,10 @@ an rf amplitude error is shared exactly between a gate and its inverse.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Mapping
+from types import MappingProxyType
+
 import numpy as np
 
 from . import search
@@ -91,14 +95,26 @@ def compile_gates(
     oracle: OracleSpec,
     system: SpinSystem,
     style: str = "naive",
-) -> dict[str, PulseSequence]:
-    """Pulse sequences of the six gates, keyed by gate label.
+) -> Mapping[str, PulseSequence]:
+    """Pulse sequences of the six gates, keyed by gate label (memoised, read-only).
 
     Each gate is compiled on its own, with no merging of pulses within or
     across gates. ``style="bb1"`` rewrites every rf pulse as a BB1
     composite rotation. An inverse is compiled as a gate of its own,
     not by reversing its gate's pulses.
+
+    Each (oracle, system, style) is compiled once per process: every caller
+    shares one read-only mapping of frozen sequences.
     """
+    # np.float32(150.0) == 150.0 with one hash, yet compiles its delays in
+    # float32, so the types of the float fields key the memo as well
+    return _compiled_gates(oracle, system, style, type(oracle.phase), type(system.J))
+
+
+# a verify run needs 20 entries, and all 28 (oracle, style) pairs of one system
+# fit; an entry holds at most ~25 KB (bb1), so the memo stays under 1.6 MB
+@functools.lru_cache(maxsize=64)
+def _compiled_gates(oracle, system, style, *field_types) -> MappingProxyType:
     if style not in STYLES:
         raise ValueError(f"unknown style {style!r}; expected one of {STYLES}")
     if oracle.phase == 0.0:
@@ -112,12 +128,14 @@ def compile_gates(
         "R0": _phase_gate_events(origin, system),
         "R0dag": _phase_gate_events(origin.adjoint(), system),
     }
-    out: dict[str, PulseSequence] = {}
-    for label, events in gates.items():
-        if style == "bb1":
-            events = _bb1_rewrite(events)
-        out[label] = PulseSequence(tuple(events), (GateSpan(label, 0, len(events)),))
-    return out
+    if style == "bb1":
+        gates = {label: _bb1_rewrite(events) for label, events in gates.items()}
+    return MappingProxyType(
+        {label: PulseSequence(tuple(events)) for label, events in gates.items()}
+    )
+
+
+clear_compile_memo = _compiled_gates.cache_clear
 
 
 def compile_algorithm(

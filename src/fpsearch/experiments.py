@@ -92,8 +92,9 @@ def pulse_operators(
 ) -> list[np.ndarray]:
     """Unitaries of the compiled order-0..r_max programs under ``error``.
 
-    ``gates`` maps each gate label to its compiled sequence (see
-    ``compile_gates``). Each gate is simulated once and the orders follow
+    ``gates`` maps each gate label to its compiled sequence: the read-only
+    mapping ``compile_gates`` compiles once per (oracle, system, style) and
+    shares with every caller. Each gate is simulated once and the orders follow
     from :func:`fpsearch.search.operators`. Element for element the result
     equals ``sequence_unitary`` of ``compile_algorithm(r, ...)`` up to the
     rounding of reassociated 4x4 products.
@@ -294,6 +295,15 @@ def run_bb1_scaling(cfg: Bb1ScalingConfig) -> Iterator[tuple[str, str]]:
     )
 
 
+def _first_equal(arrays: list[np.ndarray]) -> list[int]:
+    """For each array, the index of the first one with the same bytes.
+
+    The byte strings live only in this call, so a caller keeps no copies.
+    """
+    first: dict[bytes, int] = {}
+    return [first.setdefault(a.tobytes(), i) for i, a in enumerate(arrays)]
+
+
 def run_spectra(cfg: SpectraConfig) -> Iterator[tuple[str, str]]:
     """Rendered doublet spectra per oracle and recursion order.
 
@@ -331,9 +341,17 @@ def run_spectra(cfg: SpectraConfig) -> Iterator[tuple[str, str]]:
                 )
             )
         panels.append(row)
+    # equal traces (every oracle's r=0) share one text, held until its last use
+    ordered = sorted(traces.items())
+    source = _first_equal([ys for _, ys in ordered])
+    last = {s: i for i, s in enumerate(source)}
+    texts: dict[int, str] = {}
     template = trace_template(freqs)
-    for (label, tag), ys in sorted(traces.items()):
-        yield f"spectrum_k{cfg.oracle_k}_{label}_r{tag}.txt", format_trace(template, ys)
+    for i, ((label, tag), ys) in enumerate(ordered):
+        text = texts.pop(source[i], None) or format_trace(template, ys)
+        if last[source[i]] > i:
+            texts[source[i]] = text
+        yield f"spectrum_k{cfg.oracle_k}_{label}_r{tag}.txt", text
     yield f"spectra_k{cfg.oracle_k}.svg", svgplot.panel_grid(
         panels,
         title=f"proton doublet spectra, {cfg.oracle_k} matching state(s)",

@@ -216,14 +216,18 @@ def sequence_unitary(
     sequence: PulseSequence,
     system: SpinSystem,
     error: ErrorModel = NO_ERROR,
+    start: np.ndarray | None = None,
 ) -> np.ndarray:
     """Time-ordered product of the event unitaries (first event acts first).
 
     Each distinct event is simulated once per process, through
     :func:`pulse_unitary`'s value-keyed memo. The product keeps its order and
-    operands, so it is bitwise the unmemoised one.
+    operands, so it is bitwise the unmemoised one. ``start`` is an operator
+    the events continue, the identity by default: continuing the product of
+    a program's first events over its remaining ones is bitwise the product
+    of the whole program.
     """
-    u = np.eye(4, dtype=complex)
+    u = np.eye(4, dtype=complex) if start is None else start
     for event in sequence.events:
         u = pulse_unitary(event, system, error) @ u
     check_unitary(u, f"sequence of {len(sequence)} events")

@@ -5,7 +5,10 @@ tolerance and returns a structured result. The ``fpsearch verify`` command
 runs them all and reports one line per check; the test suite asserts them
 individually. Checks are self-contained and leave no files behind: the
 table check writes into a temporary directory, and the determinism check
-compares the texts two runs of each experiment yield, in memory.
+compares the texts two runs of each experiment yield, in memory, each run
+starting with the compile and event memos empty. The compilation check
+walks each program family once: every order's program extends the one
+before it, so one event-by-event product continues through all orders.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import readout
-from .compiler import compile_algorithm, compile_gates
+from .compiler import STYLES, clear_compile_memo, compile_algorithm, compile_gates
 from .config import EXPERIMENT_NAMES, build_config
 from .experiments import (
     EXPERIMENTS,
@@ -28,7 +31,14 @@ from .experiments import (
     pulse_operators,
     run_experiment,
 )
-from .pulses import ErrorModel, NO_ERROR, SpinSystem, clear_event_memo, sequence_unitary
+from .pulses import (
+    NO_ERROR,
+    ErrorModel,
+    PulseSequence,
+    SpinSystem,
+    clear_event_memo,
+    sequence_unitary,
+)
 from .search import (
     STATES,
     OracleSpec,
@@ -36,6 +46,8 @@ from .search import (
     closed_form_success,
     equal_up_to_global_phase,
     expand_gate_list,
+    ideal_gates,
+    operators,
     phase_oracle,
     recursive_operator,
     success_probability,
@@ -127,17 +139,39 @@ def check_cube_law_ideal() -> CheckResult:
     return _timed("ideal cube law (gate level)", 1.0, body)
 
 
+def program_unitaries(
+    r_max: int, oracle: OracleSpec, system: SpinSystem, style: str
+) -> list[np.ndarray]:
+    """``sequence_unitary(compile_algorithm(r, ...))`` for r = 0..r_max, bitwise.
+
+    Each order's program extends the one before it (checked here), so one
+    running event-by-event product continues over each order's new events
+    only, and each order's product is checked for unitarity.
+    """
+    out: list[np.ndarray] = []
+    done: tuple = ()
+    u = None
+    for r in range(r_max + 1):
+        events = compile_algorithm(r, oracle, system, style).events
+        if events[: len(done)] != done:
+            raise ValueError(f"order-{r} program does not extend order {r - 1}")
+        u = sequence_unitary(PulseSequence(events[len(done):]), system, NO_ERROR, u)
+        out.append(u)
+        done = events
+    return out
+
+
 def check_compilation_soundness() -> CheckResult:
     def body():
         system = SpinSystem()
         oracles = all_oracles(1) + all_oracles(2)
         for oracle in oracles:
+            ideal = operators(3, ideal_gates(oracle))
+            simulated = {s: program_unitaries(3, oracle, system, s) for s in STYLES}
             for r in range(4):
-                ideal = recursive_operator(r, oracle)
-                for style in ("naive", "bb1"):
-                    seq = compile_algorithm(r, oracle, system, style=style)
-                    u = sequence_unitary(seq, system, NO_ERROR)
-                    if not equal_up_to_global_phase(u, ideal, 1e-10):
+                for style in STYLES:
+                    u = simulated[style][r]
+                    if not equal_up_to_global_phase(u, ideal[r], 1e-10):
                         return False, (
                             f"{style} r={r} oracle={oracle.label()} deviates "
                             "from the gate-level operator"
@@ -314,7 +348,9 @@ def check_determinism() -> CheckResult:
             runner, _ = EXPERIMENTS[name]
             runs = []
             for _ in range(2):
-                clear_event_memo()  # both runs start cold, so both exercise the kernel
+                # both runs start cold, so both compile and simulate afresh
+                clear_compile_memo()
+                clear_event_memo()
                 runs.append(dict(runner(build_config(name, {}))))
             first, second = runs
             if first.keys() != second.keys():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from bruteforce import sequence_unitary_expm
 from fpsearch.compiler import (
+    STYLES,
     compile_algorithm,
     compile_gates,
     diagonal_phase_coefficients,
@@ -164,6 +165,15 @@ class TestCompileAlgorithm:
             assert before.stop == after.start
         labels = {span.label for span in seq.gates}
         assert {"U", "Udag", "Rf", "R0"} <= labels
+
+    @pytest.mark.parametrize("style", STYLES)
+    def test_each_order_extends_the_one_before(self, system, style):
+        # criterion 3 continues one product through the orders on this
+        for spec in all_oracles(1) + all_oracles(2):
+            programs = [compile_algorithm(r, spec, system, style) for r in range(4)]
+            for shorter, longer in zip(programs, programs[1:]):
+                assert longer.events[: len(shorter)] == shorter.events
+                assert len(longer) > len(shorter)
 
     def test_u_inverse_is_pulsewise_adjoint(self, system, k1_oracles):
         # a U gate and its inverse share the scaled angle and differ by a

@@ -14,6 +14,10 @@ by broadcasting and memoises event unitaries by value, process-wide and
 bounded, so ``sequence_unitary`` simulates each distinct event once. Each
 is checked here for byte or bit equality against the per-value form, kept
 only in this file, with the memo cold and warm.
+
+``compile_gates`` memoises each (oracle, system, style) the same way, and
+criterion 3 continues one event-by-event product through the orders of a
+program family; both are checked against their plain forms too.
 """
 
 import itertools
@@ -26,16 +30,25 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bruteforce import sequence_unitary_expm
-from fpsearch import svgplot, verify
-from fpsearch.compiler import STYLES, compile_algorithm, compile_gates
+from fpsearch import experiments, svgplot, verify
+from fpsearch.compiler import (
+    STYLES,
+    _compiled_gates,
+    clear_compile_memo,
+    compile_algorithm,
+    compile_gates,
+)
+from fpsearch.config import build_config
 from fpsearch.experiments import EXPERIMENTS, pulse_operators
 from fpsearch.pulses import (
     _COUPLING_DIAG,
+    DELAY,
     RF_PULSE,
     SPINS,
     ErrorModel,
     PulseEvent,
     PulseSequence,
+    SpinSystem,
     _event_unitary,
     _rot_xy,
     clear_event_memo,
@@ -45,7 +58,7 @@ from fpsearch.pulses import (
     sequence_unitary,
 )
 from fpsearch.readout import format_trace, trace_template
-from fpsearch.search import all_oracles, ideal_gates
+from fpsearch.search import OracleSpec, all_oracles, ideal_gates
 
 ORACLES = all_oracles(1) + all_oracles(2)
 
@@ -181,6 +194,30 @@ def test_format_trace_edge_values():
     freqs = np.array(_EDGE_FLOATS + [np.inf, np.nan])
     ys = np.array([np.nan, -np.inf] + _EDGE_FLOATS[::-1])
     assert format_trace(trace_template(freqs), ys) == _format_trace_per_value(freqs, ys)
+
+
+def test_only_bitwise_equal_traces_share_a_text():
+    # 0.0 == -0.0, yet the two print differently
+    arrays = [np.array([0.0, 1.0]), np.array([-0.0, 1.0]), np.array([0.0, 1.0]),
+              np.array([np.nan]), np.array([np.nan])]
+    assert experiments._first_equal(arrays) == [0, 1, 0, 3, 3]
+
+
+def test_spectra_formats_each_distinct_trace_once(monkeypatch):
+    cfg = build_config("spectra", {"oracle.k": "2", "freq.points": "101"})
+    formatted = []
+
+    def counted(template, ys):
+        formatted.append(ys.tobytes())
+        return format_trace(template, ys)
+
+    monkeypatch.setattr(experiments, "format_trace", counted)
+    shared = list(experiments.run_spectra(cfg))
+    assert len(formatted) == len(set(formatted)) == 24
+    assert len(shared) == 31  # 30 traces and the panel grid
+    # each trace formatted on its own gives the same files
+    monkeypatch.setattr(experiments, "_first_equal", lambda arrays: range(len(arrays)))
+    assert list(experiments.run_spectra(cfg)) == shared
 
 
 # panel_grid's layout: 150x96 cells below a 70 px left and 40 px top margin
@@ -360,24 +397,27 @@ def test_event_memo_is_bounded(system):
 
 
 def test_determinism_check_starts_each_run_cold(system, monkeypatch):
-    # criterion 9 compares two runs, so the second must simulate its events
-    # afresh rather than read the first run's memo
+    # criterion 9 compares two runs, so the second must compile its gates and
+    # simulate its events afresh rather than read the first run's memos
     name = "bb1-scaling"
     runner, description = EXPERIMENTS[name]
     runs = []
 
     def counted(cfg):
-        before = _event_unitary.cache_info()
+        before = (_compiled_gates.cache_info(), _event_unitary.cache_info())
         files = list(runner(cfg))
-        runs.append((before.currsize, _event_unitary.cache_info().misses - before.misses))
+        after = (_compiled_gates.cache_info(), _event_unitary.cache_info())
+        runs.append([(b.currsize, a.misses - b.misses) for b, a in zip(before, after)])
         return files
 
     monkeypatch.setattr(verify, "EXPERIMENT_NAMES", (name,))
     monkeypatch.setattr(verify, "EXPERIMENTS", {name: (counted, description)})
-    pulse_unitary(coupling_delay(1e-3), system)  # a warm memo beforehand
+    # warm memos beforehand, holding what the runs compile and simulate
+    list(runner(build_config(name, {})))
     assert verify.check_determinism().passed
     assert len(runs) == 2
-    assert all(size == 0 and misses > 0 for size, misses in runs)
+    for memos in runs:
+        assert all(size == 0 and misses > 0 for size, misses in memos)
 
 
 def _sequence_unitary_unmemoised(sequence, system, error):
@@ -401,3 +441,55 @@ def test_sequence_unitary_is_bitwise_the_unmemoised_product(system, pool, picks,
     seq = PulseSequence(tuple(events))
     u = sequence_unitary(seq, system, error)
     assert u.tobytes() == _sequence_unitary_unmemoised(seq, system, error).tobytes()
+
+
+# ---- compile memo: one read-only compilation per (oracle, system, style) ----
+
+
+def test_compile_memo_keeps_float_widths_apart():
+    # equal systems with one hash, yet a float32 J compiles float32 delays
+    oracle = OracleSpec({"11"})
+    wide, narrow = SpinSystem(J=150.0), SpinSystem(J=np.float32(150.0))
+    assert wide == narrow and hash(wide) == hash(narrow)
+    for order in ((wide, narrow), (narrow, wide)):
+        clear_compile_memo()
+        for system in order + order:
+            gates = compile_gates(oracle, system)
+            plain = _compiled_gates.__wrapped__(oracle, system, "naive")
+            for label, seq in gates.items():
+                assert seq.events == plain[label].events, label
+            delays = [e.duration for e in gates["Rf"].events if e.kind == DELAY]
+            assert delays and all(type(t) is type(system.J) for t in delays)
+
+
+def test_compiled_gates_are_shared_and_read_only(system):
+    gates = compile_gates(ORACLES[0], system, "bb1")
+    assert gates is compile_gates(ORACLES[0], system, "bb1")
+    with pytest.raises(TypeError):
+        gates["U"] = gates["Udag"]
+    with pytest.raises(TypeError):
+        del gates["U"]
+
+
+def test_compile_memo_is_bounded():
+    maxsize = _compiled_gates.cache_info().maxsize
+    assert maxsize is not None
+    clear_compile_memo()
+    for i in range(maxsize + 10):
+        compile_gates(ORACLES[0], SpinSystem(J=100.0 + i))
+    info = _compiled_gates.cache_info()
+    assert (info.currsize, info.misses) == (maxsize, maxsize + 10)
+    clear_compile_memo()
+
+
+# ---- criterion 3: one continued product per program family ----
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_continued_product_is_bitwise_each_program(system, style):
+    for oracle in ORACLES:
+        products = verify.program_unitaries(3, oracle, system, style)
+        assert len(products) == 4
+        for r, u in enumerate(products):
+            ref = sequence_unitary(compile_algorithm(r, oracle, system, style), system)
+            assert u.tobytes() == ref.tobytes(), (oracle.label(), r)
