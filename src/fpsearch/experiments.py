@@ -11,8 +11,11 @@ comment with the schema version and a hash of the effective configuration.
 
 from __future__ import annotations
 
+import contextlib
 import math
-from collections.abc import Iterator
+import os
+import signal
+from collections.abc import Callable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +307,38 @@ def _first_equal(arrays: list[np.ndarray]) -> list[int]:
     return [first.setdefault(a.tobytes(), i) for i, a in enumerate(arrays)]
 
 
+def _overlapped(pairs: Iterator, name: str, build: Callable[[], str]) -> Iterator:
+    """Yield ``pairs``, then ``(name, build())``, with ``build`` run meanwhile by a
+    forked worker. It ends in ``os._exit`` (no atexit handler or stdio flush) and
+    must call no BLAS routine. Without ``os.fork``, or if the worker fails, ``build``
+    runs here. Every exit kills and reaps the worker and closes the pipe."""
+    fds, pid, status = [], -1, 1
+    with contextlib.suppress(AttributeError, OSError):  # no os.fork, fd or process
+        fds = list(os.pipe())
+        pid = os.fork()
+    if pid == 0:
+        try:
+            with open(fds[1], "wb") as pipe:
+                pipe.write(build().encode())
+            os._exit(0)
+        finally:
+            os._exit(1)
+    try:
+        yield from pairs
+        if pid > 0:
+            os.close(fds.pop())  # the worker's end: EOF comes when the worker exits
+            with open(fds.pop(), "rb") as pipe:
+                data = pipe.read()  # to EOF before waitpid: an SVG outgrows the pipe
+            pid, status = -1, os.waitpid(pid, 0)[1]
+        yield name, data.decode() if status == 0 else build()
+    finally:
+        if pid > 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
+
+
 def run_spectra(cfg: SpectraConfig) -> Iterator[tuple[str, str]]:
     """Rendered doublet spectra per oracle and recursion order.
 
@@ -341,23 +376,24 @@ def run_spectra(cfg: SpectraConfig) -> Iterator[tuple[str, str]]:
                 )
             )
         panels.append(row)
-    # equal traces (every oracle's r=0) share one text, held until its last use
-    ordered = sorted(traces.items())
-    source = _first_equal([ys for _, ys in ordered])
-    last = {s: i for i, s in enumerate(source)}
-    texts: dict[int, str] = {}
-    template = trace_template(freqs)
-    for i, ((label, tag), ys) in enumerate(ordered):
-        text = texts.pop(source[i], None) or format_trace(template, ys)
-        if last[source[i]] > i:
-            texts[source[i]] = text
-        yield f"spectrum_k{cfg.oracle_k}_{label}_r{tag}.txt", text
-    yield f"spectra_k{cfg.oracle_k}.svg", svgplot.panel_grid(
-        panels,
-        title=f"proton doublet spectra, {cfg.oracle_k} matching state(s)",
-        y_limit=peak if peak > 0 else 1.0,
-        reverse_x=True,
-    )
+
+    def trace_files() -> Iterator[tuple[str, str]]:
+        # equal traces (every oracle's r=0) share one text, held until its last use
+        ordered = sorted(traces.items())
+        source = _first_equal([ys for _, ys in ordered])
+        last = {s: i for i, s in enumerate(source)}
+        texts: dict[int, str] = {}
+        template = trace_template(freqs)
+        for i, ((label, tag), ys) in enumerate(ordered):
+            text = texts.pop(source[i], None) or format_trace(template, ys)
+            if last[source[i]] > i:
+                texts[source[i]] = text
+            yield f"spectrum_k{cfg.oracle_k}_{label}_r{tag}.txt", text
+
+    title = f"proton doublet spectra, {cfg.oracle_k} matching state(s)"
+    yield from _overlapped(trace_files(), f"spectra_k{cfg.oracle_k}.svg", lambda: (
+        svgplot.panel_grid(panels, title, peak if peak > 0 else 1.0, reverse_x=True)
+    ))
 
 
 EXPERIMENTS = {

@@ -29,6 +29,7 @@ SEQUENCE_ATOL = 1e-10
 _COUPLING_DIAG = np.array([0.5, -0.5, -0.5, 0.5])
 
 _IDENTITY2 = np.eye(2, dtype=complex)  # an untargeted spin's rf factor; never written
+_TARGET_SETS = {t: t for t in map(frozenset, ("H", "C", "HC"))}  # events share these
 
 RF_PULSE = "rf_pulse"
 DELAY = "delay"
@@ -73,7 +74,7 @@ class ErrorModel:
 NO_ERROR = ErrorModel()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PulseEvent:
     """One timed event: an rf rotation or a free-evolution delay."""
 
@@ -84,7 +85,8 @@ class PulseEvent:
     duration: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "targets", frozenset(self.targets))
+        targets = frozenset(self.targets)
+        object.__setattr__(self, "targets", _TARGET_SETS.get(targets, targets))
         if self.kind not in (RF_PULSE, DELAY):
             raise ValueError(f"unknown event kind {self.kind!r}")
         if any(t not in SPINS for t in self.targets):
@@ -107,11 +109,11 @@ def rf_pulse(targets, angle: float, phase: float = 0.0) -> PulseEvent:
         targets = {targets}
     if angle < 0:
         angle, phase = -angle, phase + np.pi
-    return PulseEvent(RF_PULSE, frozenset(targets), angle, phase % (2 * np.pi))
+    return PulseEvent(RF_PULSE, targets, angle, phase % (2 * np.pi))
 
 
 def coupling_delay(duration: float) -> PulseEvent:
-    return PulseEvent(DELAY, frozenset(), duration=duration)
+    return PulseEvent(DELAY, duration=duration)
 
 
 @dataclass(frozen=True)

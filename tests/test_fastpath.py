@@ -18,10 +18,21 @@ only in this file, with the memo cold and warm.
 ``compile_gates`` memoises each (oracle, system, style) the same way, and
 criterion 3 continues one event-by-event product through the orders of a
 program family; both are checked against their plain forms too.
+
+``run_spectra`` builds its SVG in a forked worker while it formats the
+traces. The worker's text is checked byte-equal to an in-process
+``panel_grid`` with and without ``os.fork``, and a run, a failed worker and a
+run aborted by a write error are each checked to leave no child process and
+no open fd behind.
 """
 
+import contextlib
+import dataclasses
+import io
 import itertools
+import os
 import re
+import signal
 
 import numpy as np
 import pytest
@@ -30,7 +41,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bruteforce import sequence_unitary_expm
-from fpsearch import experiments, svgplot, verify
+from fpsearch import cli, experiments, svgplot, verify
 from fpsearch.compiler import (
     STYLES,
     _compiled_gates,
@@ -345,7 +356,7 @@ def _signed_zero_variants(event, error):
         return [dict(zip(names, values)) for values in itertools.product(*choices)]
 
     return [
-        (PulseEvent(**{**vars(event), **e}), ErrorModel(**m))
+        (dataclasses.replace(event, **e), ErrorModel(**m))
         for e in signs(event, ("angle", "phase"))
         for m in signs(error, ("eps_H", "eps_C", "delta_J"))
     ]
@@ -437,7 +448,7 @@ def test_sequence_unitary_is_bitwise_the_unmemoised_product(system, pool, picks,
     # the memo stays warm across examples, as it does across a process
     pool = pool + [coupling_delay(1e-3)]
     # repeated objects, as compiled programs have, and equal distinct ones
-    events = [pool[k % len(pool)] for k in picks] + [PulseEvent(**vars(pool[0]))]
+    events = [pool[k % len(pool)] for k in picks] + [dataclasses.replace(pool[0])]
     seq = PulseSequence(tuple(events))
     u = sequence_unitary(seq, system, error)
     assert u.tobytes() == _sequence_unitary_unmemoised(seq, system, error).tobytes()
@@ -493,3 +504,139 @@ def test_continued_product_is_bitwise_each_program(system, style):
         for r, u in enumerate(products):
             ref = sequence_unitary(compile_algorithm(r, oracle, system, style), system)
             assert u.tobytes() == ref.tobytes(), (oracle.label(), r)
+
+
+# ---- spectra's SVG: built in a forked worker while the traces are formatted ----
+
+
+def _count_forks(monkeypatch):
+    """Wrap os.fork; the returned list collects each worker's pid."""
+    fork, pids = os.fork, []
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+@pytest.fixture(params=["fork", "fallback"])
+def svg_path(request, monkeypatch):
+    """Whether the worker builds the SVG, or this process for want of os.fork."""
+    if request.param == "fork":
+        return _count_forks(monkeypatch)
+    monkeypatch.delattr(os, "fork")
+    return None
+
+
+@pytest.mark.parametrize("sharing", ["shared", "copies", "lists"])
+def test_worker_svg_is_the_in_process_svg(svg_path, sharing):
+    # one xs object for every panel (run_spectra's freqs), equal distinct
+    # arrays, or plain lists; 1001 points a panel make an SVG larger than
+    # the 64 KB pipe buffer
+    rng = np.random.default_rng(7)
+    freqs = np.linspace(-60.0, 60.0, 1001)
+    wrap = {"shared": lambda xs: freqs, "copies": np.array, "lists": list}[sharing]
+    panels = [
+        [svgplot.Panel(f"row{i}", f"r={j}", wrap(freqs), rng.normal(size=1001))
+         for j in range(3)]
+        for i in range(2)
+    ]
+    expected = svgplot.panel_grid(panels, "t", 2.5, reverse_x=True)
+    assert len(expected) > 65536
+    built_here = []
+
+    def build():
+        built_here.append(os.getpid())
+        return svgplot.panel_grid(panels, "t", 2.5, reverse_x=True)
+
+    pairs = [("a.txt", "a"), ("b.txt", "b")]
+    got = list(experiments._overlapped(iter(pairs), "grid.svg", build))
+    assert got == pairs + [("grid.svg", expected)]
+    # on the fork path only the worker called build
+    assert built_here == ([] if svg_path is not None else [os.getpid()])
+    assert svg_path is None or len(svg_path) == 1
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+_counts_fds = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc")
+
+
+@pytest.fixture()
+def no_leaks(monkeypatch):
+    """Forks are counted; afterwards no child process and no new fd is left."""
+    before = _open_fds()
+    yield _count_forks(monkeypatch)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == before
+
+
+_SMALL_SPECTRA = ["run", "spectra", "--override", "freq.points=101"]
+
+
+def _spectra_files(out):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([*_SMALL_SPECTRA, "--out", str(out)])
+    return code, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@_counts_fds
+def test_spectra_run_leaves_no_worker_or_fd(tmp_path, no_leaks):
+    code, files = _spectra_files(tmp_path)
+    assert code == 0 and len(no_leaks) == 1
+    assert len(files) == 21 and "spectra_k1.svg" in files
+
+
+@_counts_fds
+def test_failed_worker_falls_back_to_the_same_bytes(tmp_path, monkeypatch, no_leaks):
+    _, expected = _spectra_files(tmp_path / "ok")
+    parent, panel_grid = os.getpid(), svgplot.panel_grid
+
+    def dies_in_worker(*args, **kwargs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return panel_grid(*args, **kwargs)
+
+    def raises_in_worker(*args, **kwargs):
+        if os.getpid() != parent:
+            raise RuntimeError("worker only")
+        return panel_grid(*args, **kwargs)
+
+    for i, failing in enumerate((dies_in_worker, raises_in_worker)):
+        monkeypatch.setattr(svgplot, "panel_grid", failing)
+        code, files = _spectra_files(tmp_path / str(i))
+        assert code == 0 and files == expected
+    assert len(no_leaks) == 3
+
+
+@_counts_fds
+def test_panel_grid_error_surfaces_unchanged(monkeypatch, no_leaks):
+    def broken(*args, **kwargs):
+        raise ValueError("no panels")
+
+    monkeypatch.setattr(svgplot, "panel_grid", broken)
+    cfg = build_config("spectra", {"freq.points": "101"})
+    files = experiments.run_spectra(cfg)
+    with pytest.raises(ValueError, match="no panels"):
+        for name, _ in files:
+            assert name.endswith(".txt")  # every trace comes before the error
+    assert len(no_leaks) == 1
+
+
+@_counts_fds
+def test_trace_write_error_after_fork_exits_2(tmp_path, no_leaks, capsys):
+    # a directory where the second trace file goes: the write fails mid-run
+    names = [name for name, _ in experiments.run_spectra(
+        build_config("spectra", {"freq.points": "101"}))]
+    (tmp_path / names[1]).mkdir()
+    forks_before = len(no_leaks)
+    assert cli.main([*_SMALL_SPECTRA, "--out", str(tmp_path)]) == 2
+    assert "config error: output.dir:" in capsys.readouterr().err
+    assert len(no_leaks) == forks_before + 1
