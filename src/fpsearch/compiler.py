@@ -51,21 +51,21 @@ _DD = np.array([0.5, -0.5, -0.5, 0.5])
 _ZERO = 1e-12
 
 
-def diagonal_phase_coefficients(spec: OracleSpec) -> tuple[float, float, float, float]:
+def diagonal_phase_coefficients(spec: OracleSpec) -> tuple[float, float, float]:
     """Solve ``phases = g0 + alpha*hz + beta*cz + gamma*d`` for an oracle.
 
-    Returns ``(g0, alpha, beta, gamma)``; the generator diagonals are an
-    orthogonal basis of unit norm, so the solve is four dot products.
+    Returns ``(alpha, beta, gamma)``; the generator diagonals are an
+    orthogonal basis of unit norm, so the solve is three dot products. Each of
+    ``hz``, ``cz`` and ``d`` sums to zero, so the global phase ``g0`` drops
+    out of every product and is not computed.
     """
     p = np.zeros(4)
     p[list(spec.indices)] = spec.phase
-    g0 = float(p.mean())
-    q = p - g0
-    return g0, float(q @ _HZ), float(q @ _CZ), float(q @ _DD)
+    return float(p @ _HZ), float(p @ _CZ), float(p @ _DD)
 
 
 def _phase_gate_events(spec: OracleSpec, system: SpinSystem) -> list[PulseEvent]:
-    _, alpha, beta, gamma = diagonal_phase_coefficients(spec)
+    alpha, beta, gamma = diagonal_phase_coefficients(spec)
     while gamma > _ZERO:
         alpha -= np.pi
         beta -= np.pi

@@ -247,8 +247,8 @@ class PulseConfig(ExperimentConfig):
 class SystemConfig(PulseConfig):
     """A pulse-level experiment that reads J and T2_H from its keys."""
 
-    J: float = _key("system.j", "194.8", _magnitude)
-    T2_H: float = _key("system.t2_h", "1.2", _magnitude)
+    J: float = _key("system.j", str(SpinSystem.J), _magnitude)
+    T2_H: float = _key("system.t2_h", str(SpinSystem.T2_H), _magnitude)
 
     @cached_property
     def system(self) -> SpinSystem:

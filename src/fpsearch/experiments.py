@@ -64,8 +64,6 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return f"{float(value):.12g}"
 
 
@@ -392,7 +390,7 @@ def run_spectra(cfg: SpectraConfig) -> Iterator[tuple[str, str]]:
 
     title = f"proton doublet spectra, {cfg.oracle_k} matching state(s)"
     yield from _overlapped(trace_files(), f"spectra_k{cfg.oracle_k}.svg", lambda: (
-        svgplot.panel_grid(panels, title, peak if peak > 0 else 1.0, reverse_x=True)
+        svgplot.panel_grid(panels, title, peak, reverse_x=True)
     ))
 
 

@@ -135,9 +135,6 @@ def lorentzian_trace(
     amplitudes; the full width at half maximum is 1/(pi*T2) of the
     observed proton.
     """
-    freqs = np.asarray(freqs, dtype=float)
-    if freqs.ndim != 1 or freqs.size < 2:
-        raise ValueError("frequency grid must be a 1-D array of at least 2 points")
     if not np.all(np.diff(freqs) > 0):
         raise ValueError("frequency grid must be strictly increasing")
     hwhm = 1.0 / (2.0 * np.pi * system.T2_H)

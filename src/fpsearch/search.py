@@ -133,10 +133,8 @@ def equal_up_to_global_phase(u: np.ndarray, v: np.ndarray, tol: float) -> bool:
     if u.shape != v.shape:
         raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
     idx = np.unravel_index(np.argmax(np.abs(v)), v.shape)
-    if abs(v[idx]) == 0.0:
-        return False
     c = u[idx] * np.conj(v[idx])
-    if abs(c) == 0.0:
+    if abs(c) == 0.0:  # also when v is all zero
         return False
     c /= abs(c)
     return bool(np.max(np.abs(u - c * v)) <= tol)

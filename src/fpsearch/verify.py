@@ -104,7 +104,8 @@ def check_table1() -> CheckResult:
             cfg = build_config("table1", {"output.dir": tmp})
             (path,) = run_experiment(cfg)
             header, rows = _read_csv(path)
-        assert header == ["r", "P_k1_closed", "P_k1_sim", "P_k2_closed", "P_k2_sim", "Q"]
+        if header != ["r", "P_k1_closed", "P_k1_sim", "P_k2_closed", "P_k2_sim", "Q"]:
+            return False, f"table1.csv columns {header}"
         worst_ref, worst_sim = 0.0, 0.0
         for row in rows:
             r = int(row[0])
@@ -144,20 +145,18 @@ def program_unitaries(
 ) -> list[np.ndarray]:
     """``sequence_unitary(compile_algorithm(r, ...))`` for r = 0..r_max, bitwise.
 
-    Each order's program extends the one before it (checked here), so one
-    running event-by-event product continues over each order's new events
-    only, and each order's product is checked for unitarity.
+    Each order's program extends the one before it, so one running
+    event-by-event product continues over each order's new events only,
+    and each order's product is checked for unitarity.
     """
     out: list[np.ndarray] = []
-    done: tuple = ()
+    done = 0
     u = None
     for r in range(r_max + 1):
         events = compile_algorithm(r, oracle, system, style).events
-        if events[: len(done)] != done:
-            raise ValueError(f"order-{r} program does not extend order {r - 1}")
-        u = sequence_unitary(PulseSequence(events[len(done):]), system, NO_ERROR, u)
+        u = sequence_unitary(PulseSequence(events[done:]), system, NO_ERROR, u)
         out.append(u)
-        done = events
+        done = len(events)
     return out
 
 
@@ -279,9 +278,7 @@ def check_readout_round_trip() -> CheckResult:
             component = "left" if abs(spec.left_amp) > abs(spec.right_amp) else "right"
             amp = spec.left_amp if component == "left" else spec.right_amp
             patterns[oracle.label()] = (component, "+" if amp > 0 else "-")
-        if len(set(patterns.values())) != 4:
-            return False, f"k=1 patterns not distinct: {patterns}"
-        expected = {
+        expected = {  # four distinct patterns
             "00": ("left", "+"),
             "01": ("right", "+"),
             "10": ("left", "-"),

@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fpsearch import cli, pulses
 from fpsearch.cli import main
 from fpsearch.config import EXPERIMENT_NAMES, default_mapping
+from fpsearch.verify import CheckResult
 
 
 def test_list_names_all_experiments(capsys):
@@ -121,11 +128,20 @@ _RANGE = "outside [1e-09, 1e+09]"
         # bb1-scaling runs one matching set; a second one would be ignored
         ("bb1-scaling", ["--override", "oracle.matching=11;00"],
          "oracle.matching: bb1-scaling takes one single-state set"),
+        ("k1-curves", ["--override", "style=foo"], "style: unknown pulse style 'foo'"),
+        ("bb1-scaling", ["--override", "oracle.matching=00+01"],
+         "oracle.matching: matching set 00+01 has 2 states, expected 1"),
+        ("k1-curves", ["--override", "error.eps=nan"], "error.eps: number must be finite: 'nan'"),
+        ("k2-curves", ["--override", "oracle.matching=00+02"],
+         "oracle.matching: bad basis string '02'"),
+        ("k1-curves", ["--override", "oracle.matching=00;"],
+         "oracle.matching: empty matching set in '00;'"),
     ],
     ids=["j", "t2_h", "t90", "t2_c", "undecodable-file", "j-subnormal",
          "t2_h-tiny", "duplicate-matching", "freq-span-huge", "freq-span-subnormal",
          "duplicate-style", "duplicate-orders", "duplicate-eps", "out-is-a-file",
-         "trace-points", "bb1-multiple-sets"],
+         "trace-points", "bb1-multiple-sets", "unknown-style", "bb1-two-state-set",
+         "nan", "bad-state", "empty-set"],
 )
 def test_bad_config_input_exits_2(tmp_path, capsys, experiment, args, reason):
     (tmp_path / "latin-1.cfg").write_bytes("style = na\xefve\n".encode("latin-1"))
@@ -133,6 +149,43 @@ def test_bad_config_input_exits_2(tmp_path, capsys, experiment, args, reason):
     code = main(["run", experiment, "--out", str(tmp_path / "out"), *args])
     assert code == 2
     assert f"config error: {reason}" in capsys.readouterr().err
+
+
+def test_unitarity_violation_exits_3(tmp_path, monkeypatch, capsys):
+    # no product is unitary to a tolerance of 0, so the first check raises
+    monkeypatch.setattr(pulses, "SEQUENCE_ATOL", 0.0)
+    code = main(["run", "k1-curves", "--out", str(tmp_path),
+                 "--override", "oracle.matching=11", "--override", "r.max=0"])
+    assert code == 3
+    assert "numerical invariant violation: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("passed,code", [((True, True), 0), ((True, False), 1)])
+def test_verify_reports_each_check(monkeypatch, capsys, passed, code):
+    results = [CheckResult(f"check {i}", ok, f"detail {i}", 0.5 * i)
+               for i, ok in enumerate(passed)]
+    monkeypatch.setattr(cli, "run_all", lambda: results)
+    assert main(["verify"]) == code
+    out, err = capsys.readouterr()
+    second = "PASS" if code == 0 else "FAIL"
+    assert out.splitlines()[:2] == ["[PASS] check 0 (0.00s): detail 0",
+                                    f"[{second}] check 1 (0.50s): detail 1"]
+    if code:
+        assert err == "1 of 2 checks failed\n"
+    else:
+        assert out.splitlines()[2:] == ["all 2 checks passed"] and err == ""
+
+
+def test_module_entry_point_exits_with_mains_code(tmp_path):
+    # python -m fpsearch.cli runs the CLI from a source checkout: the one imported here
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "fpsearch.cli", "run", "table1", "--override", "bogus=1"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: unknown keys for table1: bogus")
 
 
 def test_byte_identity_across_cli_runs(tmp_path):

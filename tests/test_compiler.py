@@ -38,30 +38,34 @@ def _delays(seq: PulseSequence) -> int:
     return sum(e.kind == DELAY for e in seq.events)
 
 
+HZ = np.array([0.5, 0.5, -0.5, -0.5])
+CZ = np.array([0.5, -0.5, 0.5, -0.5])
+DD = np.array([0.5, -0.5, -0.5, 0.5])
+
+
 class TestDiagonalDecomposition:
     def test_single_state_coefficients(self):
-        g0, a, b, g = diagonal_phase_coefficients(OracleSpec({"11"}, PI3))
-        assert g0 == pytest.approx(PI3 / 4)
+        a, b, g = diagonal_phase_coefficients(OracleSpec({"11"}, PI3))
         assert a == pytest.approx(-PI3 / 2)
         assert b == pytest.approx(-PI3 / 2)
         assert g == pytest.approx(PI3 / 2)
+        # the phases up to the constant g0 = PI3/4
+        phases = a * HZ + b * CZ + g * DD
+        assert phases == pytest.approx(np.array([0, 0, 0, PI3]) - PI3 / 4)
 
     def test_proton_only_pair(self):
-        g0, a, b, g = diagonal_phase_coefficients(OracleSpec({"00", "01"}, PI3))
+        a, b, g = diagonal_phase_coefficients(OracleSpec({"00", "01"}, PI3))
         assert a == pytest.approx(PI3)
         assert b == pytest.approx(0.0)
         assert g == pytest.approx(0.0)
 
     def test_reconstructs_oracle(self):
-        hz = np.array([0.5, 0.5, -0.5, -0.5])
-        cz = np.array([0.5, -0.5, 0.5, -0.5])
-        dd = np.array([0.5, -0.5, -0.5, 0.5])
         for spec in all_oracles(1) + all_oracles(2):
-            g0, a, b, g = diagonal_phase_coefficients(spec)
-            phases = g0 + a * hz + b * cz + g * dd
-            assert np.max(
-                np.abs(np.diag(np.exp(1j * phases)) - phase_oracle(spec))
-            ) < 1e-12
+            a, b, g = diagonal_phase_coefficients(spec)
+            phases = a * HZ + b * CZ + g * DD
+            assert equal_up_to_global_phase(
+                np.diag(np.exp(1j * phases)), phase_oracle(spec), 1e-12
+            )
 
 
 class TestCompilePhaseGate:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fpsearch.config import (
     EXPERIMENT_NAMES,
+    MAGNITUDE_RANGE,
     MAX_EPS_POINTS,
     MAX_FREQ_POINTS,
     MAX_GRID_VALUES,
@@ -38,6 +39,10 @@ class TestParse:
     def test_rejects_bare_lines(self):
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_text("just some words")
+
+    def test_error_names_the_line(self):
+        with pytest.raises(ConfigError, match="^line 3: expected"):
+            parse_config_text("# header\na = 1\nnonsense")
 
     def test_rejects_duplicates(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -147,6 +152,9 @@ class TestBuild:
             ("spectra", "system.t2_h", "1e-9", "0.9e-9"),
             ("spectra", "freq.span", "1e9", "1.1e9"),
             ("spectra", "freq.span", "1e-9", "0.9e-9"),
+            ("spectra", "freq.points", "2", "1"),
+            ("bb1-scaling", "eps.points", "2", "1"),
+            ("spectra", "oracle.k", "2", "3"),
         ],
     )
     def test_resource_caps(self, experiment, key, cap, value):
@@ -156,6 +164,17 @@ class TestBuild:
         build_config(experiment, {**context, key: cap})
         with pytest.raises(ConfigError, match=key):
             build_config(experiment, {**context, key: value})
+
+    def test_caps_are_the_documented_values(self):
+        assert (MAX_FREQ_POINTS, MAX_EPS_POINTS, MAX_GRID_VALUES) == (100001, 1000, 64)
+        assert MAX_TRACE_POINTS == 1_000_000
+        assert MAGNITUDE_RANGE == (1e-9, 1e9)
+
+    def test_bb1_grid_ends_are_accepted(self):
+        cfg = build_config("bb1-scaling", {"eps.min": "1e-3", "eps.max": "1e-1"})
+        assert (cfg.eps_min, cfg.eps_max) == (1e-3, 1e-1)
+        with pytest.raises(ConfigError, match="eps grid"):
+            build_config("bb1-scaling", {"eps.min": "0.01", "eps.max": "0.01"})
 
     def test_trace_point_cap(self):
         # validation only, as above: one matching set x 10 orders x

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from fpsearch import svgplot
+from fpsearch import experiments, svgplot
+from fpsearch.compiler import compile_gates
 from fpsearch.config import EXPERIMENT_NAMES, build_config
 from fpsearch.experiments import (
     EXPERIMENTS,
@@ -12,7 +14,21 @@ from fpsearch.experiments import (
     pulse_infidelities,
     run_experiment,
 )
-from fpsearch.pulses import SpinSystem
+from fpsearch.pulses import NO_ERROR, SpinSystem, UnitarityError
+from fpsearch.search import OracleSpec, operators
+
+
+def test_pulse_operators_check_every_order(monkeypatch, system):
+    # simulated gates are unitary; an order-1 product 1e-9 off unitary must raise
+    drift = np.diag([np.sqrt(1.0 + 1e-9), 1.0, 1.0, 1.0])
+
+    def drifted(r_max, gates):
+        return [v if r == 0 else drift @ v for r, v in enumerate(operators(r_max, gates))]
+
+    monkeypatch.setattr(experiments, "operators", drifted)
+    gates = compile_gates(OracleSpec({"11"}), system, "naive")
+    with pytest.raises(UnitarityError, match="order-1 operator"):
+        experiments.pulse_operators(1, gates, system, NO_ERROR)
 
 
 def _read_csv(path):
@@ -142,6 +158,29 @@ class TestRobustness:
         list(EXPERIMENTS["robustness"][0](build_config("robustness", {})))
         assert plotted[0].label == "delta_j=0" and plotted[0].xs[0] == 0.0
         assert plotted[0].ys[0] == -12.0
+
+    def test_order_zero_cells_plot_at_the_floor(self, monkeypatch):
+        # at r.max=0 no cell has a residual; each plots at the floor too
+        plotted = []
+        monkeypatch.setattr(
+            svgplot, "xy_plot", lambda series, **_: plotted.extend(series) or ""
+        )
+        cfg = build_config("robustness", {"r.max": "0", "oracle.matching": "00"})
+        list(EXPERIMENTS["robustness"][0](cfg))
+        assert [s.ys for s in plotted] == [[-12.0] * 4] * 2
+
+
+def test_plot_of_one_point():
+    # both ranges are empty: each axis spans one unit up from the point
+    # (plus 5% padding on y), and a single point draws no line
+    svg = svgplot.xy_plot([svgplot.Series("p", [2.0], [3.0], marker="circle")],
+                          title="t", xlabel="x", ylabel="y")
+    ticks = re.findall(r'font-size="10"[^>]*>([^<]*)</text>', svg)
+    assert ticks == ["2", "3", "2.95", "4.05"]
+    assert "<polyline" not in svg and svg.count("<circle") == 2
+    two = svgplot.xy_plot([svgplot.Series("p", [2.0, 3.0], [3.0, 4.0])],
+                          title="t", xlabel="x", ylabel="y")
+    assert two.count("<polyline") == 1
 
 
 class TestBB1Scaling:

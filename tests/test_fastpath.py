@@ -33,6 +33,7 @@ import itertools
 import os
 import re
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -640,3 +641,56 @@ def test_trace_write_error_after_fork_exits_2(tmp_path, no_leaks, capsys):
     assert cli.main([*_SMALL_SPECTRA, "--out", str(tmp_path)]) == 2
     assert "config error: output.dir:" in capsys.readouterr().err
     assert len(no_leaks) == forks_before + 1
+
+
+@_counts_fds
+def test_raising_worker_never_returns_to_the_caller(tmp_path, no_leaks):
+    parent = os.getpid()
+
+    def build():
+        if os.getpid() != parent:
+            raise RuntimeError("worker only")
+        return "svg"
+
+    try:
+        got = list(experiments._overlapped(iter([("a.txt", "a")]), "x.svg", build))
+    finally:
+        if os.getpid() != parent:  # a worker that got out of _overlapped
+            (tmp_path / "escaped").touch()
+            os._exit(1)
+    assert got == [("a.txt", "a"), ("x.svg", "svg")]
+    assert not (tmp_path / "escaped").exists() and len(no_leaks) == 1
+
+
+@_counts_fds
+def test_closing_early_kills_a_busy_worker(no_leaks):
+    # a worker that never finishes: closing the run must not wait for it
+    def timeout(signum, frame):
+        raise TimeoutError("closing waited for the worker")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        run = experiments._overlapped(iter([("a.txt", "a")]), "x.svg", signal.pause)
+        assert next(run) == ("a.txt", "a")
+        run.close()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(no_leaks) == 1
+
+
+@_counts_fds
+def test_worker_is_reaped_after_its_pipe_closes(monkeypatch, no_leaks):
+    # the worker lingers between closing its pipe and exiting; the run still
+    # waits for it, so no child is left behind
+    real_exit = os._exit
+
+    def slow_exit(code):
+        time.sleep(0.2)
+        real_exit(code)
+
+    monkeypatch.setattr(os, "_exit", slow_exit)
+    assert list(experiments._overlapped(iter([]), "x.svg", lambda: "svg")) == [
+        ("x.svg", "svg")]
+    assert len(no_leaks) == 1

@@ -127,3 +127,15 @@ def test_cli_import_loads_no_test_only_dependency():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert {name.partition(".")[0] for name in out.split()} & TEST_ONLY == set()
+
+
+def test_public_names_and_version():
+    import tomllib
+
+    import fpsearch
+
+    namespace: dict = {}
+    exec("from fpsearch import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(fpsearch.__all__)
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert fpsearch.__version__ == project["version"]

@@ -44,6 +44,11 @@ class TestEventValidation:
         assert ev.angle == pytest.approx(np.pi / 2)
         assert ev.phase == pytest.approx(np.pi)
 
+    def test_zero_angle_keeps_its_axis_and_phase_defaults_to_x(self):
+        assert PulseSequence((rf_pulse("H", 0.0, 0.5),)).serialize() == (
+            "PULSE H 0 28.6478898\n")
+        assert rf_pulse("H", np.pi).phase == 0.0
+
     def test_folded_phase_wraps_into_one_turn(self):
         # 3*pi/2 + pi wraps to pi/2; unwrapped it would serialize as 450
         ev = rf_pulse("H", -np.pi / 2, 3 * np.pi / 2)
@@ -150,6 +155,13 @@ class TestSequenceUnitary:
         with pytest.raises(UnitarityError, match="lost unitarity"):
             check_unitary(np.diag([np.sqrt(1.0 + 1e-9), 1.0, 1.0, 1.0]), "dev 1e-9")
 
+    def test_drifted_product_raises(self, system):
+        # a start operator 1e-9 off unitary: each event is unitary, the product is not
+        seq = PulseSequence((rf_pulse("H", np.pi / 2, 0.0),))
+        start = np.diag([np.sqrt(1.0 + 1e-9), 1.0, 1.0, 1.0])
+        with pytest.raises(UnitarityError, match="sequence of 1 events lost unitarity"):
+            sequence_unitary(seq, system, NO_ERROR, start)
+
     def test_agrees_with_bruteforce(self, system):
         seq = PulseSequence(
             (
@@ -231,6 +243,19 @@ class TestBB1:
             bb1_expand(0.0, 0.0, {"H"})
         with pytest.raises(ValueError):
             bb1_expand(-0.5, 0.0, {"H"})
+
+    def test_angle_domain_ends_at_two_pi(self):
+        assert len(bb1_expand(2 * np.pi, 0.0, {"H"})) == 4
+        with pytest.raises(ValueError):
+            bb1_expand(np.nextafter(2 * np.pi, 7.0), 0.0, {"H"})
+
+
+def test_sequence_from_lists_stores_tuples():
+    # the compile memo hands one sequence to every caller, so it must not change
+    from fpsearch.pulses import GateSpan
+
+    seq = PulseSequence([rf_pulse("H", np.pi, 0.0)], [GateSpan("U", 0, 1)])
+    assert type(seq.events) is tuple and type(seq.gates) is tuple
 
 
 class TestSerialization:

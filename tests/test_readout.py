@@ -170,6 +170,15 @@ class TestEstimateProbability:
         overdriven = Spectrum(1.5, 0.0)
         assert estimate_probability(overdriven, ref, spec) == 1.0
 
+    def test_normalized_by_the_reference(self):
+        # a reference of twice the signal halves the fractional signal
+        spec = OracleSpec({"00"}, PI3)
+        ref = reference_spectrum(spec)
+        double = Spectrum(2.0 * ref.left_amp, 2.0 * ref.right_amp)
+        assert estimate_probability(ref, double, spec) == pytest.approx(
+            invert_fractional_signal(0.5, 1)
+        )
+
     def test_zero_reference_rejected(self):
         spec = OracleSpec({"00"}, PI3)
         empty = Spectrum(0.0, 0.0)

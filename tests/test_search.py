@@ -316,3 +316,33 @@ class TestEqualUpToGlobalPhase:
     def test_requires_positive_tol(self):
         with pytest.raises(ValueError):
             equal_up_to_global_phase(I2, I2, 0.0)
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            equal_up_to_global_phase(I2, np.eye(4), 1e-10)
+
+    def test_tolerance_is_inclusive(self):
+        u, v = np.array([[1.0, 0.5]]), np.array([[1.0, 0.0]])
+        assert equal_up_to_global_phase(u, v, 0.5)
+        assert not equal_up_to_global_phase(u, v, np.nextafter(0.5, 0.0))
+
+    def test_accepts_nested_lists(self):
+        assert equal_up_to_global_phase([[1, 0], [0, 1]], [[1j, 0], [0, 1j]], 1e-12)
+
+    def test_all_zero_left_argument(self):
+        assert not equal_up_to_global_phase(np.zeros((2, 2)), I2, 1e-10)
+
+
+# the package exports these, so each rejects what it cannot answer
+@pytest.mark.parametrize("call,reason", [
+    (lambda: expand_gate_list(-1), "nonnegative"),
+    (lambda: closed_form_success(-1, 1), "nonnegative"),
+    (lambda: closed_form_success(1, 0), "k=0 outside 1..4"),
+    (lambda: closed_form_success(1, 5), "k=5 outside 1..4"),
+    (lambda: success_probability(np.eye(3), OracleSpec({"00"})), "not 4x4"),
+    (lambda: OracleSpec({"00", "01", "10", "11"}).complement(), "complement of the full"),
+], ids=["gate-list-order", "closed-form-order", "closed-form-k0", "closed-form-k5",
+        "3x3-operator", "complement-of-all"])
+def test_exported_functions_reject_bad_input(call, reason):
+    with pytest.raises(ValueError, match=reason):
+        call()
