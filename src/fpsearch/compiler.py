@@ -72,7 +72,7 @@ def _phase_gate_events(spec: OracleSpec, system: SpinSystem) -> list[PulseEvent]
         gamma -= np.pi
     events: list[PulseEvent] = []
     if gamma < -_ZERO:
-        events.append(coupling_delay(-gamma / (np.pi * system.J)))
+        events.append(coupling_delay(-gamma / (np.pi * float(system.J))))
     # exp(i*alpha*Hz) is a z rotation by -alpha in the exp(-i*theta*sz/2)
     # convention, built from transverse pulses.
     for coeff, spin in ((alpha, "H"), (beta, "C")):
@@ -91,6 +91,9 @@ def _bb1_rewrite(events: list[PulseEvent]) -> list[PulseEvent]:
     return out
 
 
+# a verify run needs 20 entries, and all 28 (oracle, style) pairs of one system
+# fit; an entry holds at most ~25 KB (bb1), so the memo stays under 1.6 MB
+@functools.lru_cache(maxsize=64)
 def compile_gates(
     oracle: OracleSpec,
     system: SpinSystem,
@@ -104,17 +107,10 @@ def compile_gates(
     not by reversing its gate's pulses.
 
     Each (oracle, system, style) is compiled once per process: every caller
-    shares one read-only mapping of frozen sequences.
+    shares one read-only mapping of frozen sequences. The oracle's phase
+    enters through a float64 array and ``J`` through ``float``, so equal
+    arguments compile to identical events whatever their numeric types.
     """
-    # np.float32(150.0) == 150.0 with one hash, yet compiles its delays in
-    # float32, so the types of the float fields key the memo as well
-    return _compiled_gates(oracle, system, style, type(oracle.phase), type(system.J))
-
-
-# a verify run needs 20 entries, and all 28 (oracle, style) pairs of one system
-# fit; an entry holds at most ~25 KB (bb1), so the memo stays under 1.6 MB
-@functools.lru_cache(maxsize=64)
-def _compiled_gates(oracle, system, style, *field_types) -> MappingProxyType:
     if style not in STYLES:
         raise ValueError(f"unknown style {style!r}; expected one of {STYLES}")
     if oracle.phase == 0.0:
@@ -135,7 +131,7 @@ def _compiled_gates(oracle, system, style, *field_types) -> MappingProxyType:
     )
 
 
-clear_compile_memo = _compiled_gates.cache_clear
+clear_compile_memo = compile_gates.cache_clear
 
 
 def compile_algorithm(

@@ -48,6 +48,7 @@ from .readout import (
 from .search import (
     OracleSpec,
     closed_form_success,
+    cube_residuals,
     operators,
     query_count,
     recursive_operator,
@@ -87,19 +88,21 @@ def _csv(
 
 def pulse_operators(
     r_max: int,
-    gates: dict[str, PulseSequence],
+    oracle: OracleSpec,
     system: SpinSystem,
+    style: str,
     error: ErrorModel,
 ) -> list[np.ndarray]:
     """Unitaries of the compiled order-0..r_max programs under ``error``.
 
-    ``gates`` maps each gate label to its compiled sequence: the read-only
-    mapping ``compile_gates`` compiles once per (oracle, system, style) and
-    shares with every caller. Each gate is simulated once and the orders follow
-    from :func:`fpsearch.search.operators`. Element for element the result
-    equals ``sequence_unitary`` of ``compile_algorithm(r, ...)`` up to the
-    rounding of reassociated 4x4 products.
+    The six gates come from :func:`fpsearch.compiler.compile_gates`, which
+    compiles each (oracle, system, style) once per process. Each gate is
+    simulated once and the orders follow from
+    :func:`fpsearch.search.operators`. Element for element the result equals
+    ``sequence_unitary`` of ``compile_algorithm(r, ...)`` up to the rounding
+    of reassociated 4x4 products.
     """
+    gates = compile_gates(oracle, system, style)
     simulated = {
         label: sequence_unitary(seq, system, error) for label, seq in gates.items()
     }
@@ -109,7 +112,7 @@ def pulse_operators(
     return ops
 
 
-def _estimated_success(u: np.ndarray, oracle: OracleSpec) -> float | None:
+def estimated_success(u: np.ndarray, oracle: OracleSpec) -> float | None:
     """Round trip through the spectral readout chain; None when no signal."""
     if not is_signal_visible(oracle):
         return None
@@ -145,12 +148,11 @@ def run_curves(cfg: CurvesConfig) -> Iterator[tuple[str, str]]:
     series: list[svgplot.Series] = []
     for oi, oracle in enumerate(cfg.oracles):
         for style in cfg.styles:
-            gates = compile_gates(oracle, system, style)
-            ops = pulse_operators(cfg.r_max, gates, system, error)
+            ops = pulse_operators(cfg.r_max, oracle, system, style, error)
             xs, ys = [], []
             for r, u in enumerate(ops):
                 p_pulse = success_probability(u, oracle)
-                p_est = _estimated_success(u, oracle)
+                p_est = estimated_success(u, oracle)
                 rows.append(
                     [
                         oracle.label(),
@@ -188,32 +190,22 @@ def run_curves(cfg: CurvesConfig) -> Iterator[tuple[str, str]]:
 def run_robustness(cfg: RobustnessConfig) -> Iterator[tuple[str, str]]:
     """Cube-law residuals across an (rf, coupling) error grid.
 
-    The residual |(1-P_r) - (1-P_{r-1})^3| measures how far the pulse-level
-    run is from the ideal fixed-point contraction.
+    Each residual (:func:`fpsearch.search.cube_residuals`) measures how far
+    the pulse-level run is from the ideal fixed-point contraction.
     """
     rows = []
     residual_by_grid: dict[tuple[float, float], float] = {}
     for oracle in cfg.oracles:
-        gates = compile_gates(oracle, cfg.system, "naive")
         for eps in cfg.eps_values:
             for dj in cfg.delta_j_values:
                 error = ErrorModel(eps_H=eps, eps_C=eps, delta_J=dj)
-                ops = pulse_operators(cfg.r_max, gates, cfg.system, error)
-                probs = []
-                for r, u in enumerate(ops):
-                    p = success_probability(u, oracle)
-                    probs.append(p)
-                    residual = (
-                        abs((1.0 - probs[r]) - (1.0 - probs[r - 1]) ** 3)
-                        if r >= 1
-                        else None
-                    )
+                ops = pulse_operators(cfg.r_max, oracle, cfg.system, "naive", error)
+                probs = [success_probability(u, oracle) for u in ops]
+                residuals = cube_residuals(probs)
+                for r, (p, residual) in enumerate(zip(probs, [None, *residuals])):
                     rows.append([oracle.label(), eps, dj, r, p, residual])
-                    if residual is not None:
-                        key = (eps, dj)
-                        residual_by_grid[key] = max(
-                            residual_by_grid.get(key, 0.0), residual
-                        )
+                worst = max([residual_by_grid.get((eps, dj), 0.0), *residuals])
+                residual_by_grid[eps, dj] = worst
     columns = ["oracle", "eps", "delta_j", "r", "P_pulse", "cube_residual"]
     yield "robustness.csv", _csv(cfg, columns, rows)
     series = []
@@ -221,7 +213,7 @@ def run_robustness(cfg: RobustnessConfig) -> Iterator[tuple[str, str]]:
         xs = [eps for eps in cfg.eps_values]
         # the ideal cube law holds to 1e-12; rounding noise below it plots at -12
         ys = [
-            math.log10(max(residual_by_grid.get((eps, dj), 0.0), 1e-12))
+            math.log10(max(residual_by_grid[eps, dj], 1e-12))
             for eps in cfg.eps_values
         ]
         series.append(svgplot.Series(f"delta_j={dj:g}", xs, ys, marker="circle"))
@@ -351,8 +343,7 @@ def run_spectra(cfg: SpectraConfig) -> Iterator[tuple[str, str]]:
     traces: dict[tuple[str, str], np.ndarray] = {}  # intensities on freqs
     r_top = max((r for r in cfg.r_values if r is not None), default=0)
     for oracle in cfg.oracles:
-        gates = compile_gates(oracle, cfg.system, style)
-        ops = pulse_operators(r_top, gates, cfg.system, error)
+        ops = pulse_operators(r_top, oracle, cfg.system, style, error)
         row: list[svgplot.Panel] = []
         for r in cfg.r_values:
             if r is None:

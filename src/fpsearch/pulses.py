@@ -180,12 +180,11 @@ def _rot_xy(theta: float, phase: float) -> np.ndarray:
     )
 
 
-# typed, as np.float32(0.5) == 0.5 with one hash, yet computes in float32
-@functools.lru_cache(maxsize=4096, typed=True)  # a verify run needs ~200
-def _event_unitary(angle, phase=None, signs=None, eps_H=None, eps_C=None) -> np.ndarray:
+@functools.lru_cache(maxsize=4096)  # a verify run needs ~200
+def _event_unitary(angle, phase=None, eps_H=None, eps_C=None) -> np.ndarray:
     if phase is None:  # a delay; angle is its coupling phase
         u = np.diag(np.exp(-1j * angle * _COUPLING_DIAG))
-    else:  # an rf pulse; signs only key the memo, and eps is None off target
+    else:  # an rf pulse; eps is None off target
         a, b = (
             _IDENTITY2 if eps is None else _rot_xy(angle * (1.0 + eps), phase)
             for eps in (eps_H, eps_C)
@@ -204,15 +203,21 @@ def pulse_unitary(
     system: SpinSystem,
     error: ErrorModel = NO_ERROR,
 ) -> np.ndarray:
-    """4x4 unitary of one event under the given error model (memoised, read-only)."""
+    """4x4 unitary of one event under the given error model (memoised, read-only).
+
+    The memo is keyed by plain floats: every parameter passes through
+    ``float``, and an angle or phase through ``+ 0.0`` as well. So equal
+    inputs give bitwise-equal arrays whatever their numeric type, and a
+    -0.0 angle or phase gets the +0.0 event's array.
+    """
     if event.kind == RF_PULSE:
-        angle, phase, targets = event.angle, event.phase, event.targets
-        # 0.0 == -0.0, yet the two give unitaries whose zeros differ in sign
-        signs = (math.copysign(1.0, angle), math.copysign(1.0, phase))
-        eps_H = error.eps_H if "H" in targets else None
-        eps_C = error.eps_C if "C" in targets else None
-        return _event_unitary(angle, phase, signs, eps_H, eps_C)
-    return _event_unitary(np.pi * system.J * (1.0 + error.delta_J) * event.duration)
+        eps_H = float(error.eps_H) if "H" in event.targets else None
+        eps_C = float(error.eps_C) if "C" in event.targets else None
+        return _event_unitary(
+            float(event.angle) + 0.0, float(event.phase) + 0.0, eps_H, eps_C
+        )
+    delta_J, duration = float(error.delta_J), float(event.duration)
+    return _event_unitary(np.pi * float(system.J) * (1.0 + delta_J) * duration)
 
 
 def sequence_unitary(

@@ -15,7 +15,8 @@ at every level, so the operator never overshoots the target.
 adjoint ``V(r)^dag`` carried along as the operator W(r) of the inverse
 gates, so the same code serves exact gates and simulated pulse programs.
 :func:`equal_up_to_global_phase` compares gates and operators up to the
-global phase no measurement can see.
+global phase no measurement can see, and :func:`cube_residuals` measures
+how far a run of success probabilities is from the cube law.
 """
 
 from __future__ import annotations
@@ -217,6 +218,15 @@ def success_probability(v: np.ndarray, oracle: OracleSpec) -> float:
         raise ValueError(f"operator shape {v.shape} is not 4x4")
     amps = v[:, 0]
     return float(sum(abs(amps[i]) ** 2 for i in oracle.indices))
+
+
+def cube_residuals(probs: list[float]) -> list[float]:
+    """``|(1 - P(r+1)) - (1 - P(r))**3|`` for each successive pair of ``probs``.
+
+    The fixed-point contraction cubes the failure probability at every
+    level, so each residual is zero for an ideal run.
+    """
+    return [abs((1.0 - b) - (1.0 - a) ** 3) for a, b in zip(probs, probs[1:])]
 
 
 def closed_form_success(r: int, k: int) -> float:

@@ -21,11 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from . import readout
-from .compiler import STYLES, clear_compile_memo, compile_algorithm, compile_gates
+from .compiler import STYLES, clear_compile_memo, compile_algorithm
 from .config import EXPERIMENT_NAMES, build_config
 from .experiments import (
     EXPERIMENTS,
     eps_grid,
+    estimated_success,
     fit_loglog_slope,
     pulse_infidelities,
     pulse_operators,
@@ -44,6 +45,7 @@ from .search import (
     OracleSpec,
     all_oracles,
     closed_form_success,
+    cube_residuals,
     equal_up_to_global_phase,
     expand_gate_list,
     ideal_gates,
@@ -133,8 +135,7 @@ def check_cube_law_ideal() -> CheckResult:
                 success_probability(recursive_operator(r, oracle), oracle)
                 for r in range(5)
             ]
-            for r in range(4):
-                worst = max(worst, abs((1 - probs[r + 1]) - (1 - probs[r]) ** 3))
+            worst = max(worst, *cube_residuals(probs))
         return worst <= 1e-12, f"max residual {worst:.2e} (<= 1e-12)"
 
     return _timed("ideal cube law (gate level)", 1.0, body)
@@ -199,17 +200,15 @@ def check_compilation_soundness() -> CheckResult:
 def check_error_tolerance() -> CheckResult:
     def body():
         system = SpinSystem()
-        gates = {o: compile_gates(o, system, "naive") for o in all_oracles(1)}
         worst, where = 0.0, ""
         for eps in (-0.1, -0.05, -0.02, 0.02, 0.05, 0.1):
             error = ErrorModel(eps_H=eps, eps_C=eps)
             for oracle in all_oracles(1):
                 probs = [
                     success_probability(u, oracle)
-                    for u in pulse_operators(3, gates[oracle], system, error)
+                    for u in pulse_operators(3, oracle, system, "naive", error)
                 ]
-                for r in range(3):
-                    res = abs((1 - probs[r + 1]) - (1 - probs[r]) ** 3)
+                for r, res in enumerate(cube_residuals(probs)):
                     if res > worst:
                         worst, where = res, f"eps={eps} oracle={oracle.label()} r={r}"
         return worst <= 1e-9, (
@@ -225,12 +224,11 @@ def check_coupling_error_breaks_fixed_point() -> CheckResult:
         error = ErrorModel(delta_J=0.05)
         residuals = {}
         for oracle in all_oracles(1):
-            gates = compile_gates(oracle, system, "naive")
             probs = [
                 success_probability(u, oracle)
-                for u in pulse_operators(1, gates, system, error)
+                for u in pulse_operators(1, oracle, system, "naive", error)
             ]
-            residuals[oracle.label()] = abs((1 - probs[1]) - (1 - probs[0]) ** 3)
+            (residuals[oracle.label()],) = cube_residuals(probs)
         if max(residuals.values()) <= 1e-6:
             return False, f"no oracle exceeds 1e-6: {residuals}"
         drift = max(
@@ -297,14 +295,9 @@ def check_readout_round_trip() -> CheckResult:
         visible = [o for o in all_oracles(1) + all_oracles(2)
                    if readout.is_signal_visible(o)]
         for oracle in visible:
-            ref = readout.reference_spectrum(oracle)
             for r in range(4):
-                v = recursive_operator(r, oracle)
-                spec = readout.spectrum_from_populations(readout.crush(v[:, 0]))
-                p_est = readout.estimate_probability(spec, ref, oracle)
-                worst = max(
-                    worst, abs(p_est - closed_form_success(r, oracle.k))
-                )
+                p_est = estimated_success(recursive_operator(r, oracle), oracle)
+                worst = max(worst, abs(p_est - closed_form_success(r, oracle.k)))
         return worst <= 1e-9, (
             f"4 distinct k=1 patterns match; k=2 signs match; "
             f"round-trip max error {worst:.2e} (<= 1e-9)"

@@ -89,7 +89,7 @@ BROKEN = {
                       lambda f: _scaled(f, lambda e, i: i + 2e-12, lambda e, i: i)),
     "6-bb1-floor": ("6", verify, "pulse_infidelities",
                     lambda f: _scaled(f, lambda e, i: i, lambda e, i: i + 2e-12)),
-    "7-round-trip": ("7", readout, "estimate_probability", lambda f: _offset(f, 2e-9)),
+    "7-round-trip": ("7", experiments, "estimate_probability", lambda f: _offset(f, 2e-9)),
     "7-patterns": ("7", readout, "reference_spectrum", lambda f: lambda o: (
         Spectrum(f(o).right_amp, f(o).left_amp) if o.label() == "10" else f(o))),
     "7-both-positive": ("7", readout, "reference_spectrum", lambda f: lambda o: (

@@ -13,7 +13,9 @@ formats only the y values of each panel. ``pulse_unitary`` forms the Kronecker p
 by broadcasting and memoises event unitaries by value, process-wide and
 bounded, so ``sequence_unitary`` simulates each distinct event once. Each
 is checked here for byte or bit equality against the per-value form, kept
-only in this file, with the memo cold and warm.
+only in this file, with the memo cold and warm. The memo is keyed by plain
+floats, so equal inputs of any numeric type, and zeros of either sign, get
+one array.
 
 ``compile_gates`` memoises each (oracle, system, style) the same way, and
 criterion 3 continues one event-by-event product through the orders of a
@@ -45,7 +47,6 @@ from bruteforce import sequence_unitary_expm
 from fpsearch import cli, experiments, svgplot, verify
 from fpsearch.compiler import (
     STYLES,
-    _compiled_gates,
     clear_compile_memo,
     compile_algorithm,
     compile_gates,
@@ -125,8 +126,7 @@ def test_matches_reference_elementwise(system, style, error):
     # elementwise, not up to global phase: the recursion must reproduce the
     # reference operator itself, r <= 4 on every k <= 2 oracle
     for oracle in ORACLES:
-        gates = compile_gates(oracle, system, style)
-        ops = pulse_operators(4, gates, system, error)
+        ops = pulse_operators(4, oracle, system, style, error)
         refs = _reference_orders(4, oracle, system, style, error)
         assert len(ops) == len(refs) == 5
         for r, (v, ref) in enumerate(zip(ops, refs)):
@@ -147,7 +147,7 @@ _error = st.floats(-0.2, 0.2)
 )
 def test_matches_reference_random_errors(system, eps_h, eps_c, delta_j, oracle, style, r):
     error = ErrorModel(eps_H=eps_h, eps_C=eps_c, delta_J=delta_j)
-    v = pulse_operators(r, compile_gates(oracle, system, style), system, error)[r]
+    v = pulse_operators(r, oracle, system, style, error)[r]
     assert np.max(np.abs(v - _reference(r, oracle, system, style, error))) <= 1e-10
 
 
@@ -349,6 +349,13 @@ _error_model = st.builds(ErrorModel, eps_H=_error_field, eps_C=_error_field,
                          delta_J=_error_field)
 
 
+def _normalized(event, error):
+    """``(event, error)`` with plain-float fields and unsigned zero angle and phase."""
+    angle, phase = float(event.angle) + 0.0, float(event.phase) + 0.0
+    fields = {n: float(getattr(error, n)) for n in ("eps_H", "eps_C", "delta_J")}
+    return dataclasses.replace(event, angle=angle, phase=phase), ErrorModel(**fields)
+
+
 def _signed_zero_variants(event, error):
     """``(event, error)`` with every zero field taken as both 0.0 and -0.0."""
     def signs(obj, names):
@@ -372,19 +379,33 @@ def test_pulse_unitary_is_bitwise_kron(system, event, error):
     for order in (variants, variants[::-1]):
         clear_event_memo()
         for ev, err in order + order:
+            normalized, plain_err = _normalized(ev, err)
             assert pulse_unitary(ev, system, err).tobytes() == (
-                _pulse_unitary_unmemoised(ev, system, err).tobytes()
+                _pulse_unitary_unmemoised(normalized, system, plain_err).tobytes()
             )
+        # a -0.0 angle or phase gets the +0.0 event's array
+        assert len({pulse_unitary(ev, system, err).tobytes() for ev, err in order}) == 1
 
 
-def test_memo_keeps_float_widths_apart(system):
-    # np.float32(0.5) == 0.5 with the same hash, yet it computes in float32
-    for event, field in ((rf_pulse("H", 1.0), "eps_H"), (coupling_delay(1e-3), "delta_J")):
-        for value in (0.5, np.float32(0.5), 0.5):
-            error = ErrorModel(**{field: value})
-            assert pulse_unitary(event, system, error).tobytes() == (
-                _pulse_unitary_unmemoised(event, system, error).tobytes()
-            )
+def test_memo_gives_equal_values_one_array():
+    # np.float32(0.1) == float(np.float32(0.1)) with one hash: both give the
+    # plain-float unitary, in either order, with the memo cold and then warm
+    x = np.float32(0.1)
+
+    def inputs(v):  # (event, system, error), each with v in every float field
+        return [
+            (PulseEvent(RF_PULSE, frozenset("H"), v, v), SpinSystem(), ErrorModel(eps_H=v)),
+            (rf_pulse("HC", 1.0, 0.5), SpinSystem(), ErrorModel(eps_C=v)),
+            (coupling_delay(v), SpinSystem(J=v), ErrorModel(delta_J=v)),
+        ]
+
+    narrow, wide = inputs(x), inputs(float(x))
+    assert narrow == wide
+    expected = [_pulse_unitary_unmemoised(*args).tobytes() for args in wide]
+    for order in ((narrow, wide), (wide, narrow)):
+        clear_event_memo()
+        for cases in order + order:
+            assert [pulse_unitary(*args).tobytes() for args in cases] == expected
 
 
 def test_memoised_unitaries_are_read_only(system):
@@ -416,9 +437,9 @@ def test_determinism_check_starts_each_run_cold(system, monkeypatch):
     runs = []
 
     def counted(cfg):
-        before = (_compiled_gates.cache_info(), _event_unitary.cache_info())
+        before = (compile_gates.cache_info(), _event_unitary.cache_info())
         files = list(runner(cfg))
-        after = (_compiled_gates.cache_info(), _event_unitary.cache_info())
+        after = (compile_gates.cache_info(), _event_unitary.cache_info())
         runs.append([(b.currsize, a.misses - b.misses) for b, a in zip(before, after)])
         return files
 
@@ -458,20 +479,22 @@ def test_sequence_unitary_is_bitwise_the_unmemoised_product(system, pool, picks,
 # ---- compile memo: one read-only compilation per (oracle, system, style) ----
 
 
-def test_compile_memo_keeps_float_widths_apart():
-    # equal systems with one hash, yet a float32 J compiles float32 delays
-    oracle = OracleSpec({"11"})
-    wide, narrow = SpinSystem(J=150.0), SpinSystem(J=np.float32(150.0))
-    assert wide == narrow and hash(wide) == hash(narrow)
+def test_compile_memo_gives_equal_arguments_one_program():
+    # a float32 J or phase equals its float64 value with one hash: both compile
+    # the plain-float program, in either order, with the memo cold and then warm
+    phase = np.float32(np.pi / 3)
+    narrow = (OracleSpec({"11"}, phase), SpinSystem(J=np.float32(150.0)))
+    wide = (OracleSpec({"11"}, float(phase)), SpinSystem(J=150.0))
+    assert narrow == wide and hash(narrow) == hash(wide)
+    plain = compile_gates.__wrapped__(*wide)
     for order in ((wide, narrow), (narrow, wide)):
         clear_compile_memo()
-        for system in order + order:
+        for oracle, system in order + order:
             gates = compile_gates(oracle, system)
-            plain = _compiled_gates.__wrapped__(oracle, system, "naive")
             for label, seq in gates.items():
                 assert seq.events == plain[label].events, label
             delays = [e.duration for e in gates["Rf"].events if e.kind == DELAY]
-            assert delays and all(type(t) is type(system.J) for t in delays)
+            assert delays and all(type(t) is float for t in delays)
 
 
 def test_compiled_gates_are_shared_and_read_only(system):
@@ -484,12 +507,12 @@ def test_compiled_gates_are_shared_and_read_only(system):
 
 
 def test_compile_memo_is_bounded():
-    maxsize = _compiled_gates.cache_info().maxsize
+    maxsize = compile_gates.cache_info().maxsize
     assert maxsize is not None
     clear_compile_memo()
     for i in range(maxsize + 10):
         compile_gates(ORACLES[0], SpinSystem(J=100.0 + i))
-    info = _compiled_gates.cache_info()
+    info = compile_gates.cache_info()
     assert (info.currsize, info.misses) == (maxsize, maxsize + 10)
     clear_compile_memo()
 

@@ -19,8 +19,10 @@ test-only dependency.
 
 import ast
 import importlib
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,16 +47,14 @@ def _definitions(tree: ast.Module):
                     yield item
 
 
-def _reads(tree: ast.Module, name: str, skip: set[int]) -> bool:
-    for node in ast.walk(tree):
-        if id(node) in skip:
-            continue
-        if isinstance(node, ast.Name) and node.id == name:
-            if isinstance(node.ctx, ast.Load):
-                return True
-        if isinstance(node, ast.Attribute) and node.attr == name:
-            return True
-    return False
+def _loads(node: ast.AST) -> Counter:
+    """How often each name is read under ``node``: as a variable or an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute)
+        or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    )
 
 
 def _trees() -> list[ast.Module]:
@@ -66,13 +66,13 @@ def _trees() -> list[ast.Module]:
 
 
 def _unused(trees: list[ast.Module], definitions) -> set[str]:
-    """Names of ``(name, node)`` definitions read nowhere outside ``node``."""
-    unused = set()
-    for name, node in definitions:
-        own = {id(n) for n in ast.walk(node)}
-        if not any(_reads(t, name, own) for t in trees):
-            unused.add(name)
-    return unused
+    """Names of ``(name, node)`` definitions read nowhere outside ``node``.
+
+    Each tree is walked once; a definition is unused when every read of its
+    name lies inside its own node.
+    """
+    loads = sum(map(_loads, trees), Counter())
+    return {name for name, node in definitions if loads[name] == _loads(node)[name]}
 
 
 def test_every_src_function_is_used_in_src():
@@ -130,12 +130,12 @@ def test_cli_import_loads_no_test_only_dependency():
 
 
 def test_public_names_and_version():
-    import tomllib
-
     import fpsearch
 
     namespace: dict = {}
     exec("from fpsearch import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(fpsearch.__all__)
-    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    assert fpsearch.__version__ == project["version"]
+    # a regex, not tomllib: the package supports Python 3.10, which lacks it
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    (version,) = re.findall(r'^version = "([^"]+)"$', pyproject, re.M)
+    assert fpsearch.__version__ == version

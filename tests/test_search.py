@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fpsearch.pulses import check_unitary
 from fpsearch.search import (
@@ -8,6 +10,7 @@ from fpsearch.search import (
     OracleSpec,
     all_oracles,
     closed_form_success,
+    cube_residuals,
     equal_up_to_global_phase,
     expand_gate_list,
     ideal_gates,
@@ -203,6 +206,17 @@ class TestCubeLawAndEquivalences:
                 for r in range(4):
                     residual = abs((1 - probs[r + 1]) - (1 - probs[r]) ** 3)
                     assert residual <= 1e-12
+
+    @given(st.lists(st.floats(0.0, 1.0), max_size=8))
+    def test_cube_residuals_are_the_literal_formula(self, probs):
+        literal = [
+            abs((1 - probs[r + 1]) - (1 - probs[r]) ** 3) for r in range(len(probs) - 1)
+        ]
+        got = cube_residuals(probs)
+        assert [x.hex() for x in got] == [x.hex() for x in literal]  # bitwise
+
+    def test_cube_residuals_of_fewer_than_two_entries(self):
+        assert cube_residuals([]) == cube_residuals([0.25]) == []
 
     def test_monotone_in_r(self):
         for k in (1, 2, 3):
