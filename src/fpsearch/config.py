@@ -172,13 +172,17 @@ def _matching(s: str) -> tuple[OracleSpec, ...]:
         return ()
     specs = []
     for group in s.split(";"):
-        states = frozenset(x.strip() for x in group.split("+") if x.strip())
+        states = [x.strip() for x in group.split("+") if x.strip()]
         if not states:
             raise ConfigError(f"empty matching set in {s!r}")
         try:
-            spec = OracleSpec(states)
+            spec = OracleSpec(frozenset(states))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        # every state is valid by now, so a repeat shows by the fifth
+        for i, state in enumerate(states):
+            if state in states[:i]:
+                raise ConfigError(f"state {state} given twice in {s!r}")
         if spec in specs:
             raise ConfigError(f"matching set {spec.label()} given twice in {s!r}")
         specs.append(spec)

@@ -35,6 +35,7 @@ from .pulses import ErrorModel, PulseSequence, rf_pulse, bb1_expand, pulse_unita
 from .pulses import NO_ERROR, SpinSystem, rotation_infidelity, sequence_unitary
 from .pulses import check_unitary
 from .readout import (
+    Spectrum,
     crush,
     estimate_probability,
     format_trace,
@@ -288,15 +289,6 @@ def run_bb1_scaling(cfg: Bb1ScalingConfig) -> Iterator[tuple[str, str]]:
     )
 
 
-def _first_equal(arrays: list[np.ndarray]) -> list[int]:
-    """For each array, the index of the first one with the same bytes.
-
-    The byte strings live only in this call, so a caller keeps no copies.
-    """
-    first: dict[bytes, int] = {}
-    return [first.setdefault(a.tobytes(), i) for i, a in enumerate(arrays)]
-
-
 def _overlapped(pairs: Iterator, name: str, build: Callable[[], str]) -> Iterator:
     """Yield ``pairs``, then ``(name, build())``, with ``build`` run meanwhile by a
     forked worker. It ends in ``os._exit`` (no atexit handler or stdio flush) and
@@ -340,7 +332,10 @@ def run_spectra(cfg: SpectraConfig) -> Iterator[tuple[str, str]]:
     freqs = np.linspace(-cfg.freq_span, cfg.freq_span, cfg.freq_points)
     panels: list[list[svgplot.Panel]] = []
     peak = 0.0
-    traces: dict[tuple[str, str], np.ndarray] = {}  # intensities on freqs
+    entries: list[tuple[str, str, Spectrum]] = []  # (oracle label, r tag, doublet)
+    # intensities on freqs, one per doublet: Spectrum(0.0, a) == Spectrum(-0.0, a),
+    # and the two traces are bitwise equal, since +0.0 + -0.0 is +0.0
+    traces: dict[Spectrum, np.ndarray] = {}
     r_top = max((r for r in cfg.r_values if r is not None), default=0)
     for oracle in cfg.oracles:
         ops = pulse_operators(r_top, oracle, cfg.system, style, error)
@@ -353,30 +348,30 @@ def run_spectra(cfg: SpectraConfig) -> Iterator[tuple[str, str]]:
                 populations = crush(ops[r][:, 0])
                 tag = str(r)
             spec = spectrum_from_populations(populations)
-            ys = lorentzian_trace(spec, cfg.system, freqs)
-            traces[(oracle.label(), tag)] = ys
-            peak = max(peak, float(np.max(np.abs(ys))))
+            if spec not in traces:
+                traces[spec] = lorentzian_trace(spec, cfg.system, freqs)
+                peak = max(peak, float(np.max(np.abs(traces[spec]))))
+            entries.append((oracle.label(), tag, spec))
             row.append(
                 svgplot.Panel(
                     row_label=oracle.label(),
                     col_label=f"r={tag}",
                     xs=freqs,
-                    ys=ys,
+                    ys=traces[spec],
                 )
             )
         panels.append(row)
 
     def trace_files() -> Iterator[tuple[str, str]]:
-        # equal traces (every oracle's r=0) share one text, held until its last use
-        ordered = sorted(traces.items())
-        source = _first_equal([ys for _, ys in ordered])
-        last = {s: i for i, s in enumerate(source)}
-        texts: dict[int, str] = {}
+        # equal doublets (every oracle's r=0) share one text, held until its last use
+        ordered = sorted(entries, key=lambda entry: entry[:2])
+        last = {spec: i for i, (_, _, spec) in enumerate(ordered)}
+        texts: dict[Spectrum, str] = {}
         template = trace_template(freqs)
-        for i, ((label, tag), ys) in enumerate(ordered):
-            text = texts.pop(source[i], None) or format_trace(template, ys)
-            if last[source[i]] > i:
-                texts[source[i]] = text
+        for i, (label, tag, spec) in enumerate(ordered):
+            text = texts.pop(spec, None) or format_trace(template, traces[spec])
+            if last[spec] > i:
+                texts[spec] = text
             yield f"spectrum_k{cfg.oracle_k}_{label}_r{tag}.txt", text
 
     title = f"proton doublet spectra, {cfg.oracle_k} matching state(s)"

@@ -224,18 +224,17 @@ def sequence_unitary(
     sequence: PulseSequence,
     system: SpinSystem,
     error: ErrorModel = NO_ERROR,
-    start: np.ndarray | None = None,
 ) -> np.ndarray:
     """Time-ordered product of the event unitaries (first event acts first).
 
     Each distinct event is simulated once per process, through
     :func:`pulse_unitary`'s value-keyed memo. The product keeps its order and
-    operands, so it is bitwise the unmemoised one. ``start`` is an operator
-    the events continue, the identity by default: continuing the product of
-    a program's first events over its remaining ones is bitwise the product
-    of the whole program.
+    operands, so it is bitwise the unmemoised one. Experiments apply it to
+    each compiled gate; applied to a whole ``compile_algorithm`` program it
+    is the event-by-event reference that tests and ``perfbench/check.py``
+    hold ``experiments.pulse_operators`` to.
     """
-    u = np.eye(4, dtype=complex) if start is None else start
+    u = np.eye(4, dtype=complex)
     for event in sequence.events:
         u = pulse_unitary(event, system, error) @ u
     check_unitary(u, f"sequence of {len(sequence)} events")

@@ -7,8 +7,8 @@ individually. Checks are self-contained and leave no files behind: the
 table check writes into a temporary directory, and the determinism check
 compares the texts two runs of each experiment yield, in memory, each run
 starting with the compile and event memos empty. The compilation check
-walks each program family once: every order's program extends the one
-before it, so one event-by-event product continues through all orders.
+simulates the compiled programs through ``pulse_operators``, the path every
+pulse-level experiment takes.
 """
 
 from __future__ import annotations
@@ -32,14 +32,8 @@ from .experiments import (
     pulse_operators,
     run_experiment,
 )
-from .pulses import (
-    NO_ERROR,
-    ErrorModel,
-    PulseSequence,
-    SpinSystem,
-    clear_event_memo,
-    sequence_unitary,
-)
+# sequence_unitary is unused here; perfbench/tracer.py wraps it under this name.
+from .pulses import NO_ERROR, ErrorModel, SpinSystem, clear_event_memo, sequence_unitary
 from .search import (
     STATES,
     OracleSpec,
@@ -141,33 +135,15 @@ def check_cube_law_ideal() -> CheckResult:
     return _timed("ideal cube law (gate level)", 1.0, body)
 
 
-def program_unitaries(
-    r_max: int, oracle: OracleSpec, system: SpinSystem, style: str
-) -> list[np.ndarray]:
-    """``sequence_unitary(compile_algorithm(r, ...))`` for r = 0..r_max, bitwise.
-
-    Each order's program extends the one before it, so one running
-    event-by-event product continues over each order's new events only,
-    and each order's product is checked for unitarity.
-    """
-    out: list[np.ndarray] = []
-    done = 0
-    u = None
-    for r in range(r_max + 1):
-        events = compile_algorithm(r, oracle, system, style).events
-        u = sequence_unitary(PulseSequence(events[done:]), system, NO_ERROR, u)
-        out.append(u)
-        done = len(events)
-    return out
-
-
 def check_compilation_soundness() -> CheckResult:
     def body():
         system = SpinSystem()
         oracles = all_oracles(1) + all_oracles(2)
         for oracle in oracles:
             ideal = operators(3, ideal_gates(oracle))
-            simulated = {s: program_unitaries(3, oracle, system, s) for s in STYLES}
+            simulated = {
+                s: pulse_operators(3, oracle, system, s, NO_ERROR) for s in STYLES
+            }
             for r in range(4):
                 for style in STYLES:
                     u = simulated[style][r]

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail
 line per check, or equivalently ``fpsearch verify``.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -61,6 +62,13 @@ def _scaled(fn, naive, bb1):
     return infidelities
 
 
+def _first_pulse_off(gates, by=1e-6):
+    """Compiled gates with the first pulse of ``U`` turned ``by`` rad further."""
+    first, *rest = gates["U"].events
+    turned = dataclasses.replace(first, angle=first.angle + by)
+    return {**gates, "U": PulseSequence((turned, *rest))}
+
+
 # One moderate change to one input of each check, which must then fail, not
 # crash: a check that cannot fail shows nothing. Each is (criterion, target
 # object, attribute, replacement given the original).
@@ -79,6 +87,8 @@ BROKEN = {
     "3-oracle-gates": ("3", verify, "expand_gate_list", lambda f: lambda r: f(r)[:1] + f(r)[2:]),
     "3-rf-count-low": ("3", PulseSequence, "rf_pulse_count", lambda f: lambda s: 149),
     "3-rf-count-high": ("3", PulseSequence, "rf_pulse_count", lambda f: lambda s: 251),
+    "3-compiled-gate": ("3", experiments, "compile_gates",
+                        lambda f: lambda *args: _first_pulse_off(f(*args))),
     "5-regression": ("5", verify, "COUPLING_RESIDUALS_R1", lambda d: _shift(d, "01", 2e-9)),
     "5-no-coupling-error": ("5", verify, "ErrorModel", lambda cls: lambda **kw: cls()),
     "6-naive-slope": ("6", verify, "pulse_infidelities",
@@ -111,6 +121,16 @@ def test_criterion_can_fail(monkeypatch, case):
     result = dict(verify.ALL_CHECKS)[number]()
     assert result.passed is False
     assert not result.detail.startswith("raised"), result.detail
+
+
+def test_criterion_4_fails_at_its_documented_residual():
+    # a known, deliberate failure (ROADMAP aim 3); oracle 10's r=2 residual
+    # (0.7804844496287631) leads oracle 01's (0.7804844496287625) by 6e-16
+    result = verify.check_error_tolerance()
+    assert result.passed is False
+    assert result.detail == (
+        "max pulse-level cube residual 7.805e-01 at eps=0.1 oracle=10 r=2 (bound 1e-9)"
+    )
 
 
 def test_a_check_over_its_time_limit_or_raising_fails():

@@ -136,12 +136,14 @@ _RANGE = "outside [1e-09, 1e+09]"
          "oracle.matching: bad basis string '02'"),
         ("k1-curves", ["--override", "oracle.matching=00;"],
          "oracle.matching: empty matching set in '00;'"),
+        ("k1-curves", ["--override", "oracle.matching=00+00"],
+         "oracle.matching: state 00 given twice in '00+00'"),
     ],
     ids=["j", "t2_h", "t90", "t2_c", "undecodable-file", "j-subnormal",
          "t2_h-tiny", "duplicate-matching", "freq-span-huge", "freq-span-subnormal",
          "duplicate-style", "duplicate-orders", "duplicate-eps", "out-is-a-file",
          "trace-points", "bb1-multiple-sets", "unknown-style", "bb1-two-state-set",
-         "nan", "bad-state", "empty-set"],
+         "nan", "bad-state", "empty-set", "duplicate-state"],
 )
 def test_bad_config_input_exits_2(tmp_path, capsys, experiment, args, reason):
     (tmp_path / "latin-1.cfg").write_bytes("style = na\xefve\n".encode("latin-1"))

@@ -18,14 +18,15 @@ floats, so equal inputs of any numeric type, and zeros of either sign, get
 one array.
 
 ``compile_gates`` memoises each (oracle, system, style) the same way, and
-criterion 3 continues one event-by-event product through the orders of a
-program family; both are checked against their plain forms too.
+is checked against its plain form too.
 
-``run_spectra`` builds its SVG in a forked worker while it formats the
-traces. The worker's text is checked byte-equal to an in-process
-``panel_grid`` with and without ``os.fork``, and a run, a failed worker and a
-run aborted by a write error are each checked to leave no child process and
-no open fd behind.
+``run_spectra`` evaluates one trace per distinct doublet, formats each
+distinct trace once, and builds its SVG in a forked worker while it formats
+the traces. Its files are checked against each trace evaluated and
+formatted on its own. The worker's text is checked byte-equal to an
+in-process ``panel_grid`` with and without ``os.fork``, and a run, a failed
+worker and a run aborted by a write error are each checked to leave no
+child process and no open fd behind.
 """
 
 import contextlib
@@ -70,7 +71,15 @@ from fpsearch.pulses import (
     rf_pulse,
     sequence_unitary,
 )
-from fpsearch.readout import format_trace, trace_template
+from fpsearch.readout import (
+    Spectrum,
+    crush,
+    format_trace,
+    lorentzian_trace,
+    spectrum_from_populations,
+    target_populations,
+    trace_template,
+)
 from fpsearch.search import OracleSpec, all_oracles, ideal_gates
 
 ORACLES = all_oracles(1) + all_oracles(2)
@@ -208,28 +217,62 @@ def test_format_trace_edge_values():
     assert format_trace(trace_template(freqs), ys) == _format_trace_per_value(freqs, ys)
 
 
-def test_only_bitwise_equal_traces_share_a_text():
-    # 0.0 == -0.0, yet the two print differently
-    arrays = [np.array([0.0, 1.0]), np.array([-0.0, 1.0]), np.array([0.0, 1.0]),
-              np.array([np.nan]), np.array([np.nan])]
-    assert experiments._first_equal(arrays) == [0, 1, 0, 3, 3]
+def _counted(monkeypatch, module, name):
+    """Wrap ``module.name``; the returned list collects each call's arguments."""
+    fn, calls = getattr(module, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_equal_doublets_share_a_trace_and_a_text(monkeypatch, system):
+    a = 0.375
+    freqs = np.linspace(-200.0, 200.0, 101)
+    zero, minus_zero = Spectrum(0.0, a), Spectrum(-0.0, a)
+    near = Spectrum(0.0, float(np.nextafter(a, 1.0)))  # one ulp above a
+    assert zero == minus_zero and near != zero
+    ys, ys_minus = (lorentzian_trace(s, system, freqs) for s in (zero, minus_zero))
+    assert ys.tobytes() == ys_minus.tobytes()
+    template = trace_template(freqs)
+    assert format_trace(template, ys) == format_trace(template, ys_minus)
+    assert not np.array_equal(ys, lorentzian_trace(near, system, freqs))
+    # a run whose three panels get these doublets shares only the equal pair
+    doublets = iter([zero, minus_zero, near])
+    monkeypatch.setattr(experiments, "spectrum_from_populations", lambda p: next(doublets))
+    traced = _counted(monkeypatch, experiments, "lorentzian_trace")
+    formatted = _counted(monkeypatch, experiments, "format_trace")
+    cfg = build_config("spectra", {"oracle.matching": "00;01;10", "r.values": "1",
+                                   "freq.points": "101"})
+    files = dict(experiments.run_spectra(cfg))
+    assert [args[0] for args in traced] == [zero, near]
+    assert len(formatted) == 2
+    assert files["spectrum_k1_00_r1.txt"] is files["spectrum_k1_01_r1.txt"]
+    assert files["spectrum_k1_10_r1.txt"] is not files["spectrum_k1_00_r1.txt"]
 
 
 def test_spectra_formats_each_distinct_trace_once(monkeypatch):
     cfg = build_config("spectra", {"oracle.k": "2", "freq.points": "101"})
-    formatted = []
-
-    def counted(template, ys):
-        formatted.append(ys.tobytes())
-        return format_trace(template, ys)
-
-    monkeypatch.setattr(experiments, "format_trace", counted)
-    shared = list(experiments.run_spectra(cfg))
-    assert len(formatted) == len(set(formatted)) == 24
+    traced = _counted(monkeypatch, experiments, "lorentzian_trace")
+    formatted = _counted(monkeypatch, experiments, "format_trace")
+    shared = dict(experiments.run_spectra(cfg))
+    assert len(traced) == len({args[0] for args in traced}) == 24
+    assert len(formatted) == len({args[1].tobytes() for args in formatted}) == 24
     assert len(shared) == 31  # 30 traces and the panel grid
-    # each trace formatted on its own gives the same files
-    monkeypatch.setattr(experiments, "_first_equal", lambda arrays: range(len(arrays)))
-    assert list(experiments.run_spectra(cfg)) == shared
+    # each trace evaluated and formatted on its own gives the same files
+    freqs = np.linspace(-cfg.freq_span, cfg.freq_span, cfg.freq_points)
+    error = ErrorModel(eps_H=cfg.eps, eps_C=cfg.eps, delta_J=cfg.delta_j)
+    for oracle in cfg.oracles:
+        ops = pulse_operators(3, oracle, cfg.system, cfg.styles[0], error)
+        for r in cfg.r_values:
+            tag = "inf" if r is None else str(r)
+            populations = target_populations(oracle) if r is None else crush(ops[r][:, 0])
+            ys = lorentzian_trace(spectrum_from_populations(populations), cfg.system, freqs)
+            text = format_trace(trace_template(freqs), ys)
+            assert shared[f"spectrum_k2_{oracle.label()}_r{tag}.txt"] == text
 
 
 # panel_grid's layout: 150x96 cells below a 70 px left and 40 px top margin
@@ -515,19 +558,6 @@ def test_compile_memo_is_bounded():
     info = compile_gates.cache_info()
     assert (info.currsize, info.misses) == (maxsize, maxsize + 10)
     clear_compile_memo()
-
-
-# ---- criterion 3: one continued product per program family ----
-
-
-@pytest.mark.parametrize("style", STYLES)
-def test_continued_product_is_bitwise_each_program(system, style):
-    for oracle in ORACLES:
-        products = verify.program_unitaries(3, oracle, system, style)
-        assert len(products) == 4
-        for r, u in enumerate(products):
-            ref = sequence_unitary(compile_algorithm(r, oracle, system, style), system)
-            assert u.tobytes() == ref.tobytes(), (oracle.label(), r)
 
 
 # ---- spectra's SVG: built in a forked worker while the traces are formatted ----

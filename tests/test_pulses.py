@@ -3,6 +3,7 @@ import pytest
 
 from bruteforce import event_unitary_expm, sequence_unitary_expm
 from conftest import random_unitary
+from fpsearch import pulses
 from fpsearch.pulses import (
     NO_ERROR,
     ErrorModel,
@@ -155,12 +156,14 @@ class TestSequenceUnitary:
         with pytest.raises(UnitarityError, match="lost unitarity"):
             check_unitary(np.diag([np.sqrt(1.0 + 1e-9), 1.0, 1.0, 1.0]), "dev 1e-9")
 
-    def test_drifted_product_raises(self, system):
-        # a start operator 1e-9 off unitary: each event is unitary, the product is not
+    def test_drifted_product_raises(self, system, monkeypatch):
+        # an event unitary 1e-9 off unitary: the product must notice
+        drift = np.diag([np.sqrt(1.0 + 1e-9), 1.0, 1.0, 1.0])
+        exact = pulses.pulse_unitary
+        monkeypatch.setattr(pulses, "pulse_unitary", lambda *args: drift @ exact(*args))
         seq = PulseSequence((rf_pulse("H", np.pi / 2, 0.0),))
-        start = np.diag([np.sqrt(1.0 + 1e-9), 1.0, 1.0, 1.0])
         with pytest.raises(UnitarityError, match="sequence of 1 events lost unitarity"):
-            sequence_unitary(seq, system, NO_ERROR, start)
+            sequence_unitary(seq, system, NO_ERROR)
 
     def test_agrees_with_bruteforce(self, system):
         seq = PulseSequence(
