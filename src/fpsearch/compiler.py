@@ -22,10 +22,6 @@ an rf amplitude error is shared exactly between a gate and its inverse.
 
 from __future__ import annotations
 
-import functools
-from collections.abc import Mapping
-from types import MappingProxyType
-
 import numpy as np
 
 from . import search
@@ -91,25 +87,19 @@ def _bb1_rewrite(events: list[PulseEvent]) -> list[PulseEvent]:
     return out
 
 
-# a verify run needs 20 entries, and all 28 (oracle, style) pairs of one system
-# fit; an entry holds at most ~25 KB (bb1), so the memo stays under 1.6 MB
-@functools.lru_cache(maxsize=64)
 def compile_gates(
     oracle: OracleSpec,
     system: SpinSystem,
     style: str = "naive",
-) -> Mapping[str, PulseSequence]:
-    """Pulse sequences of the six gates, keyed by gate label (memoised, read-only).
+) -> dict[str, PulseSequence]:
+    """Pulse sequences of the six gates, keyed by gate label.
 
     Each gate is compiled on its own, with no merging of pulses within or
     across gates. ``style="bb1"`` rewrites every rf pulse as a BB1
     composite rotation. An inverse is compiled as a gate of its own,
-    not by reversing its gate's pulses.
-
-    Each (oracle, system, style) is compiled once per process: every caller
-    shares one read-only mapping of frozen sequences. The oracle's phase
-    enters through a float64 array and ``J`` through ``float``, so equal
-    arguments compile to identical events whatever their numeric types.
+    not by reversing its gate's pulses. The oracle's phase enters through a
+    float64 array and ``J`` through ``float``, so equal arguments compile to
+    identical events whatever their numeric types.
     """
     if style not in STYLES:
         raise ValueError(f"unknown style {style!r}; expected one of {STYLES}")
@@ -126,12 +116,7 @@ def compile_gates(
     }
     if style == "bb1":
         gates = {label: _bb1_rewrite(events) for label, events in gates.items()}
-    return MappingProxyType(
-        {label: PulseSequence(tuple(events)) for label, events in gates.items()}
-    )
-
-
-clear_compile_memo = compile_gates.cache_clear
+    return {label: PulseSequence(tuple(events)) for label, events in gates.items()}
 
 
 def compile_algorithm(

@@ -115,6 +115,12 @@ def _error(s: str) -> float:
     return e
 
 
+def _path(s: str) -> str:
+    if not s:  # "" would write into the working directory
+        raise ConfigError("empty path")
+    return s
+
+
 def _int_in(lo: int, hi: int, what: str = "value") -> Callable[[str], int]:
     def parse(s: str) -> int:
         try:
@@ -216,7 +222,7 @@ class ExperimentConfig:
 
     experiment: str
     mapping: dict[str, str]
-    out_dir: str = _key("output.dir", "out", str)
+    out_dir: str = _key("output.dir", "out", _path)
 
     def hash(self) -> str:
         return config_hash(self.mapping)

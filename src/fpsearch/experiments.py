@@ -89,21 +89,18 @@ def _csv(
 
 def pulse_operators(
     r_max: int,
-    oracle: OracleSpec,
+    gates: dict[str, PulseSequence],
     system: SpinSystem,
-    style: str,
     error: ErrorModel,
 ) -> list[np.ndarray]:
     """Unitaries of the compiled order-0..r_max programs under ``error``.
 
-    The six gates come from :func:`fpsearch.compiler.compile_gates`, which
-    compiles each (oracle, system, style) once per process. Each gate is
-    simulated once and the orders follow from
+    ``gates`` are the six gates of :func:`fpsearch.compiler.compile_gates`.
+    Each gate is simulated once and the orders follow from
     :func:`fpsearch.search.operators`. Element for element the result equals
     ``sequence_unitary`` of ``compile_algorithm(r, ...)`` up to the rounding
     of reassociated 4x4 products.
     """
-    gates = compile_gates(oracle, system, style)
     simulated = {
         label: sequence_unitary(seq, system, error) for label, seq in gates.items()
     }
@@ -149,7 +146,8 @@ def run_curves(cfg: CurvesConfig) -> Iterator[tuple[str, str]]:
     series: list[svgplot.Series] = []
     for oi, oracle in enumerate(cfg.oracles):
         for style in cfg.styles:
-            ops = pulse_operators(cfg.r_max, oracle, system, style, error)
+            gates = compile_gates(oracle, system, style)
+            ops = pulse_operators(cfg.r_max, gates, system, error)
             xs, ys = [], []
             for r, u in enumerate(ops):
                 p_pulse = success_probability(u, oracle)
@@ -197,10 +195,11 @@ def run_robustness(cfg: RobustnessConfig) -> Iterator[tuple[str, str]]:
     rows = []
     residual_by_grid: dict[tuple[float, float], float] = {}
     for oracle in cfg.oracles:
+        gates = compile_gates(oracle, cfg.system, "naive")
         for eps in cfg.eps_values:
             for dj in cfg.delta_j_values:
                 error = ErrorModel(eps_H=eps, eps_C=eps, delta_J=dj)
-                ops = pulse_operators(cfg.r_max, oracle, cfg.system, "naive", error)
+                ops = pulse_operators(cfg.r_max, gates, cfg.system, error)
                 probs = [success_probability(u, oracle) for u in ops]
                 residuals = cube_residuals(probs)
                 for r, (p, residual) in enumerate(zip(probs, [None, *residuals])):
@@ -338,7 +337,8 @@ def run_spectra(cfg: SpectraConfig) -> Iterator[tuple[str, str]]:
     traces: dict[Spectrum, np.ndarray] = {}
     r_top = max((r for r in cfg.r_values if r is not None), default=0)
     for oracle in cfg.oracles:
-        ops = pulse_operators(r_top, oracle, cfg.system, style, error)
+        gates = compile_gates(oracle, cfg.system, style)
+        ops = pulse_operators(r_top, gates, cfg.system, error)
         row: list[svgplot.Panel] = []
         for r in cfg.r_values:
             if r is None:

@@ -29,7 +29,6 @@ SEQUENCE_ATOL = 1e-10
 _COUPLING_DIAG = np.array([0.5, -0.5, -0.5, 0.5])
 
 _IDENTITY2 = np.eye(2, dtype=complex)  # an untargeted spin's rf factor; never written
-_TARGET_SETS = {t: t for t in map(frozenset, ("H", "C", "HC"))}  # events share these
 
 RF_PULSE = "rf_pulse"
 DELAY = "delay"
@@ -85,8 +84,7 @@ class PulseEvent:
     duration: float = 0.0
 
     def __post_init__(self) -> None:
-        targets = frozenset(self.targets)
-        object.__setattr__(self, "targets", _TARGET_SETS.get(targets, targets))
+        object.__setattr__(self, "targets", frozenset(self.targets))
         if self.kind not in (RF_PULSE, DELAY):
             raise ValueError(f"unknown event kind {self.kind!r}")
         if any(t not in SPINS for t in self.targets):

@@ -6,9 +6,9 @@ runs them all and reports one line per check; the test suite asserts them
 individually. Checks are self-contained and leave no files behind: the
 table check writes into a temporary directory, and the determinism check
 compares the texts two runs of each experiment yield, in memory, each run
-starting with the compile and event memos empty. The compilation check
-simulates the compiled programs through ``pulse_operators``, the path every
-pulse-level experiment takes.
+starting with the event memo empty. The compilation check simulates the
+compiled gates through ``pulse_operators``, the path every pulse-level
+experiment takes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import readout
-from .compiler import STYLES, clear_compile_memo, compile_algorithm
+from .compiler import STYLES, compile_algorithm, compile_gates
 from .config import EXPERIMENT_NAMES, build_config
 from .experiments import (
     EXPERIMENTS,
@@ -141,9 +141,10 @@ def check_compilation_soundness() -> CheckResult:
         oracles = all_oracles(1) + all_oracles(2)
         for oracle in oracles:
             ideal = operators(3, ideal_gates(oracle))
-            simulated = {
-                s: pulse_operators(3, oracle, system, s, NO_ERROR) for s in STYLES
-            }
+            simulated = {}
+            for style in STYLES:
+                gates = compile_gates(oracle, system, style)
+                simulated[style] = pulse_operators(3, gates, system, NO_ERROR)
             for r in range(4):
                 for style in STYLES:
                     u = simulated[style][r]
@@ -176,13 +177,14 @@ def check_compilation_soundness() -> CheckResult:
 def check_error_tolerance() -> CheckResult:
     def body():
         system = SpinSystem()
+        gates = {o: compile_gates(o, system, "naive") for o in all_oracles(1)}
         worst, where = 0.0, ""
         for eps in (-0.1, -0.05, -0.02, 0.02, 0.05, 0.1):
             error = ErrorModel(eps_H=eps, eps_C=eps)
-            for oracle in all_oracles(1):
+            for oracle, oracle_gates in gates.items():
                 probs = [
                     success_probability(u, oracle)
-                    for u in pulse_operators(3, oracle, system, "naive", error)
+                    for u in pulse_operators(3, oracle_gates, system, error)
                 ]
                 for r, res in enumerate(cube_residuals(probs)):
                     if res > worst:
@@ -200,9 +202,10 @@ def check_coupling_error_breaks_fixed_point() -> CheckResult:
         error = ErrorModel(delta_J=0.05)
         residuals = {}
         for oracle in all_oracles(1):
+            gates = compile_gates(oracle, system, "naive")
             probs = [
                 success_probability(u, oracle)
-                for u in pulse_operators(1, oracle, system, "naive", error)
+                for u in pulse_operators(1, gates, system, error)
             ]
             (residuals[oracle.label()],) = cube_residuals(probs)
         if max(residuals.values()) <= 1e-6:
@@ -314,8 +317,7 @@ def check_determinism() -> CheckResult:
             runner, _ = EXPERIMENTS[name]
             runs = []
             for _ in range(2):
-                # both runs start cold, so both compile and simulate afresh
-                clear_compile_memo()
+                # both runs start cold, so both simulate afresh
                 clear_event_memo()
                 runs.append(dict(runner(build_config(name, {}))))
             first, second = runs

@@ -87,7 +87,7 @@ BROKEN = {
     "3-oracle-gates": ("3", verify, "expand_gate_list", lambda f: lambda r: f(r)[:1] + f(r)[2:]),
     "3-rf-count-low": ("3", PulseSequence, "rf_pulse_count", lambda f: lambda s: 149),
     "3-rf-count-high": ("3", PulseSequence, "rf_pulse_count", lambda f: lambda s: 251),
-    "3-compiled-gate": ("3", experiments, "compile_gates",
+    "3-compiled-gate": ("3", verify, "compile_gates",
                         lambda f: lambda *args: _first_pulse_off(f(*args))),
     "5-regression": ("5", verify, "COUPLING_RESIDUALS_R1", lambda d: _shift(d, "01", 2e-9)),
     "5-no-coupling-error": ("5", verify, "ErrorModel", lambda cls: lambda **kw: cls()),

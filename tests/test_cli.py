@@ -119,6 +119,8 @@ _RANGE = "outside [1e-09, 1e+09]"
          "error.eps: entry '0.10' given twice"),
         # an existing file as output directory: writing the outputs fails
         ("table1", ["--out", "latin-1.cfg"], "output.dir: "),
+        # "" would write into the working directory
+        ("table1", ["--out", ""], "output.dir: empty path"),
         # 1 set x 10 orders x 100001 points: each key within its own cap,
         # the total over the trace-point cap; rejected before the run
         ("spectra", ["--override", "oracle.matching=00",
@@ -142,15 +144,18 @@ _RANGE = "outside [1e-09, 1e+09]"
     ids=["j", "t2_h", "t90", "t2_c", "undecodable-file", "j-subnormal",
          "t2_h-tiny", "duplicate-matching", "freq-span-huge", "freq-span-subnormal",
          "duplicate-style", "duplicate-orders", "duplicate-eps", "out-is-a-file",
+         "out-empty",
          "trace-points", "bb1-multiple-sets", "unknown-style", "bb1-two-state-set",
          "nan", "bad-state", "empty-set", "duplicate-state"],
 )
-def test_bad_config_input_exits_2(tmp_path, capsys, experiment, args, reason):
+def test_bad_config_input_exits_2(tmp_path, capsys, monkeypatch, experiment, args, reason):
     (tmp_path / "latin-1.cfg").write_bytes("style = na\xefve\n".encode("latin-1"))
     args = [str(tmp_path / a) if a.endswith(".cfg") else a for a in args]
+    monkeypatch.chdir(tmp_path)
     code = main(["run", experiment, "--out", str(tmp_path / "out"), *args])
     assert code == 2
     assert f"config error: {reason}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["latin-1.cfg"]  # wrote nothing
 
 
 def test_unitarity_violation_exits_3(tmp_path, monkeypatch, capsys):

@@ -119,6 +119,11 @@ class TestBuild:
         with pytest.raises(ConfigError):
             build_config("robustness", {"error.eps": "0, 1.5"})
 
+    def test_empty_output_dir(self):
+        # "" would write into the working directory
+        with pytest.raises(ConfigError, match="^output.dir: empty path$"):
+            build_config("table1", {"output.dir": ""})
+
     def test_r_cap(self):
         with pytest.raises(ConfigError, match="recursion order"):
             build_config("k1-curves", {"r.max": "9"})

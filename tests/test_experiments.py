@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fpsearch import experiments, svgplot
+from fpsearch.compiler import compile_gates
 from fpsearch.config import EXPERIMENT_NAMES, build_config
 from fpsearch.experiments import (
     EXPERIMENTS,
@@ -25,8 +26,9 @@ def test_pulse_operators_check_every_order(monkeypatch, system):
         return [v if r == 0 else drift @ v for r, v in enumerate(operators(r_max, gates))]
 
     monkeypatch.setattr(experiments, "operators", drifted)
+    gates = compile_gates(OracleSpec({"11"}), system)
     with pytest.raises(UnitarityError, match="order-1 operator"):
-        experiments.pulse_operators(1, OracleSpec({"11"}), system, "naive", NO_ERROR)
+        experiments.pulse_operators(1, gates, system, NO_ERROR)
 
 
 def _read_csv(path):

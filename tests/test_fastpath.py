@@ -17,8 +17,8 @@ only in this file, with the memo cold and warm. The memo is keyed by plain
 floats, so equal inputs of any numeric type, and zeros of either sign, get
 one array.
 
-``compile_gates`` memoises each (oracle, system, style) the same way, and
-is checked against its plain form too.
+``compile_gates`` is a plain function: each caller compiles once per
+(oracle, style) and simulates those gates under each of its error models.
 
 ``run_spectra`` evaluates one trace per distinct doublet, formats each
 distinct trace once, and builds its SVG in a forked worker while it formats
@@ -46,12 +46,7 @@ from hypothesis.extra.numpy import arrays
 
 from bruteforce import sequence_unitary_expm
 from fpsearch import cli, experiments, svgplot, verify
-from fpsearch.compiler import (
-    STYLES,
-    clear_compile_memo,
-    compile_algorithm,
-    compile_gates,
-)
+from fpsearch.compiler import STYLES, compile_algorithm, compile_gates
 from fpsearch.config import build_config
 from fpsearch.experiments import EXPERIMENTS, pulse_operators
 from fpsearch.pulses import (
@@ -135,7 +130,7 @@ def test_matches_reference_elementwise(system, style, error):
     # elementwise, not up to global phase: the recursion must reproduce the
     # reference operator itself, r <= 4 on every k <= 2 oracle
     for oracle in ORACLES:
-        ops = pulse_operators(4, oracle, system, style, error)
+        ops = pulse_operators(4, compile_gates(oracle, system, style), system, error)
         refs = _reference_orders(4, oracle, system, style, error)
         assert len(ops) == len(refs) == 5
         for r, (v, ref) in enumerate(zip(ops, refs)):
@@ -156,7 +151,7 @@ _error = st.floats(-0.2, 0.2)
 )
 def test_matches_reference_random_errors(system, eps_h, eps_c, delta_j, oracle, style, r):
     error = ErrorModel(eps_H=eps_h, eps_C=eps_c, delta_J=delta_j)
-    v = pulse_operators(r, oracle, system, style, error)[r]
+    v = pulse_operators(r, compile_gates(oracle, system, style), system, error)[r]
     assert np.max(np.abs(v - _reference(r, oracle, system, style, error))) <= 1e-10
 
 
@@ -266,7 +261,8 @@ def test_spectra_formats_each_distinct_trace_once(monkeypatch):
     freqs = np.linspace(-cfg.freq_span, cfg.freq_span, cfg.freq_points)
     error = ErrorModel(eps_H=cfg.eps, eps_C=cfg.eps, delta_J=cfg.delta_j)
     for oracle in cfg.oracles:
-        ops = pulse_operators(3, oracle, cfg.system, cfg.styles[0], error)
+        gates = compile_gates(oracle, cfg.system, cfg.styles[0])
+        ops = pulse_operators(3, gates, cfg.system, error)
         for r in cfg.r_values:
             tag = "inf" if r is None else str(r)
             populations = target_populations(oracle) if r is None else crush(ops[r][:, 0])
@@ -473,27 +469,26 @@ def test_event_memo_is_bounded(system):
 
 
 def test_determinism_check_starts_each_run_cold(system, monkeypatch):
-    # criterion 9 compares two runs, so the second must compile its gates and
-    # simulate its events afresh rather than read the first run's memos
+    # criterion 9 compares two runs, so the second must simulate its events
+    # afresh rather than read the first run's memo
     name = "bb1-scaling"
     runner, description = EXPERIMENTS[name]
     runs = []
 
     def counted(cfg):
-        before = (compile_gates.cache_info(), _event_unitary.cache_info())
+        before = _event_unitary.cache_info()
         files = list(runner(cfg))
-        after = (compile_gates.cache_info(), _event_unitary.cache_info())
-        runs.append([(b.currsize, a.misses - b.misses) for b, a in zip(before, after)])
+        runs.append((before.currsize, _event_unitary.cache_info().misses - before.misses))
         return files
 
     monkeypatch.setattr(verify, "EXPERIMENT_NAMES", (name,))
     monkeypatch.setattr(verify, "EXPERIMENTS", {name: (counted, description)})
-    # warm memos beforehand, holding what the runs compile and simulate
+    # warm the memo beforehand, holding what the runs simulate
     list(runner(build_config(name, {})))
     assert verify.check_determinism().passed
     assert len(runs) == 2
-    for memos in runs:
-        assert all(size == 0 and misses > 0 for size, misses in memos)
+    for size, misses in runs:
+        assert size == 0 and misses > 0
 
 
 def _sequence_unitary_unmemoised(sequence, system, error):
@@ -519,45 +514,28 @@ def test_sequence_unitary_is_bitwise_the_unmemoised_product(system, pool, picks,
     assert u.tobytes() == _sequence_unitary_unmemoised(seq, system, error).tobytes()
 
 
-# ---- compile memo: one read-only compilation per (oracle, system, style) ----
+# ---- compilation: once per (oracle, style), outside the error loops ----
 
 
-def test_compile_memo_gives_equal_arguments_one_program():
-    # a float32 J or phase equals its float64 value with one hash: both compile
-    # the plain-float program, in either order, with the memo cold and then warm
+def test_equal_arguments_compile_equal_programs():
+    # J passes through float and the phase through a float64 array, so a
+    # float32 J and phase compile exactly the float64 program (repr shows types)
     phase = np.float32(np.pi / 3)
-    narrow = (OracleSpec({"11"}, phase), SpinSystem(J=np.float32(150.0)))
-    wide = (OracleSpec({"11"}, float(phase)), SpinSystem(J=150.0))
-    assert narrow == wide and hash(narrow) == hash(wide)
-    plain = compile_gates.__wrapped__(*wide)
-    for order in ((wide, narrow), (narrow, wide)):
-        clear_compile_memo()
-        for oracle, system in order + order:
-            gates = compile_gates(oracle, system)
-            for label, seq in gates.items():
-                assert seq.events == plain[label].events, label
-            delays = [e.duration for e in gates["Rf"].events if e.kind == DELAY]
-            assert delays and all(type(t) is float for t in delays)
+    narrow = compile_gates(OracleSpec({"11"}, phase), SpinSystem(J=np.float32(150.0)))
+    wide = compile_gates(OracleSpec({"11"}, float(phase)), SpinSystem(J=150.0))
+    assert repr(narrow) == repr(wide)
+    delays = [e.duration for e in narrow["Rf"].events if e.kind == DELAY]
+    assert delays and all(type(t) is float for t in delays)
 
 
-def test_compiled_gates_are_shared_and_read_only(system):
-    gates = compile_gates(ORACLES[0], system, "bb1")
-    assert gates is compile_gates(ORACLES[0], system, "bb1")
-    with pytest.raises(TypeError):
-        gates["U"] = gates["Udag"]
-    with pytest.raises(TypeError):
-        del gates["U"]
-
-
-def test_compile_memo_is_bounded():
-    maxsize = compile_gates.cache_info().maxsize
-    assert maxsize is not None
-    clear_compile_memo()
-    for i in range(maxsize + 10):
-        compile_gates(ORACLES[0], SpinSystem(J=100.0 + i))
-    info = compile_gates.cache_info()
-    assert (info.currsize, info.misses) == (maxsize, maxsize + 10)
-    clear_compile_memo()
+def test_each_oracle_is_compiled_once_per_run(monkeypatch):
+    # the error grid and criterion 4's eps list reuse one compilation per oracle
+    calls = _counted(monkeypatch, experiments, "compile_gates")
+    list(experiments.run_robustness(build_config("robustness", {})))
+    assert len(calls) == len({args[0] for args in calls}) == 4
+    calls = _counted(monkeypatch, verify, "compile_gates")
+    verify.check_error_tolerance()
+    assert len(calls) == len({args[0] for args in calls}) == 4
 
 
 # ---- spectra's SVG: built in a forked worker while the traces are formatted ----

@@ -254,7 +254,7 @@ class TestBB1:
 
 
 def test_sequence_from_lists_stores_tuples():
-    # the compile memo hands one sequence to every caller, so it must not change
+    # a caller simulates one compiled gate set under each error model, so it must not change
     from fpsearch.pulses import GateSpan
 
     seq = PulseSequence([rf_pulse("H", np.pi, 0.0)], [GateSpan("U", 0, 1)])
