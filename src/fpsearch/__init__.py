@@ -32,7 +32,6 @@ from .search import (
     success_probability,
 )
 from .pulses import ErrorModel, PulseEvent, PulseSequence, SpinSystem
-from .compiler import compile_algorithm
 
 __version__ = "0.1.0"
 
@@ -46,7 +45,6 @@ __all__ = [
     "PulseSequence",
     "SpinSystem",
     "closed_form_success",
-    "compile_algorithm",
     "equal_up_to_global_phase",
     "expand_gate_list",
     "ideal_gates",

@@ -55,7 +55,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         mapping: dict[str, str] = {}
         if args.config is not None:
-            mapping = parse_config_text(Path(args.config).read_text())
+            mapping = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
         mapping = apply_overrides(mapping, args.override)
         if args.out is not None:
             mapping["output.dir"] = args.out

@@ -27,7 +27,6 @@ import numpy as np
 from . import search
 from .pulses import (
     RF_PULSE,
-    GateSpan,
     PulseEvent,
     PulseSequence,
     SpinSystem,
@@ -125,17 +124,11 @@ def compile_algorithm(
     system: SpinSystem,
     style: str = "naive",
 ) -> PulseSequence:
-    """Compile the order-r search operator into a pulse sequence.
+    """Compile the order-r search operator into one flat pulse sequence.
 
-    The gate sequences of :func:`compile_gates` are concatenated along
-    ``expand_gate_list(r)``, one span per gate.
+    The program is the events of :func:`compile_gates`'s sequences,
+    concatenated along ``expand_gate_list(r)``; it keeps no gate boundaries.
     """
     gate_list = search.expand_gate_list(r)
     gates = compile_gates(oracle, system, style)
-    events: list[PulseEvent] = []
-    spans: list[GateSpan] = []
-    for label in gate_list:
-        gate_events = gates[label].events
-        spans.append(GateSpan(label, len(events), len(events) + len(gate_events)))
-        events.extend(gate_events)
-    return PulseSequence(tuple(events), tuple(spans))
+    return PulseSequence(tuple(ev for label in gate_list for ev in gates[label].events))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,8 +52,9 @@ class SpinSystem:
 
     def __post_init__(self) -> None:
         for name in ("J", "T2_H"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -116,24 +117,13 @@ def coupling_delay(duration: float) -> PulseEvent:
 
 
 @dataclass(frozen=True)
-class GateSpan:
-    """Half-open event range [start, stop) compiled from one gate."""
-
-    label: str
-    start: int
-    stop: int
-
-
-@dataclass(frozen=True)
 class PulseSequence:
-    """Ordered events plus the gate descriptors they were compiled from."""
+    """Ordered events, the first acting first."""
 
     events: tuple[PulseEvent, ...]
-    gates: tuple[GateSpan, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "events", tuple(self.events))
-        object.__setattr__(self, "gates", tuple(self.gates))
 
     def __len__(self) -> int:
         return len(self.events)
@@ -148,14 +138,11 @@ class PulseSequence:
         """Line-oriented text form, one event per line.
 
         ``PULSE <targets> <angle_deg> <phase_deg>`` for rotations and
-        ``DELAY <seconds>`` for free evolution, with ``# gate:`` comments at
-        gate boundaries. Numbers carry 9 significant digits.
+        ``DELAY <seconds>`` for free evolution. Numbers carry 9 significant
+        digits.
         """
-        starts = {span.start: span.label for span in self.gates}
         lines: list[str] = []
-        for i, ev in enumerate(self.events):
-            if i in starts:
-                lines.append(f"# gate: {starts[i]}")
+        for ev in self.events:
             if ev.kind == RF_PULSE:
                 lines.append(
                     f"PULSE {ev.target_label()} "

@@ -114,9 +114,9 @@ def pseudo_hadamard() -> np.ndarray:
     return np.kron(ry, ry)
 
 
-# The six gate labels and the label of each one's inverse. Inverses are
-# gates of their own rather than recomputed matrices, so a pulse backend is
-# free to realize a gate and its inverse with different pulse sequences.
+# The six gate labels and the label of each one's inverse. An inverse is
+# compiled as a separate gate, not recomputed as a matrix, so a pulse
+# backend is free to realize a gate and its inverse with different pulses.
 ADJOINT = {"U": "Udag", "Udag": "U", "Rf": "Rfdag", "Rfdag": "Rf",
            "R0": "R0dag", "R0dag": "R0"}
 

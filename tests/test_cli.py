@@ -195,6 +195,30 @@ def test_module_entry_point_exits_with_mains_code(tmp_path):
     assert proc.stderr.startswith("config error: unknown keys for table1: bogus")
 
 
+@pytest.mark.parametrize(
+    "data,code,message",
+    [("# caf\u00e9\n".encode("utf-8"), 0, ""),
+     ("style = na\xefve\n".encode("latin-1"), 2, "'utf-8' codec can't decode")],
+    ids=["utf-8", "latin-1"],
+)
+def test_config_is_read_as_utf8_under_an_ascii_locale(tmp_path, data, code, message):
+    # the C locale without coercion or UTF-8 mode makes ASCII the default encoding
+    (tmp_path / "run.cfg").write_bytes(data)
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "LC_ALL": "C",
+           "PYTHONCOERCECLOCALE": "0"}
+    proc = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "fpsearch.cli", "run", "table1",
+         "--config", "run.cfg", "--out", "out"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == code
+    if code:
+        assert proc.stderr.startswith(f"config error: {message}")
+    else:
+        assert proc.stderr == ""
+
+
 def test_byte_identity_across_cli_runs(tmp_path):
     for sub in ("a", "b"):
         assert (

@@ -23,6 +23,7 @@ from fpsearch.search import (
     OracleSpec,
     all_oracles,
     equal_up_to_global_phase,
+    expand_gate_list,
     ideal_gates,
     operators,
     origin_spec,
@@ -161,14 +162,15 @@ class TestCompileAlgorithm:
         u = sequence_unitary(seq, system)
         assert success_probability(u, spec) == pytest.approx(0.8750, abs=1e-10)
 
-    def test_gate_spans_cover_events(self, system, k1_oracles):
-        seq = compile_algorithm(2, k1_oracles[0], system)
-        assert seq.gates[0].start == 0
-        assert seq.gates[-1].stop == len(seq.events)
-        for before, after in zip(seq.gates, seq.gates[1:]):
-            assert before.stop == after.start
-        labels = {span.label for span in seq.gates}
-        assert {"U", "Udag", "Rf", "R0"} <= labels
+    @pytest.mark.parametrize("style", STYLES)
+    def test_program_concatenates_compiled_gates(self, system, style):
+        for spec in all_oracles(1) + all_oracles(2):
+            gates = compile_gates(spec, system, style)
+            for r in range(5):
+                expected = tuple(
+                    ev for label in expand_gate_list(r) for ev in gates[label].events
+                )
+                assert compile_algorithm(r, spec, system, style).events == expected
 
     @pytest.mark.parametrize("style", STYLES)
     def test_each_order_extends_the_one_before(self, system, style):
@@ -182,12 +184,9 @@ class TestCompileAlgorithm:
     def test_u_inverse_is_pulsewise_adjoint(self, system, k1_oracles):
         # a U gate and its inverse share the scaled angle and differ by a
         # pi axis shift, so the rf error is common to both
-        seq = compile_algorithm(1, k1_oracles[0], system)
-        by_label = {}
-        for span in seq.gates:
-            by_label.setdefault(span.label, seq.events[span.start:span.stop])
-        (u_ev,) = by_label["U"]
-        (udag_ev,) = by_label["Udag"]
+        gates = compile_gates(k1_oracles[0], system)
+        (u_ev,) = gates["U"].events
+        (udag_ev,) = gates["Udag"].events
         assert u_ev.angle == udag_ev.angle
         assert (udag_ev.phase - u_ev.phase) % (2 * np.pi) == pytest.approx(np.pi)
         err = ErrorModel(eps_H=0.07, eps_C=0.07)
@@ -224,8 +223,11 @@ class TestCompileAlgorithm:
         assert np.max(np.abs(u - v)) < 1e-11
 
     def test_serializes(self, system, k1_oracles):
+        # one line per event, so the program's text is its gates' texts in order
         text = compile_algorithm(1, k1_oracles[0], system).serialize()
-        assert text.startswith("# gate: U\nPULSE HC 90 90\n# gate: Rf")
+        gates = compile_gates(k1_oracles[0], system)
+        assert text.startswith("PULSE HC 90 90\n")
+        assert text == "".join(gates[label].serialize() for label in expand_gate_list(1))
 
 
 class TestErrorBehaviour:

@@ -255,10 +255,8 @@ class TestBB1:
 
 def test_sequence_from_lists_stores_tuples():
     # a caller simulates one compiled gate set under each error model, so it must not change
-    from fpsearch.pulses import GateSpan
-
-    seq = PulseSequence([rf_pulse("H", np.pi, 0.0)], [GateSpan("U", 0, 1)])
-    assert type(seq.events) is tuple and type(seq.gates) is tuple
+    seq = PulseSequence([rf_pulse("H", np.pi, 0.0)])
+    assert type(seq.events) is tuple
 
 
 class TestSerialization:
@@ -268,20 +266,9 @@ class TestSerialization:
                 rf_pulse({"H", "C"}, np.pi / 2, np.pi / 2),
                 coupling_delay(0.000855578),
             ),
-            gates=(),
         )
         text = seq.serialize()
         assert text.splitlines() == ["PULSE HC 90 90", "DELAY 0.000855578"]
-
-    def test_gate_comments(self):
-        from fpsearch.pulses import GateSpan
-
-        seq = PulseSequence(
-            (rf_pulse("H", np.pi, 0.0), rf_pulse("C", np.pi, 0.0)),
-            gates=(GateSpan("U", 0, 1), GateSpan("Rf", 1, 2)),
-        )
-        lines = seq.serialize().splitlines()
-        assert lines[0] == "# gate: U" and lines[2] == "# gate: Rf"
 
     def test_nine_significant_digits(self):
         seq = PulseSequence((coupling_delay(1.0 / 3.0),))
@@ -301,3 +288,8 @@ def test_spin_system_validation():
         SpinSystem(J=0.0)
     with pytest.raises(ValueError):
         SpinSystem(T2_H=-1.0)
+    # an infinite T2_H would make every Lorentzian line 0/0, an infinite J
+    # an infinite delay
+    for name in ("J", "T2_H"):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            SpinSystem(**{name: np.inf})
