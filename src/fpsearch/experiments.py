@@ -15,7 +15,7 @@ import contextlib
 import math
 import os
 import signal
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +32,10 @@ from .config import (
     Table1Config,
 )
 from .pulses import ErrorModel, PulseSequence, rf_pulse, bb1_expand, pulse_unitary
-from .pulses import NO_ERROR, SpinSystem, rotation_infidelity, sequence_unitary
-from .pulses import check_unitary
+from .pulses import NO_ERROR, SpinSystem, rotation_infidelity, check_unitary
+# pulses.sequence_unitaries, under the name perfbench/tracer.py wraps to time gate
+# simulation; a traced run fails when no call passes through it (ROADMAP item 1)
+from .pulses import sequence_unitaries as sequence_unitary
 from .readout import (
     Spectrum,
     crush,
@@ -91,23 +93,24 @@ def pulse_operators(
     r_max: int,
     gates: dict[str, PulseSequence],
     system: SpinSystem,
-    error: ErrorModel,
-) -> list[np.ndarray]:
-    """Unitaries of the compiled order-0..r_max programs under ``error``.
+    errors: Sequence[ErrorModel],
+) -> np.ndarray:
+    """Unitaries of the compiled order-0..r_max programs under each of ``errors``.
 
-    ``gates`` are the six gates of :func:`fpsearch.compiler.compile_gates`.
-    Each gate is simulated once and the orders follow from
-    :func:`fpsearch.search.operators`. Element for element the result equals
-    ``sequence_unitary`` of ``compile_algorithm(r, ...)`` up to the rounding
-    of reassociated 4x4 products.
+    ``gates`` are the six gates of :func:`fpsearch.compiler.compile_gates`, each
+    simulated once for the whole list as one stack; the orders follow from
+    :func:`fpsearch.search.operators`, whose products broadcast over stacks.
+    Row ``i`` of the ``(len(errors), r_max + 1, 4, 4)`` result holds the orders
+    under ``errors[i]``; element for element it equals ``pulses.sequence_unitary`` of
+    ``compile_algorithm(r, ...)`` up to the rounding of reassociated products.
     """
     simulated = {
-        label: sequence_unitary(seq, system, error) for label, seq in gates.items()
+        label: sequence_unitary(seq, system, errors) for label, seq in gates.items()
     }
     ops = operators(r_max, simulated)
     for r, v in enumerate(ops):
-        check_unitary(v, f"order-{r} operator")
-    return ops
+        check_unitary(v, f"order-{r} operator", errors)
+    return np.stack(ops, axis=1)
 
 
 def estimated_success(u: np.ndarray, oracle: OracleSpec) -> float | None:
@@ -147,7 +150,7 @@ def run_curves(cfg: CurvesConfig) -> Iterator[tuple[str, str]]:
     for oi, oracle in enumerate(cfg.oracles):
         for style in cfg.styles:
             gates = compile_gates(oracle, system, style)
-            ops = pulse_operators(cfg.r_max, gates, system, error)
+            (ops,) = pulse_operators(cfg.r_max, gates, system, [error])
             xs, ys = [], []
             for r, u in enumerate(ops):
                 p_pulse = success_probability(u, oracle)
@@ -194,18 +197,18 @@ def run_robustness(cfg: RobustnessConfig) -> Iterator[tuple[str, str]]:
     """
     rows = []
     residual_by_grid: dict[tuple[float, float], float] = {}
+    grid = [(eps, dj) for eps in cfg.eps_values for dj in cfg.delta_j_values]
+    errors = [ErrorModel(eps_H=eps, eps_C=eps, delta_J=dj) for eps, dj in grid]
     for oracle in cfg.oracles:
         gates = compile_gates(oracle, cfg.system, "naive")
-        for eps in cfg.eps_values:
-            for dj in cfg.delta_j_values:
-                error = ErrorModel(eps_H=eps, eps_C=eps, delta_J=dj)
-                ops = pulse_operators(cfg.r_max, gates, cfg.system, error)
-                probs = [success_probability(u, oracle) for u in ops]
-                residuals = cube_residuals(probs)
-                for r, (p, residual) in enumerate(zip(probs, [None, *residuals])):
-                    rows.append([oracle.label(), eps, dj, r, p, residual])
-                worst = max([residual_by_grid.get((eps, dj), 0.0), *residuals])
-                residual_by_grid[eps, dj] = worst
+        ops_by_error = pulse_operators(cfg.r_max, gates, cfg.system, errors)
+        for (eps, dj), ops in zip(grid, ops_by_error):
+            probs = [success_probability(u, oracle) for u in ops]
+            residuals = cube_residuals(probs)
+            for r, (p, residual) in enumerate(zip(probs, [None, *residuals])):
+                rows.append([oracle.label(), eps, dj, r, p, residual])
+            worst = max([residual_by_grid.get((eps, dj), 0.0), *residuals])
+            residual_by_grid[eps, dj] = worst
     columns = ["oracle", "eps", "delta_j", "r", "P_pulse", "cube_residual"]
     yield "robustness.csv", _csv(cfg, columns, rows)
     series = []
@@ -236,7 +239,7 @@ def pulse_infidelities(eps: float, system: SpinSystem) -> tuple[float, float]:
     ideal = pulse_unitary(rf_pulse("H", np.pi / 2, 0.0), system, NO_ERROR)
     naive = pulse_unitary(rf_pulse("H", np.pi / 2, 0.0), system, error)
     bb1_seq = PulseSequence(bb1_expand(np.pi / 2, 0.0, {"H"}))
-    bb1 = sequence_unitary(bb1_seq, system, error)
+    (bb1,) = sequence_unitary(bb1_seq, system, [error])
     return rotation_infidelity(ideal, naive), rotation_infidelity(ideal, bb1)
 
 
@@ -253,15 +256,13 @@ def run_bb1_scaling(cfg: Bb1ScalingConfig) -> Iterator[tuple[str, str]]:
     system = SpinSystem()
     gates = [compile_gates(oracle, system, style) for style in ("naive", "bb1")]
     grid = eps_grid(cfg)
+    errors = [ErrorModel(eps_H=eps, eps_C=eps) for eps in grid]
+    simulated = [sequence_unitary(g["U"], system, errors) for g in gates]
     rows = []
     inf_naive, inf_bb1 = [], []
-    for eps in grid:
+    for eps, u_naive, u_bb1 in zip(grid, *simulated):
         i_n, i_b = pulse_infidelities(eps, system)
-        error = ErrorModel(eps_H=eps, eps_C=eps)
-        p_n, p_b = (
-            success_probability(sequence_unitary(g["U"], system, error), oracle)
-            for g in gates
-        )
+        p_n, p_b = (success_probability(u, oracle) for u in (u_naive, u_bb1))
         rows.append([eps, i_n, i_b, p_n, p_b])
         inf_naive.append(i_n)
         inf_bb1.append(i_b)
@@ -338,7 +339,7 @@ def run_spectra(cfg: SpectraConfig) -> Iterator[tuple[str, str]]:
     r_top = max((r for r in cfg.r_values if r is not None), default=0)
     for oracle in cfg.oracles:
         gates = compile_gates(oracle, cfg.system, style)
-        ops = pulse_operators(r_top, gates, cfg.system, error)
+        (ops,) = pulse_operators(r_top, gates, cfg.system, [error])
         row: list[svgplot.Panel] = []
         for r in cfg.r_values:
             if r is None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ SEQUENCE_ATOL = 1e-10
 _COUPLING_DIAG = np.array([0.5, -0.5, -0.5, 0.5])
 
 _IDENTITY2 = np.eye(2, dtype=complex)  # an untargeted spin's rf factor; never written
+_IDENTITY4 = np.eye(4, dtype=complex)  # every product's start; never written
 
 RF_PULSE = "rf_pulse"
 DELAY = "delay"
@@ -165,7 +167,7 @@ def _rot_xy(theta: float, phase: float) -> np.ndarray:
     )
 
 
-@functools.lru_cache(maxsize=4096)  # a verify run needs ~200
+@functools.lru_cache(maxsize=4096)  # a verify peaks at 174 entries, sweep-r5 at 60
 def _event_unitary(angle, phase=None, eps_H=None, eps_C=None) -> np.ndarray:
     if phase is None:  # a delay; angle is its coupling phase
         u = np.diag(np.exp(-1j * angle * _COUPLING_DIAG))
@@ -183,6 +185,22 @@ def _event_unitary(angle, phase=None, eps_H=None, eps_C=None) -> np.ndarray:
 clear_event_memo = _event_unitary.cache_clear
 
 
+def _key_values(system: SpinSystem, error: ErrorModel) -> tuple[float, float, float]:
+    """Plain-float eps_H, eps_C and delay rate ``pi*J*(1+delta_J)`` of ``error``."""
+    rate = np.pi * float(system.J) * (1.0 + float(error.delta_J))
+    return float(error.eps_H), float(error.eps_C), rate
+
+
+def _factor(event: PulseEvent, eps_H: float, eps_C: float, rate: float) -> np.ndarray:
+    """``event``'s memoised unitary under one error model's :func:`_key_values`."""
+    if event.kind == RF_PULSE:  # eps is None off target
+        targets = event.targets
+        return _event_unitary(float(event.angle) + 0.0, float(event.phase) + 0.0,
+                              eps_H if "H" in targets else None,
+                              eps_C if "C" in targets else None)
+    return _event_unitary(rate * float(event.duration))
+
+
 def pulse_unitary(
     event: PulseEvent,
     system: SpinSystem,
@@ -195,14 +213,36 @@ def pulse_unitary(
     inputs give bitwise-equal arrays whatever their numeric type, and a
     -0.0 angle or phase gets the +0.0 event's array.
     """
-    if event.kind == RF_PULSE:
-        eps_H = float(error.eps_H) if "H" in event.targets else None
-        eps_C = float(error.eps_C) if "C" in event.targets else None
-        return _event_unitary(
-            float(event.angle) + 0.0, float(event.phase) + 0.0, eps_H, eps_C
-        )
-    delta_J, duration = float(error.delta_J), float(event.duration)
-    return _event_unitary(np.pi * float(system.J) * (1.0 + delta_J) * duration)
+    return _factor(event, *_key_values(system, error))
+
+
+def sequence_unitaries(
+    sequence: PulseSequence,
+    system: SpinSystem,
+    errors: Sequence[ErrorModel],
+) -> np.ndarray:
+    """Time-ordered products of the event unitaries under each of ``errors``.
+
+    Returns a fresh ``(len(errors), 4, 4)`` stack, one product per error model
+    (first event acts first). Each event takes one stacked product, its
+    factors read from :func:`pulse_unitary`'s value-keyed event memo with each
+    model's key values worked out once. ``np.matmul`` runs the same 4x4 kernel
+    on each matrix of a stack, and the product keeps its order and operands,
+    so element ``i`` is bitwise the unmemoised product under ``errors[i]``.
+    """
+    if not errors:
+        raise ValueError("errors is empty; give at least one ErrorModel")
+    (eps_H, eps_C, rate), *rest = (_key_values(system, e) for e in errors)
+    u = _IDENTITY4  # a stack from the first stacked factor on
+    for event in sequence.events:
+        factor = _factor(event, eps_H, eps_C, rate)
+        if rest:
+            factor = np.array([factor, *(_factor(event, *k) for k in rest)])
+        u = factor @ u
+    if u.ndim == 2:  # one error model, or no event
+        u = u[None].repeat(len(errors), axis=0)
+    check_unitary(u, f"sequence of {len(sequence)} events", errors)
+    return u
 
 
 def sequence_unitary(
@@ -210,31 +250,26 @@ def sequence_unitary(
     system: SpinSystem,
     error: ErrorModel = NO_ERROR,
 ) -> np.ndarray:
-    """Time-ordered product of the event unitaries (first event acts first).
-
-    Each distinct event is simulated once per process, through
-    :func:`pulse_unitary`'s value-keyed memo. The product keeps its order and
-    operands, so it is bitwise the unmemoised one. Experiments apply it to
-    each compiled gate; applied to a whole ``compile_algorithm`` program it
-    is the event-by-event reference that tests and ``perfbench/check.py``
-    hold ``experiments.pulse_operators`` to.
-    """
-    u = np.eye(4, dtype=complex)
-    for event in sequence.events:
-        u = pulse_unitary(event, system, error) @ u
-    check_unitary(u, f"sequence of {len(sequence)} events")
-    return u
+    """:func:`sequence_unitaries` under one error model, as one 4x4 matrix. Of a
+    whole ``compile_algorithm`` program it is the event-by-event reference that
+    tests and ``perfbench/check.py`` hold ``experiments.pulse_operators`` to."""
+    return sequence_unitaries(sequence, system, (error,))[0]
 
 
-def check_unitary(u: np.ndarray, what: str) -> None:
-    """Raise :class:`UnitarityError` unless ``u`` is unitary to ``SEQUENCE_ATOL``."""
-    m = u.conj().T @ u
-    m.ravel()[:: len(m) + 1] -= 1.0  # m is a fresh product, so ravel is a view
-    dev = float(np.abs(m).max())
-    if not dev <= SEQUENCE_ATOL:
-        raise UnitarityError(
-            f"{what} lost unitarity (deviation {dev:.3e}); check event parameters"
-        )
+def check_unitary(u: np.ndarray, what: str, errors: Sequence[ErrorModel] = ()) -> None:
+    """Raise :class:`UnitarityError` unless every matrix of ``u`` (one matrix or
+    a stack) is unitary to ``SEQUENCE_ATOL``. A stack's ``errors`` are its
+    matrices' error models, and the message names the first failing one."""
+    m = u.conj().swapaxes(-1, -2) @ u
+    d = m.shape[-1]
+    m.reshape(-1, d * d)[:, :: d + 1] -= 1.0  # m is a fresh product, so a view
+    dev = np.abs(m)
+    if not dev.max() <= SEQUENCE_ATOL:
+        per_matrix = dev.reshape(-1, d * d).max(axis=1)
+        i = int(np.argmin(per_matrix <= SEQUENCE_ATOL))  # NaN fails too
+        under = f" under {errors[i]}" if errors else ""
+        raise UnitarityError(f"{what} lost unitarity{under} (deviation "
+                             f"{per_matrix[i]:.3e}); check event parameters")
 
 
 def composite_z(theta: float, spin: str) -> tuple[PulseEvent, ...]:

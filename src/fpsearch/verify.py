@@ -144,7 +144,7 @@ def check_compilation_soundness() -> CheckResult:
             simulated = {}
             for style in STYLES:
                 gates = compile_gates(oracle, system, style)
-                simulated[style] = pulse_operators(3, gates, system, NO_ERROR)
+                (simulated[style],) = pulse_operators(3, gates, system, [NO_ERROR])
             for r in range(4):
                 for style in STYLES:
                     u = simulated[style][r]
@@ -177,18 +177,20 @@ def check_compilation_soundness() -> CheckResult:
 def check_error_tolerance() -> CheckResult:
     def body():
         system = SpinSystem()
-        gates = {o: compile_gates(o, system, "naive") for o in all_oracles(1)}
+        eps_values = (-0.1, -0.05, -0.02, 0.02, 0.05, 0.1)
+        errors = [ErrorModel(eps_H=eps, eps_C=eps) for eps in eps_values]
+        residuals = {}  # (eps, oracle label): cube residuals by r
+        for oracle in all_oracles(1):
+            gates = compile_gates(oracle, system, "naive")
+            ops_by_error = pulse_operators(3, gates, system, errors)
+            for eps, ops in zip(eps_values, ops_by_error):
+                probs = [success_probability(u, oracle) for u in ops]
+                residuals[eps, oracle.label()] = cube_residuals(probs)
         worst, where = 0.0, ""
-        for eps in (-0.1, -0.05, -0.02, 0.02, 0.05, 0.1):
-            error = ErrorModel(eps_H=eps, eps_C=eps)
-            for oracle, oracle_gates in gates.items():
-                probs = [
-                    success_probability(u, oracle)
-                    for u in pulse_operators(3, oracle_gates, system, error)
-                ]
-                for r, res in enumerate(cube_residuals(probs)):
-                    if res > worst:
-                        worst, where = res, f"eps={eps} oracle={oracle.label()} r={r}"
+        for (eps, label), found in sorted(residuals.items()):  # eps, then oracle
+            for r, res in enumerate(found):
+                if res > worst:
+                    worst, where = res, f"eps={eps} oracle={label} r={r}"
         return worst <= 1e-9, (
             f"max pulse-level cube residual {worst:.3e} at {where} (bound 1e-9)"
         )
@@ -203,10 +205,8 @@ def check_coupling_error_breaks_fixed_point() -> CheckResult:
         residuals = {}
         for oracle in all_oracles(1):
             gates = compile_gates(oracle, system, "naive")
-            probs = [
-                success_probability(u, oracle)
-                for u in pulse_operators(1, gates, system, error)
-            ]
+            (ops,) = pulse_operators(1, gates, system, [error])
+            probs = [success_probability(u, oracle) for u in ops]
             (residuals[oracle.label()],) = cube_residuals(probs)
         if max(residuals.values()) <= 1e-6:
             return False, f"no oracle exceeds 1e-6: {residuals}"

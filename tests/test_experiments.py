@@ -14,21 +14,26 @@ from fpsearch.experiments import (
     pulse_infidelities,
     run_experiment,
 )
-from fpsearch.pulses import NO_ERROR, SpinSystem, UnitarityError
+from fpsearch.pulses import NO_ERROR, ErrorModel, SpinSystem, UnitarityError
 from fpsearch.search import OracleSpec, operators
 
 
 def test_pulse_operators_check_every_order(monkeypatch, system):
-    # simulated gates are unitary; an order-1 product 1e-9 off unitary must raise
-    drift = np.diag([np.sqrt(1.0 + 1e-9), 1.0, 1.0, 1.0])
+    # simulated gates are unitary; one order-1 product of a stack 1e-9 off
+    # unitary must raise, naming that product's error model
+    errors = [NO_ERROR, ErrorModel(eps_H=0.05, delta_J=-0.02), ErrorModel(eps_C=0.1)]
+    drift = np.stack([np.eye(4), np.diag([np.sqrt(1.0 + 1e-9), 1.0, 1.0, 1.0]), np.eye(4)])
 
     def drifted(r_max, gates):
         return [v if r == 0 else drift @ v for r, v in enumerate(operators(r_max, gates))]
 
     monkeypatch.setattr(experiments, "operators", drifted)
     gates = compile_gates(OracleSpec({"11"}), system)
-    with pytest.raises(UnitarityError, match="order-1 operator"):
-        experiments.pulse_operators(1, gates, system, NO_ERROR)
+    with pytest.raises(UnitarityError, match=(
+        r"order-1 operator lost unitarity under "
+        r"ErrorModel\(eps_H=0\.05, eps_C=0\.0, delta_J=-0\.02\) \(deviation"
+    )):
+        experiments.pulse_operators(1, gates, system, errors)
 
 
 def _read_csv(path):

@@ -1,9 +1,13 @@
 """Fast paths against the plain forms they replace.
 
-``pulse_operators`` simulates the six compiled gates once and recurses on
-V (compiled program) and W (compiled adjoint program). The reference
-simulates the whole ``compile_algorithm`` program event by event, and the
-scipy ``expm`` brute force checks every compiled gate independently.
+``pulse_operators`` simulates the six compiled gates once per error list
+and recurses on V (compiled program) and W (compiled adjoint program). The
+reference simulates the whole ``compile_algorithm`` program event by event,
+and the scipy ``expm`` brute force checks every compiled gate independently.
+``sequence_unitaries`` takes one stacked product per event for a whole
+error list. Each matrix of its stack, and each row of ``pulse_operators``,
+is checked bitwise against the one-model product, for lists with repeats
+and zeros of either sign; permuting the list permutes the result exactly.
 
 The output layer and the per-event kernel are vectorised without changing
 a bit. ``format_trace`` fills a ``%``-template whose frequency column
@@ -11,14 +15,14 @@ a bit. ``format_trace`` fills a ``%``-template whose frequency column
 column's polyline x text while its panels pass the same ``xs`` object and
 formats only the y values of each panel. ``pulse_unitary`` forms the Kronecker product
 by broadcasting and memoises event unitaries by value, process-wide and
-bounded, so ``sequence_unitary`` simulates each distinct event once. Each
+bounded, so ``sequence_unitaries`` simulates each distinct event once. Each
 is checked here for byte or bit equality against the per-value form, kept
 only in this file, with the memo cold and warm. The memo is keyed by plain
 floats, so equal inputs of any numeric type, and zeros of either sign, get
 one array.
 
 ``compile_gates`` is a plain function: each caller compiles once per
-(oracle, style) and simulates those gates under each of its error models.
+(oracle, style) and simulates those gates under its whole error list.
 
 ``run_spectra`` evaluates one trace per distinct doublet, formats each
 distinct trace once, and builds its SVG in a forked worker while it formats
@@ -34,6 +38,7 @@ import dataclasses
 import io
 import itertools
 import os
+import random
 import re
 import signal
 import time
@@ -64,6 +69,7 @@ from fpsearch.pulses import (
     coupling_delay,
     pulse_unitary,
     rf_pulse,
+    sequence_unitaries,
     sequence_unitary,
 )
 from fpsearch.readout import (
@@ -130,7 +136,7 @@ def test_matches_reference_elementwise(system, style, error):
     # elementwise, not up to global phase: the recursion must reproduce the
     # reference operator itself, r <= 4 on every k <= 2 oracle
     for oracle in ORACLES:
-        ops = pulse_operators(4, compile_gates(oracle, system, style), system, error)
+        (ops,) = pulse_operators(4, compile_gates(oracle, system, style), system, [error])
         refs = _reference_orders(4, oracle, system, style, error)
         assert len(ops) == len(refs) == 5
         for r, (v, ref) in enumerate(zip(ops, refs)):
@@ -151,7 +157,7 @@ _error = st.floats(-0.2, 0.2)
 )
 def test_matches_reference_random_errors(system, eps_h, eps_c, delta_j, oracle, style, r):
     error = ErrorModel(eps_H=eps_h, eps_C=eps_c, delta_J=delta_j)
-    v = pulse_operators(r, compile_gates(oracle, system, style), system, error)[r]
+    v = pulse_operators(r, compile_gates(oracle, system, style), system, [error])[0, r]
     assert np.max(np.abs(v - _reference(r, oracle, system, style, error))) <= 1e-10
 
 
@@ -262,7 +268,7 @@ def test_spectra_formats_each_distinct_trace_once(monkeypatch):
     error = ErrorModel(eps_H=cfg.eps, eps_C=cfg.eps, delta_J=cfg.delta_j)
     for oracle in cfg.oracles:
         gates = compile_gates(oracle, cfg.system, cfg.styles[0])
-        ops = pulse_operators(3, gates, cfg.system, error)
+        (ops,) = pulse_operators(3, gates, cfg.system, [error])
         for r in cfg.r_values:
             tag = "inf" if r is None else str(r)
             populations = target_populations(oracle) if r is None else crush(ops[r][:, 0])
@@ -453,8 +459,23 @@ def test_memoised_unitaries_are_read_only(system):
         assert u is pulse_unitary(event, system)  # shared by every caller
         with pytest.raises(ValueError, match="read-only"):
             u[0, 0] = 0.0
-    # a product is the caller's own array
-    assert sequence_unitary(PulseSequence((coupling_delay(1e-3),)), system).flags.writeable
+    # a product is the caller's own fresh array, also of a zero-event sequence
+    errors = [ErrorModel(), ErrorModel(eps_H=0.1)]
+    gates = compile_gates(ORACLES[0], system, "naive")
+    for make in (
+        lambda: sequence_unitary(PulseSequence(()), system),
+        lambda: sequence_unitary(PulseSequence((coupling_delay(1e-3),)), system),
+        lambda: sequence_unitaries(PulseSequence(()), system, errors),
+        lambda: sequence_unitaries(PulseSequence((coupling_delay(1e-3),)), system, errors[:1]),
+        lambda: sequence_unitaries(gates["Rf"], system, errors),
+        lambda: pulse_operators(1, gates, system, errors),
+        lambda: pulse_operators(0, gates, system, errors[:1]),
+    ):
+        first, second = make(), make()
+        assert first.flags.writeable and not np.shares_memory(first, second)
+        expected = second.copy()
+        first[...] = np.nan  # the next call is unharmed
+        assert make().tobytes() == expected.tobytes()
 
 
 def test_event_memo_is_bounded(system):
@@ -512,6 +533,62 @@ def test_sequence_unitary_is_bitwise_the_unmemoised_product(system, pool, picks,
     seq = PulseSequence(tuple(events))
     u = sequence_unitary(seq, system, error)
     assert u.tobytes() == _sequence_unitary_unmemoised(seq, system, error).tobytes()
+
+
+# error lists with repeated models, since grids repeat their eps and delta_J
+_error_lists = st.lists(_error_model, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=8)
+)
+
+
+@settings(max_examples=50)
+@given(
+    pool=st.lists(_event, min_size=1, max_size=6),
+    picks=st.lists(st.integers(0, 5), max_size=12),
+    errors=_error_lists,
+    data=st.data(),
+)
+def test_stack_is_bitwise_the_per_model_product(system, pool, picks, errors, data):
+    seq = PulseSequence(tuple(pool[k % len(pool)] for k in picks))
+    stack = sequence_unitaries(seq, system, errors)
+    assert stack.shape == (len(errors), 4, 4)
+    for u, error in zip(stack, errors):
+        assert u.tobytes() == _sequence_unitary_unmemoised(seq, system, error).tobytes()
+    # permuting the error list permutes the stack exactly
+    perm = data.draw(st.permutations(range(len(errors))))
+    permuted = sequence_unitaries(seq, system, [errors[i] for i in perm])
+    assert permuted.tobytes() == stack[perm].tobytes()
+
+
+# zeros of both signs, and one model given twice
+_SIGNED_ZEROS = [ErrorModel(0.0, -0.0, 0.0), ErrorModel(-0.0, 0.0, -0.0), ErrorModel(0.0, -0.0, 0.0)]
+
+
+@settings(max_examples=8, deadline=None)
+@given(errors=_error_lists, r=st.integers(0, 3), rng=st.randoms())
+@example(errors=_SIGNED_ZEROS, r=3, rng=random.Random(0))
+def test_operator_stack_is_bitwise_each_one_model_call(system, errors, r, rng):
+    perm = rng.sample(range(len(errors)), len(errors))
+    for oracle, style in itertools.product(ORACLES, STYLES):
+        gates = compile_gates(oracle, system, style)
+        ops = pulse_operators(r, gates, system, errors)
+        assert ops.shape == (len(errors), r + 1, 4, 4)
+        for row, error in zip(ops, errors):
+            assert row.tobytes() == pulse_operators(r, gates, system, [error])[0].tobytes()
+        # permuting the error list permutes the rows exactly
+        permuted = pulse_operators(r, gates, system, [errors[i] for i in perm])
+        assert permuted.tobytes() == ops[perm].tobytes()
+
+
+def test_an_empty_error_list_is_a_value_error(system):
+    gates = compile_gates(ORACLES[0], system, "naive")
+    for simulate in (
+        lambda: sequence_unitaries(gates["U"], system, []),
+        lambda: sequence_unitaries(PulseSequence(()), system, ()),
+        lambda: pulse_operators(2, gates, system, []),
+    ):
+        with pytest.raises(ValueError, match="errors is empty"):
+            simulate()
 
 
 # ---- compilation: once per (oracle, style), outside the error loops ----

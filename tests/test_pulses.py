@@ -18,6 +18,7 @@ from fpsearch.pulses import (
     pulse_unitary,
     rf_pulse,
     rotation_infidelity,
+    sequence_unitaries,
     sequence_unitary,
 )
 from fpsearch.search import equal_up_to_global_phase, pseudo_hadamard
@@ -157,13 +158,26 @@ class TestSequenceUnitary:
             check_unitary(np.diag([np.sqrt(1.0 + 1e-9), 1.0, 1.0, 1.0]), "dev 1e-9")
 
     def test_drifted_product_raises(self, system, monkeypatch):
-        # an event unitary 1e-9 off unitary: the product must notice
+        # an event unitary 1e-9 off unitary under one error model: the product
+        # must notice, in a one-model call and in one element of a stack
         drift = np.diag([np.sqrt(1.0 + 1e-9), 1.0, 1.0, 1.0])
-        exact = pulses.pulse_unitary
-        monkeypatch.setattr(pulses, "pulse_unitary", lambda *args: drift @ exact(*args))
+        drifted = ErrorModel(eps_H=0.05)
+        exact = pulses._event_unitary
+
+        def event_unitary(angle, phase=None, eps_H=None, eps_C=None):
+            u = exact(angle, phase, eps_H, eps_C)
+            return drift @ u if eps_H == drifted.eps_H else u
+
+        monkeypatch.setattr(pulses, "_event_unitary", event_unitary)
         seq = PulseSequence((rf_pulse("H", np.pi / 2, 0.0),))
-        with pytest.raises(UnitarityError, match="sequence of 1 events lost unitarity"):
-            sequence_unitary(seq, system, NO_ERROR)
+        sequence_unitary(seq, system, NO_ERROR)
+        named = (r"sequence of 1 events lost unitarity under "
+                 r"ErrorModel\(eps_H=0\.05, eps_C=0\.0, delta_J=0\.0\) \(deviation")
+        with pytest.raises(UnitarityError, match=named):
+            sequence_unitary(seq, system, drifted)
+        errors = [NO_ERROR, ErrorModel(eps_C=0.05), drifted, NO_ERROR]
+        with pytest.raises(UnitarityError, match=named):
+            sequence_unitaries(seq, system, errors)
 
     def test_agrees_with_bruteforce(self, system):
         seq = PulseSequence(
