@@ -31,7 +31,7 @@ from .config import (
     SpectraConfig,
     Table1Config,
 )
-from .pulses import ErrorModel, PulseSequence, rf_pulse, bb1_expand, pulse_unitary
+from .pulses import ErrorModel, PulseSequence, rf_pulse, bb1_expand
 from .pulses import NO_ERROR, SpinSystem, rotation_infidelity, check_unitary
 # pulses.sequence_unitaries, under the name perfbench/tracer.py wraps to time gate
 # simulation; a traced run fails when no call passes through it (ROADMAP item 1)
@@ -74,7 +74,7 @@ def _fmt(value) -> str:
 def _csv(
     cfg: ExperimentConfig,
     columns: list[str],
-    rows: list[list],
+    rows: list[Sequence],
     footer: list[str] | None = None,
 ) -> str:
     lines = [
@@ -233,14 +233,16 @@ def eps_grid(cfg: Bb1ScalingConfig) -> list[float]:
     return [10.0 ** (lo + (hi - lo) * i / (n - 1)) for i in range(n)]
 
 
-def pulse_infidelities(eps: float, system: SpinSystem) -> tuple[float, float]:
-    """Infidelity of a naive and a BB1 90-degree proton pulse at error eps."""
-    error = ErrorModel(eps_H=eps, eps_C=eps)
-    ideal = pulse_unitary(rf_pulse("H", np.pi / 2, 0.0), system, NO_ERROR)
-    naive = pulse_unitary(rf_pulse("H", np.pi / 2, 0.0), system, error)
-    bb1_seq = PulseSequence(bb1_expand(np.pi / 2, 0.0, {"H"}))
-    (bb1,) = sequence_unitary(bb1_seq, system, [error])
-    return rotation_infidelity(ideal, naive), rotation_infidelity(ideal, bb1)
+def pulse_infidelities(grid: Sequence[float], system: SpinSystem) -> tuple[list, list]:
+    """Infidelities of a naive and a BB1 90-degree proton pulse at each eps of
+    ``grid``; each pulse is simulated once for the whole grid."""
+    naive = PulseSequence((rf_pulse("H", np.pi / 2, 0.0),))
+    errors = [ErrorModel(eps_H=eps, eps_C=eps) for eps in grid]
+    (ideal,) = sequence_unitary(naive, system, [NO_ERROR])
+    return tuple(
+        [rotation_infidelity(ideal, u) for u in sequence_unitary(seq, system, errors)]
+        for seq in (naive, PulseSequence(bb1_expand(np.pi / 2, 0.0, {"H"})))
+    )
 
 
 def fit_loglog_slope(xs: list[float], ys: list[float]) -> float:
@@ -258,14 +260,9 @@ def run_bb1_scaling(cfg: Bb1ScalingConfig) -> Iterator[tuple[str, str]]:
     grid = eps_grid(cfg)
     errors = [ErrorModel(eps_H=eps, eps_C=eps) for eps in grid]
     simulated = [sequence_unitary(g["U"], system, errors) for g in gates]
-    rows = []
-    inf_naive, inf_bb1 = [], []
-    for eps, u_naive, u_bb1 in zip(grid, *simulated):
-        i_n, i_b = pulse_infidelities(eps, system)
-        p_n, p_b = (success_probability(u, oracle) for u in (u_naive, u_bb1))
-        rows.append([eps, i_n, i_b, p_n, p_b])
-        inf_naive.append(i_n)
-        inf_bb1.append(i_b)
+    p0 = [[success_probability(u, oracle) for u in stack] for stack in simulated]
+    inf_naive, inf_bb1 = pulse_infidelities(grid, system)
+    rows = list(zip(grid, inf_naive, inf_bb1, *p0))
     slope_n = fit_loglog_slope(grid, inf_naive)
     slope_b = fit_loglog_slope(grid, inf_bb1)
     columns = ["eps", "infidelity_naive", "infidelity_bb1", "P0_naive", "P0_bb1"]

@@ -192,28 +192,19 @@ def _key_values(system: SpinSystem, error: ErrorModel) -> tuple[float, float, fl
 
 
 def _factor(event: PulseEvent, eps_H: float, eps_C: float, rate: float) -> np.ndarray:
-    """``event``'s memoised unitary under one error model's :func:`_key_values`."""
+    """``event``'s memoised, read-only unitary under one model's :func:`_key_values`.
+
+    The memo is keyed by plain floats: every parameter passes through ``float``,
+    and an angle or phase through ``+ 0.0`` as well. So equal inputs give
+    bitwise-equal arrays whatever their numeric type, and a -0.0 angle or phase
+    gets the +0.0 event's array.
+    """
     if event.kind == RF_PULSE:  # eps is None off target
         targets = event.targets
         return _event_unitary(float(event.angle) + 0.0, float(event.phase) + 0.0,
                               eps_H if "H" in targets else None,
                               eps_C if "C" in targets else None)
     return _event_unitary(rate * float(event.duration))
-
-
-def pulse_unitary(
-    event: PulseEvent,
-    system: SpinSystem,
-    error: ErrorModel = NO_ERROR,
-) -> np.ndarray:
-    """4x4 unitary of one event under the given error model (memoised, read-only).
-
-    The memo is keyed by plain floats: every parameter passes through
-    ``float``, and an angle or phase through ``+ 0.0`` as well. So equal
-    inputs give bitwise-equal arrays whatever their numeric type, and a
-    -0.0 angle or phase gets the +0.0 event's array.
-    """
-    return _factor(event, *_key_values(system, error))
 
 
 def sequence_unitaries(
@@ -224,23 +215,23 @@ def sequence_unitaries(
     """Time-ordered products of the event unitaries under each of ``errors``.
 
     Returns a fresh ``(len(errors), 4, 4)`` stack, one product per error model
-    (first event acts first). Each event takes one stacked product, its
-    factors read from :func:`pulse_unitary`'s value-keyed event memo with each
-    model's key values worked out once. ``np.matmul`` runs the same 4x4 kernel
-    on each matrix of a stack, and the product keeps its order and operands,
-    so element ``i`` is bitwise the unmemoised product under ``errors[i]``.
+    (first event acts first), for one model as for many. The identity stack and
+    every event's factors, read from :func:`_factor`'s value-keyed event memo
+    with each model's key values worked out once, are copied into one array per
+    sequence; then each event takes one stacked product. ``np.matmul`` runs the
+    same 4x4 kernel on each matrix of a stack, and the product keeps its order
+    and operands, so element ``i`` is bitwise the unmemoised product under
+    ``errors[i]``.
     """
     if not errors:
         raise ValueError("errors is empty; give at least one ErrorModel")
-    (eps_H, eps_C, rate), *rest = (_key_values(system, e) for e in errors)
-    u = _IDENTITY4  # a stack from the first stacked factor on
-    for event in sequence.events:
-        factor = _factor(event, eps_H, eps_C, rate)
-        if rest:
-            factor = np.array([factor, *(_factor(event, *k) for k in rest)])
+    keys = [_key_values(system, e) for e in errors]
+    u, *factors = np.concatenate([_IDENTITY4] * len(keys) + [
+        _factor(event, eps_H, eps_C, rate)
+        for event in sequence.events for eps_H, eps_C, rate in keys
+    ]).reshape(-1, len(keys), 4, 4)
+    for factor in factors:
         u = factor @ u
-    if u.ndim == 2:  # one error model, or no event
-        u = u[None].repeat(len(errors), axis=0)
     check_unitary(u, f"sequence of {len(sequence)} events", errors)
     return u
 

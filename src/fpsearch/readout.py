@@ -24,10 +24,6 @@ class ReadoutError(ValueError):
     """Readout chain misuse, such as a reference with no signal."""
 
 
-class NoSignalOracleError(ReadoutError):
-    """The oracle's matching set produces no net spectral signal."""
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Signed doublet amplitudes, normalized to the reference preparation.
@@ -72,28 +68,20 @@ def signal_weights(oracle: OracleSpec) -> tuple[float, float]:
     (positive for 0) and qubit 2 picks the component (left for 0). For one
     matching state a single signed component carries the result; for two,
     the sum or difference of the components does. The two k=2 sets whose
-    members differ only in qubit 1 cancel to (0, 0): they put the whole
-    population difference on the unobserved carbon channel and are
-    flagged instead.
+    members differ only in qubit 1 cancel to (0.0, 0.0): they put the whole
+    population difference on the unobserved carbon channel, so they show no
+    signal.
     """
     if oracle.k not in (1, 2):
         raise ValueError("signal pattern defined for k in {1, 2}")
     weights = [0.0, 0.0]
     for s in oracle.matching:
         weights[int(s[1])] += 1.0 if s[0] == "0" else -1.0
-    if weights == [0.0, 0.0]:
-        raise NoSignalOracleError(
-            f"matching set {oracle.label()} produces no net proton signal"
-        )
     return weights[0], weights[1]
 
 
 def is_signal_visible(oracle: OracleSpec) -> bool:
-    try:
-        signal_weights(oracle)
-    except NoSignalOracleError:
-        return False
-    return True
+    return signal_weights(oracle) != (0.0, 0.0)
 
 
 def target_populations(oracle: OracleSpec) -> np.ndarray:

@@ -225,14 +225,10 @@ def check_bb1_scaling() -> CheckResult:
     def body():
         system = SpinSystem()
         grid = eps_grid(build_config("bb1-scaling", {}))
-        inf_n, inf_b = [], []
-        for eps in grid:
-            i_n, i_b = pulse_infidelities(eps, system)
-            inf_n.append(i_n)
-            inf_b.append(i_b)
+        inf_n, inf_b = pulse_infidelities(grid, system)
         slope_n = fit_loglog_slope(grid, inf_n)
         slope_b = fit_loglog_slope(grid, inf_b)
-        zero_n, zero_b = pulse_infidelities(0.0, system)
+        (zero_n,), (zero_b,) = pulse_infidelities([0.0], system)
         ok = (
             abs(slope_n - 2.0) <= 0.2
             and abs(slope_b - 6.0) <= 0.5

@@ -56,9 +56,10 @@ def _phase_off(fn, by=1e-6):
 
 def _scaled(fn, naive, bb1):
     """``pulse_infidelities`` with each infidelity mapped through a function."""
-    def infidelities(eps, system):
-        i_n, i_b = fn(eps, system)
-        return naive(eps, i_n), bb1(eps, i_b)
+    def infidelities(grid, system):
+        inf_n, inf_b = fn(grid, system)
+        return ([naive(e, i) for e, i in zip(grid, inf_n)],
+                [bb1(e, i) for e, i in zip(grid, inf_b)])
     return infidelities
 
 

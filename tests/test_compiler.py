@@ -190,9 +190,7 @@ class TestCompileAlgorithm:
         assert u_ev.angle == udag_ev.angle
         assert (udag_ev.phase - u_ev.phase) % (2 * np.pi) == pytest.approx(np.pi)
         err = ErrorModel(eps_H=0.07, eps_C=0.07)
-        from fpsearch.pulses import pulse_unitary
-
-        prod = pulse_unitary(udag_ev, system, err) @ pulse_unitary(u_ev, system, err)
+        prod = sequence_unitary(PulseSequence((u_ev, udag_ev)), system, err)
         assert np.max(np.abs(prod - np.eye(4))) < 1e-12
 
     def test_bb1_quadruples_pulses(self, system, k1_oracles):

@@ -208,7 +208,7 @@ class TestBB1Scaling:
         assert grid[0] == pytest.approx(1e-3) and grid[-1] == pytest.approx(1e-2)
         ratios = [b / a for a, b in zip(grid, grid[1:])]
         assert max(ratios) - min(ratios) < 1e-9
-        i_n, i_b = pulse_infidelities(0.0, SpinSystem())
+        (i_n,), (i_b,) = pulse_infidelities([0.0], SpinSystem())
         assert i_n <= 1e-12 and i_b <= 1e-12
 
     def test_fit_recovers_power_law(self):

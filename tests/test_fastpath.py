@@ -4,22 +4,24 @@
 and recurses on V (compiled program) and W (compiled adjoint program). The
 reference simulates the whole ``compile_algorithm`` program event by event,
 and the scipy ``expm`` brute force checks every compiled gate independently.
-``sequence_unitaries`` takes one stacked product per event for a whole
-error list. Each matrix of its stack, and each row of ``pulse_operators``,
-is checked bitwise against the one-model product, for lists with repeats
-and zeros of either sign; permuting the list permutes the result exactly.
+``sequence_unitaries`` is the only event simulator: it takes one stacked
+product per event for a whole error list, of one model as of many. Each
+matrix of its stack, each row of ``pulse_operators`` and each element of
+``pulse_infidelities``' eps grid is checked bitwise against the unmemoised
+product or the one-model call, for lists with repeats and zeros of either
+sign; permuting the list permutes the result exactly.
 
 The output layer and the per-event kernel are vectorised without changing
 a bit. ``format_trace`` fills a ``%``-template whose frequency column
 ``trace_template`` prints once per grid, and ``panel_grid`` reuses a
 column's polyline x text while its panels pass the same ``xs`` object and
-formats only the y values of each panel. ``pulse_unitary`` forms the Kronecker product
-by broadcasting and memoises event unitaries by value, process-wide and
-bounded, so ``sequence_unitaries`` simulates each distinct event once. Each
-is checked here for byte or bit equality against the per-value form, kept
-only in this file, with the memo cold and warm. The memo is keyed by plain
-floats, so equal inputs of any numeric type, and zeros of either sign, get
-one array.
+formats only the y values of each panel. The kernel's factors come from
+``pulses._factor``, which forms the Kronecker product by broadcasting and
+memoises event unitaries by value, process-wide and bounded, so
+``sequence_unitaries`` simulates each distinct event once. Each is checked
+here for byte or bit equality against the per-value form, kept only in this
+file, with the memo cold and warm. The memo is keyed by plain floats, so
+equal inputs of any numeric type, and zeros of either sign, get one array.
 
 ``compile_gates`` is a plain function: each caller compiles once per
 (oracle, style) and simulates those gates under its whole error list.
@@ -64,10 +66,11 @@ from fpsearch.pulses import (
     PulseSequence,
     SpinSystem,
     _event_unitary,
+    _factor,
+    _key_values,
     _rot_xy,
     clear_event_memo,
     coupling_delay,
-    pulse_unitary,
     rf_pulse,
     sequence_unitaries,
     sequence_unitary,
@@ -115,7 +118,7 @@ def _reference_orders(r_max, oracle, system, style, error):
     u = np.eye(4, dtype=complex)
     for i, event in enumerate(events, start=1):
         if event not in cache:
-            cache[event] = pulse_unitary(event, system, error)
+            cache[event] = _memoised(event, system, error)
         u = cache[event] @ u
         if i in ends:
             out.append(u)
@@ -364,7 +367,12 @@ def test_panel_grid_is_per_point_formatting(data, y_limit, reverse_x, as_array, 
 # ---- pulse kernel: broadcast Kronecker product and value-keyed event memo ----
 
 
-def _pulse_unitary_unmemoised(event, system, error):
+def _memoised(event, system, error=ErrorModel()):
+    """The kernel's factor: ``event``'s memoised unitary under ``error``."""
+    return _factor(event, *_key_values(system, error))
+
+
+def _factor_unmemoised(event, system, error):
     """The event unitary as np.kron of per-spin factors, or a delay's diagonal."""
     if event.kind != RF_PULSE:
         angle = np.pi * system.J * (1.0 + error.delta_J) * event.duration
@@ -425,11 +433,11 @@ def test_pulse_unitary_is_bitwise_kron(system, event, error):
         clear_event_memo()
         for ev, err in order + order:
             normalized, plain_err = _normalized(ev, err)
-            assert pulse_unitary(ev, system, err).tobytes() == (
-                _pulse_unitary_unmemoised(normalized, system, plain_err).tobytes()
+            assert _memoised(ev, system, err).tobytes() == (
+                _factor_unmemoised(normalized, system, plain_err).tobytes()
             )
         # a -0.0 angle or phase gets the +0.0 event's array
-        assert len({pulse_unitary(ev, system, err).tobytes() for ev, err in order}) == 1
+        assert len({_memoised(ev, system, err).tobytes() for ev, err in order}) == 1
 
 
 def test_memo_gives_equal_values_one_array():
@@ -446,17 +454,17 @@ def test_memo_gives_equal_values_one_array():
 
     narrow, wide = inputs(x), inputs(float(x))
     assert narrow == wide
-    expected = [_pulse_unitary_unmemoised(*args).tobytes() for args in wide]
+    expected = [_factor_unmemoised(*args).tobytes() for args in wide]
     for order in ((narrow, wide), (wide, narrow)):
         clear_event_memo()
         for cases in order + order:
-            assert [pulse_unitary(*args).tobytes() for args in cases] == expected
+            assert [_memoised(*args).tobytes() for args in cases] == expected
 
 
 def test_memoised_unitaries_are_read_only(system):
     for event in (rf_pulse({"H", "C"}, np.pi / 2, 0.25), coupling_delay(1e-3)):
-        u = pulse_unitary(event, system)
-        assert u is pulse_unitary(event, system)  # shared by every caller
+        u = _memoised(event, system)
+        assert u is _memoised(event, system)  # shared by every caller
         with pytest.raises(ValueError, match="read-only"):
             u[0, 0] = 0.0
     # a product is the caller's own fresh array, also of a zero-event sequence
@@ -483,7 +491,7 @@ def test_event_memo_is_bounded(system):
     assert maxsize is not None
     clear_event_memo()
     for i in range(maxsize + 10):
-        pulse_unitary(coupling_delay(1e-3 + i * 1e-9), system)
+        _memoised(coupling_delay(1e-3 + i * 1e-9), system)
     info = _event_unitary.cache_info()
     assert (info.currsize, info.misses) == (maxsize, maxsize + 10)
     clear_event_memo()
@@ -515,7 +523,7 @@ def test_determinism_check_starts_each_run_cold(system, monkeypatch):
 def _sequence_unitary_unmemoised(sequence, system, error):
     u = np.eye(4, dtype=complex)
     for event in sequence.events:
-        u = _pulse_unitary_unmemoised(event, system, error) @ u
+        u = _factor_unmemoised(event, system, error) @ u
     return u
 
 
@@ -578,6 +586,28 @@ def test_operator_stack_is_bitwise_each_one_model_call(system, errors, r, rng):
         # permuting the error list permutes the rows exactly
         permuted = pulse_operators(r, gates, system, [errors[i] for i in perm])
         assert permuted.tobytes() == ops[perm].tobytes()
+
+
+@settings(max_examples=50)
+@given(
+    grid=st.lists(_error_field, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=8)
+    ),
+    rng=st.randoms(),
+)
+@example(grid=[0.0, -0.0, 0.05, 0.0, -0.05, -0.0], rng=random.Random(0))
+def test_pulse_infidelities_grid_is_bitwise_each_one_eps_call(system, grid, rng):
+    # each pulse is simulated once per grid; bits, by float.hex, match a call per eps
+    def bits(grid):
+        return [[x.hex() for x in xs] for xs in experiments.pulse_infidelities(grid, system)]
+
+    naive, bb1 = bits(grid)
+    assert len(naive) == len(bb1) == len(grid)
+    for eps, i_n, i_b in zip(grid, naive, bb1):
+        assert bits([eps]) == [[i_n], [i_b]]
+    # permuting the grid permutes both lists exactly
+    perm = rng.sample(range(len(grid)), len(grid))
+    assert bits([grid[i] for i in perm]) == [[naive[i] for i in perm], [bb1[i] for i in perm]]
 
 
 def test_an_empty_error_list_is_a_value_error(system):

@@ -15,13 +15,17 @@ from fpsearch.pulses import (
     check_unitary,
     composite_z,
     coupling_delay,
-    pulse_unitary,
     rf_pulse,
     rotation_infidelity,
     sequence_unitaries,
     sequence_unitary,
 )
 from fpsearch.search import equal_up_to_global_phase, pseudo_hadamard
+
+
+def _one_event(event, system, error=NO_ERROR):
+    """One event's unitary, as a one-event sequence."""
+    return sequence_unitary(PulseSequence((event,)), system, error)
 
 
 def _rz(theta):
@@ -83,35 +87,35 @@ class TestEventValidation:
 
 class TestPulseUnitary:
     def test_90y_on_h_matches_pseudo_hadamard_factor(self, system):
-        u = pulse_unitary(rf_pulse("H", np.pi / 2, np.pi / 2), system)
+        u = _one_event(rf_pulse("H", np.pi / 2, np.pi / 2), system)
         c = s = np.sqrt(0.5)
         ry = np.array([[c, -s], [s, c]])  # exp(-i*(pi/2)*sigma_y/2)
         expected = np.kron(ry, np.eye(2))
         assert np.max(np.abs(u - expected)) < 1e-12
 
     def test_simultaneous_90y_is_pseudo_hadamard(self, system):
-        u = pulse_unitary(rf_pulse({"H", "C"}, np.pi / 2, np.pi / 2), system)
+        u = _one_event(rf_pulse({"H", "C"}, np.pi / 2, np.pi / 2), system)
         assert np.max(np.abs(u - pseudo_hadamard())) < 1e-12
 
     def test_antiphase_delay(self, system):
         # half a coupling period produces the (-pi/4, pi/4, pi/4, -pi/4)
         # phase pattern; checked against direct exponentiation
         ev = coupling_delay(1.0 / (2.0 * system.J))
-        u = pulse_unitary(ev, system)
+        u = _one_event(ev, system)
         expected = np.diag(np.exp(1j * np.pi * np.array([-0.25, 0.25, 0.25, -0.25])))
         assert np.max(np.abs(u - expected)) < 1e-12
         assert np.max(np.abs(u - event_unitary_expm(ev, system, NO_ERROR))) < 1e-12
 
     def test_scaled_180_fidelity(self, system):
         # 10 percent overrotation of a 180 pulse: overlap cos(9 degrees)
-        ideal = pulse_unitary(rf_pulse("H", np.pi, 0.0), system)
-        err = pulse_unitary(rf_pulse("H", np.pi, 0.0), system, ErrorModel(eps_H=0.1))
+        ideal = _one_event(rf_pulse("H", np.pi, 0.0), system)
+        err = _one_event(rf_pulse("H", np.pi, 0.0), system, ErrorModel(eps_H=0.1))
         fidelity = 1.0 - rotation_infidelity(ideal, err)
         assert fidelity == pytest.approx(np.cos(np.radians(9.0)) ** 2, abs=1e-12)
 
     def test_per_channel_error_scaling(self, system):
         err = ErrorModel(eps_H=0.1, eps_C=-0.2)
-        u = pulse_unitary(rf_pulse({"H", "C"}, np.pi / 2, 0.0), system, err)
+        u = _one_event(rf_pulse({"H", "C"}, np.pi / 2, 0.0), system, err)
         assert np.max(np.abs(u - event_unitary_expm(
             rf_pulse({"H", "C"}, np.pi / 2, 0.0), system, err))) < 1e-12
 
@@ -224,7 +228,7 @@ class TestCompositeZ:
 
 class TestBB1:
     def test_zero_error_identity(self, system):
-        plain = pulse_unitary(rf_pulse("H", np.pi / 2, 0.0), system)
+        plain = _one_event(rf_pulse("H", np.pi / 2, 0.0), system)
         comp = sequence_unitary(
             PulseSequence(bb1_expand(np.pi / 2, 0.0, {"H"})), system
         )
@@ -245,9 +249,9 @@ class TestBB1:
         assert events[1].phase == pytest.approx((0.4 + 3 * phi1) % (2 * np.pi))
 
     def test_suppresses_amplitude_error(self, system):
-        ideal = pulse_unitary(rf_pulse("H", np.pi / 2, 0.0), system)
+        ideal = _one_event(rf_pulse("H", np.pi / 2, 0.0), system)
         err = ErrorModel(eps_H=0.05, eps_C=0.05)
-        naive = pulse_unitary(rf_pulse("H", np.pi / 2, 0.0), system, err)
+        naive = _one_event(rf_pulse("H", np.pi / 2, 0.0), system, err)
         comp = sequence_unitary(
             PulseSequence(bb1_expand(np.pi / 2, 0.0, {"H"})), system, err
         )
