@@ -1,19 +1,20 @@
 """Command-line interface.
 
-    fpsearch run <experiment> [--config FILE] [--out DIR] [--override k=v ...]
-    fpsearch list
-    fpsearch verify
+usage: fpsearch run EXPERIMENT [--config FILE] [--out DIR] [--override KEY=VALUE]...
+       fpsearch list
+       fpsearch verify
+       fpsearch -h | --help
 
 Exit codes: 0 success, 1 failed verification, 2 configuration error
-(including outputs that cannot be written), 3 numerical invariant
-violation during a run.
+(including outputs that cannot be written) or usage error, 3 numerical
+invariant violation during a run.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .config import (
     ConfigError,
@@ -26,40 +27,49 @@ from .experiments import EXPERIMENTS, run_experiment
 from .pulses import UnitarityError
 from .verify import run_all
 
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fpsearch",
-        description="fixed-point quantum search experiments on a two-spin system",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="run a named experiment")
-    run_p.add_argument("experiment", choices=EXPERIMENT_NAMES)
-    run_p.add_argument("--config", type=Path, help="flat key=value config file")
-    run_p.add_argument("--out", help="output directory (overrides output.dir)")
-    run_p.add_argument(
-        "--override",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override one config key (repeatable)",
-    )
-
-    sub.add_parser("list", help="list available experiments")
-    sub.add_parser("verify", help="run the full invariant suite")
-    return parser
+# the usage block above (python -OO strips docstrings)
+USAGE = __doc__.split("\n\n")[1] if __doc__ else "usage: fpsearch {run,list,verify}"
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _usage_error(reason: str) -> NoReturn:
+    print(f"{USAGE}\nfpsearch: error: {reason}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _parse_run(args: list[str]) -> tuple[str, dict[str, list[str]]]:
+    """``run``'s EXPERIMENT and the values given to each option, in order. Options
+    may come before or after EXPERIMENT, with their value next or after ``=``."""
+    opts: dict[str, list[str]] = {"--config": [], "--out": [], "--override": []}
+    names = []
+    tokens = iter(args)
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if name not in opts:
+            if token.startswith("-"):
+                _usage_error(f"unrecognized option {token}")
+            names.append(token)
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                _usage_error(f"option {name} expects a value")
+        opts[name].append(value)
+    if len(names) != 1 or names[0] not in EXPERIMENT_NAMES:
+        _usage_error(f"run takes one experiment of {', '.join(EXPERIMENT_NAMES)}, "
+                     f"got {' '.join(names) or 'none'}")
+    return names[0], opts
+
+
+def _cmd_run(experiment: str, opts: dict[str, list[str]]) -> int:
     try:
         mapping: dict[str, str] = {}
-        if args.config is not None:
-            mapping = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
-        mapping = apply_overrides(mapping, args.override)
-        if args.out is not None:
-            mapping["output.dir"] = args.out
-        cfg = build_config(args.experiment, mapping)
+        if opts["--config"]:  # the last --config and --out win
+            path = Path(opts["--config"][-1])
+            mapping = parse_config_text(path.read_text(encoding="utf-8"))
+        mapping = apply_overrides(mapping, opts["--override"])
+        if opts["--out"]:
+            mapping["output.dir"] = opts["--out"][-1]
+        cfg = build_config(experiment, mapping)
     except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -98,12 +108,18 @@ def _cmd_verify() -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "list":
-        return _cmd_list()
-    return _cmd_verify()
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(USAGE)
+        return 0
+    command, *rest = argv or [""]
+    if command == "run":
+        return _cmd_run(*_parse_run(rest))
+    if command not in ("list", "verify"):
+        _usage_error(f"unknown command {command!r}" if command else "no command given")
+    if rest:
+        _usage_error(f"{command} takes no arguments, got {' '.join(rest)}")
+    return _cmd_list() if command == "list" else _cmd_verify()
 
 
 if __name__ == "__main__":

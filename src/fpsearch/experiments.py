@@ -108,8 +108,8 @@ def pulse_operators(
         label: sequence_unitary(seq, system, errors) for label, seq in gates.items()
     }
     ops = operators(r_max, simulated)
-    for r, v in enumerate(ops):
-        check_unitary(v, f"order-{r} operator", errors)
+    for r in range(1, r_max + 1):  # V(0) is U's stack, checked as it was simulated
+        check_unitary(ops[r], f"order-{r} operator", errors)
     return np.stack(ops, axis=1)
 
 

@@ -125,10 +125,8 @@ def check_cube_law_ideal() -> CheckResult:
         worst = 0.0
         oracles = all_oracles(1) + all_oracles(2) + all_oracles(3)[:2]
         for oracle in oracles:
-            probs = [
-                success_probability(recursive_operator(r, oracle), oracle)
-                for r in range(5)
-            ]
+            ops = operators(4, ideal_gates(oracle))
+            probs = [success_probability(v, oracle) for v in ops]
             worst = max(worst, *cube_residuals(probs))
         return worst <= 1e-12, f"max residual {worst:.2e} (<= 1e-12)"
 

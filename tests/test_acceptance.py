@@ -82,7 +82,7 @@ BROKEN = {
                         lambda f: lambda u, o: f(u, o) + 1e-9 * (o.k == 1)),
     "1-simulation-k2": ("1", experiments, "success_probability",
                         lambda f: lambda u, o: f(u, o) + 1e-9 * (o.k == 2)),
-    "2-phase": ("2", verify, "recursive_operator", _phase_off),
+    "2-phase": ("2", verify, "ideal_gates", _phase_off),
     "3-gate-level-phase": ("3", verify, "ideal_gates",
                            lambda f: lambda o: f(OracleSpec(o.matching, o.phase + 1e-6))),
     "3-oracle-gates": ("3", verify, "expand_gate_list", lambda f: lambda r: f(r)[:1] + f(r)[2:]),

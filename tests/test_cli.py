@@ -303,3 +303,103 @@ def test_random_overrides_exit_0_or_2(tmp_path, run):
     argv = ["run", experiment, "--out", str(tmp_path / "out")]
     argv += [f"--override={item}" for item in overrides]
     assert main(argv) in (0, 2)
+
+
+# Each usage error exits 2 through SystemExit, as argparse did, with the
+# usage block and a one-line reason on stderr.
+@pytest.mark.parametrize(
+    "argv,reason",
+    [
+        ([], "no command given"),
+        (["bogus"], "unknown command 'bogus'"),
+        (["run", "nope"], "run takes one experiment of table1, k1-curves, k2-curves, "
+                          "robustness, bb1-scaling, spectra, got nope"),
+        (["run"], "got none"),
+        (["run", "--out", "o"], "got none"),
+        (["run", "table1", "k1-curves"], "got table1 k1-curves"),
+        (["run", "table1", "--bogus"], "unrecognized option --bogus"),
+        (["run", "table1", "--over", "r.max=1"], "unrecognized option --over"),
+        (["run", "table1", "--", "x"], "unrecognized option --"),
+        (["run", "table1", "--out"], "option --out expects a value"),
+        (["run", "table1", "--override", "--out", "o"],
+         "option --override expects a value"),
+        (["list", "x"], "list takes no arguments, got x"),
+        (["verify", "x"], "verify takes no arguments, got x"),
+    ],
+    ids=["no-command", "unknown-command", "unknown-experiment", "no-experiment",
+         "only-options", "two-experiments", "unknown-option", "abbreviation",
+         "double-dash", "no-value", "option-as-value", "list-argument",
+         "verify-argument"],
+)
+def test_usage_error_exits_2(monkeypatch, capsys, argv, reason):
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: pytest.fail("ran"))
+    monkeypatch.setattr(cli, "run_all", lambda: pytest.fail("verified"))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith(f"{cli.USAGE}\nfpsearch: error: ")
+    assert err.count("\n") == cli.USAGE.count("\n") + 2 and reason in err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["run", "table1", "-h"],
+                                  ["list", "--help"]])
+def test_help_prints_the_usage_block(capsys, argv):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == cli.USAGE + "\n" and err == ""
+    assert out.startswith("usage: fpsearch run EXPERIMENT [--config FILE] [--out DIR] ")
+    assert cli.USAGE in cli.__doc__
+
+
+@pytest.mark.parametrize(
+    "options,r_max",
+    [(["--out=o"], 4),
+     (["--out", "o", "--override", "r.max=1"], 1),
+     (["--out", "p", "--out=o", "--override=r.max=1", "--override", "r.max=0"], 0),
+     (["--config=a.cfg", "--out=o"], 2),
+     (["--config", "b.cfg", "--config", "a.cfg", "--out", "o"], 2),
+     (["--config", "b.cfg", "--override", "r.max=1", "--out=o"], 1)],
+    ids=["equals", "override", "last-out-wins", "config-equals", "last-config-wins",
+         "override-beats-config"],
+)
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+def test_options_parse_before_or_after_the_experiment(tmp_path, monkeypatch, capsys,
+                                                      options, r_max, before):
+    (tmp_path / "a.cfg").write_text("r.max = 2\n")
+    (tmp_path / "b.cfg").write_text("r.max = 3\n")
+    monkeypatch.chdir(tmp_path)
+    seen = []
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: seen.append(cfg) or ["x.csv"])
+    argv = [*options, "table1"] if before else ["table1", *options]
+    assert main(["run", *argv]) == 0
+    assert capsys.readouterr().out == "x.csv\n"
+    (cfg,) = seen
+    assert (cfg.out_dir, cfg.r_max) == ("o", r_max)
+
+
+# Random argv lists from tokens of the grammar and garbage (without NUL, which
+# no command-line argument can hold). ``run`` and ``verify`` are stubbed, so
+# only ``list`` does its own work.
+_TOKENS = st.one_of(
+    st.sampled_from(["run", "list", "verify", "table1", "spectra", "--config", "--out",
+                     "--override", "--out=o", "--override=r.max=1", "r.max=1", "-h",
+                     "--help", "--", "-", "="]),
+    st.text(st.characters(blacklist_characters="\0"), max_size=4),
+)
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=st.tuples(st.sampled_from(["run", "list", "verify", ""]),
+                     st.lists(_TOKENS, max_size=5))
+       .map(lambda t: [t[0], *t[1]] if t[0] else t[1]))
+def test_random_argv_exits_0_or_2(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: [])
+    monkeypatch.setattr(cli, "run_all", lambda: [])
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 2)

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from fpsearch import experiments, svgplot
+from fpsearch import experiments, pulses, svgplot
 from fpsearch.compiler import compile_gates
 from fpsearch.config import EXPERIMENT_NAMES, build_config
 from fpsearch.experiments import (
@@ -34,6 +34,27 @@ def test_pulse_operators_check_every_order(monkeypatch, system):
         r"ErrorModel\(eps_H=0\.05, eps_C=0\.0, delta_J=-0\.02\) \(deviation"
     )):
         experiments.pulse_operators(1, gates, system, errors)
+
+
+@pytest.mark.parametrize("r_max", [0, 2])
+def test_pulse_operators_check_the_simulated_gates(monkeypatch, system, r_max):
+    # V(0) is U's stack: a U that is not unitary under one model raises from
+    # the gate's own simulation, naming the sequence and that model
+    errors = [NO_ERROR, ErrorModel(eps_H=0.05, delta_J=-0.02)]
+    gates = compile_gates(OracleSpec({"11"}), system)
+    drift = np.diag([np.sqrt(1.0 + 1e-9), 1.0, 1.0, 1.0])
+    factor = pulses._factor
+
+    def drifted(event, eps_H, eps_C, rate):
+        u = factor(event, eps_H, eps_C, rate)
+        return drift @ u if event in gates["U"].events and eps_H == 0.05 else u
+
+    monkeypatch.setattr(pulses, "_factor", drifted)
+    with pytest.raises(UnitarityError, match=(
+        rf"^sequence of {len(gates['U'])} events lost unitarity under "
+        r"ErrorModel\(eps_H=0\.05, eps_C=0\.0, delta_J=-0\.02\) \(deviation"
+    )):
+        experiments.pulse_operators(r_max, gates, system, errors)
 
 
 def _read_csv(path):

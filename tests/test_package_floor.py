@@ -12,9 +12,9 @@ the name their caller looks them up under, so deleting or renaming one
 breaks every traced benchmark run. One test installs the tracer and
 checks that it finds and restores each name.
 
-Start-up is most of a short command's time, so a last check imports the
-command-line module in a fresh interpreter and fails if that loads a
-test-only dependency.
+Start-up is most of a short command's time, so the last checks import the
+command-line module in a fresh interpreter and fail if that loads a
+test-only dependency, or if parsing a command loads argparse.
 """
 
 import ast
@@ -127,6 +127,21 @@ def test_cli_import_loads_no_test_only_dependency():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert {name.partition(".")[0] for name in out.split()} & TEST_ONLY == set()
+
+
+PARSER_MODULES = {"argparse", "gettext", "locale"}
+
+
+def test_cli_parses_without_argparse():
+    # argparse and the gettext and locale lookups it makes cost a short command
+    # more than its physics; only what numpy itself loads may be present
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import numpy; "
+            "before = set(sys.modules); import fpsearch.cli; "
+            "assert fpsearch.cli.main(['list']) == 0; print(*set(sys.modules) - before)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    added = out.splitlines()[-1].split()  # the last line, after list's own output
+    assert "fpsearch.cli" in added and set(added) & PARSER_MODULES == set()
 
 
 def test_public_names_and_version():
