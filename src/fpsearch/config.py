@@ -1,22 +1,18 @@
-"""Flat key=value experiment configuration with one typed config per experiment.
+"""Flat key=value experiment configuration, declared in one key table.
 
 The format is deliberately rigid: one ``key = value`` pair per line, ``#``
-comments, dotted section names, no nesting. Every experiment declares the
-exact keys it accepts; unknown or inapplicable keys are hard errors, since
-a silently ignored typo would corrupt a sweep.
-
-Each experiment's config is a frozen dataclass whose keyed fields declare
-their config key, default text and a parser that returns the final
-validated value; a subclass changes a default by redeclaring the field.
-Rules that relate two keys live in ``__post_init__``.
+comments, dotted section names, no nesting. ``KEYS`` declares the exact keys
+each experiment accepts, in the order they are checked, each with the config
+attribute it sets, its default text and a parser that returns the final
+validated value. Unknown or inapplicable keys and empty list entries are
+hard errors, since a silently ignored typo would corrupt a sweep. Rules that
+relate two keys are ``RULES``, keyed by experiment.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields
-from functools import cached_property
 from typing import Callable
 
 from .compiler import STYLES
@@ -135,11 +131,14 @@ def _int_in(lo: int, hi: int, what: str = "value") -> Callable[[str], int]:
 
 
 def _items(s: str, parse: Callable[[str], object]) -> tuple:
-    """A comma list parsed entry by entry; entries that parse equal
-    (``1,01`` or ``0.1,0.10``) are rejected as given twice."""
-    items = [x.strip() for x in s.split(",") if x.strip()]
-    if not items:
+    """A comma list parsed entry by entry; an empty entry (``0,,1`` or
+    ``0,``) is rejected, and so are entries that parse equal (``1,01`` or
+    ``0.1,0.10``), as given twice."""
+    items = [x.strip() for x in s.split(",")]
+    if not any(items):
         raise ConfigError("empty list")
+    if "" in items:
+        raise ConfigError(f"empty entry in {s!r}")
     if len(items) > MAX_GRID_VALUES:
         raise ConfigError(f"{len(items)} entries, more than {MAX_GRID_VALUES}")
     values = tuple(parse(x) for x in items)
@@ -178,9 +177,11 @@ def _matching(s: str) -> tuple[OracleSpec, ...]:
         return ()
     specs = []
     for group in s.split(";"):
-        states = [x.strip() for x in group.split("+") if x.strip()]
-        if not states:
+        states = [x.strip() for x in group.split("+")]
+        if not any(states):
             raise ConfigError(f"empty matching set in {s!r}")
+        if "" in states:
+            raise ConfigError(f"empty state in {s!r}")
         try:
             spec = OracleSpec(frozenset(states))
         except ValueError as exc:
@@ -195,175 +196,124 @@ def _matching(s: str) -> tuple[OracleSpec, ...]:
     return tuple(specs)
 
 
-def _oracles_of_size(specs: tuple[OracleSpec, ...], k: int) -> tuple[OracleSpec, ...]:
-    for spec in specs:
-        if spec.k != k:
-            raise ConfigError(
-                f"matching set {spec.label()} has {spec.k} states, expected {k}"
-            )
-    return specs or all_oracles(k)
-
-
 # ---------------------------------------------------------------------------
-# per-experiment configs
+# per-experiment keys: key -> (config attribute, default text, parser), in
+# the order they are checked, so the first bad key is the one reported
 
-def _key(name: str, default: str, parse: Callable[[str], object]):
-    """A config field read from key ``name``."""
-    return field(metadata={"key": name, "default": default, "parse": parse})
+_OUTPUT = {"output.dir": ("out_dir", "out", _path)}
+_ORACLES = {"oracle.matching": ("oracles", "all", _matching)}
+# J cancels from every delay phase and T2 only sets line widths, so only the
+# experiments that take these keys run on anything but SpinSystem()
+_SYSTEM = {
+    "system.j": ("J", str(SpinSystem.J), _magnitude),
+    "system.t2_h": ("T2_H", str(SpinSystem.T2_H), _magnitude),
+}
+_ERRORS = {"error.eps": ("eps", "0", _error), "error.delta_j": ("delta_j", "0", _error)}
+_CURVES = {
+    **_OUTPUT, **_ORACLES,
+    "r.max": ("r_max", "3", _order),
+    "style": ("styles", "naive,bb1", _styles),
+    **_ERRORS,
+}
+
+KEYS: dict[str, dict[str, tuple[str, str, Callable[[str], object]]]] = {
+    # gate level: the ideal P(r) depends only on k, so no oracle is set
+    "table1": {**_OUTPUT, "r.max": ("r_max", "4", _order)},
+    "k1-curves": _CURVES,
+    "k2-curves": {**_CURVES, "style": ("styles", "naive", _styles)},
+    "robustness": {
+        **_OUTPUT, **_ORACLES,
+        # The four system.* keys are parsed, validated and never read: the
+        # benchmark's golden robustness.csv records this experiment's config
+        # hash, which covers them. They go when that golden copy is re-recorded.
+        **_SYSTEM,
+        "system.t90": ("t90", "15e-6", _magnitude),
+        "system.t2_c": ("T2_C", "0.6", _magnitude),
+        "r.max": ("r_max", "3", _order),
+        "error.eps": ("eps_values", "0,0.02,0.05,0.1", _error_list),
+        "error.delta_j": ("delta_j_values", "0,0.05", _error_list),
+    },
+    "bb1-scaling": {
+        **_OUTPUT,
+        "oracle.matching": ("oracles", "11", _matching),
+        "eps.min": ("eps_min", "1e-3", _float),
+        "eps.max": ("eps_max", "1e-2", _float),
+        "eps.points": ("eps_points", "8", _int_in(2, MAX_EPS_POINTS)),
+    },
+    "spectra": {
+        **_OUTPUT,
+        "oracle.k": ("oracle_k", "1", _int_in(1, 2)),
+        **_ORACLES, **_SYSTEM,
+        "r.values": ("r_values", "0,1,2,3,inf", _orders),
+        "style": ("styles", "naive", lambda s: (_style(s),)),
+        **_ERRORS,
+        # T2-limited lines are a fraction of a Hz wide; the default grid
+        # spacing of 0.1 Hz keeps sampled peak heights within ~12 percent
+        "freq.span": ("freq_span", "150", _magnitude),
+        "freq.points": ("freq_points", "3001", _int_in(2, MAX_FREQ_POINTS)),
+    },
+}
+
+EXPERIMENT_NAMES = tuple(KEYS)
+
+# the oracle size of each pulse-level experiment; spectra reads its oracle.k
+ORACLE_K = {"k1-curves": 1, "k2-curves": 2, "robustness": 1, "bb1-scaling": 1}
 
 
-def _keyed_fields(cls: type) -> list:
-    return [f for f in fields(cls) if "key" in f.metadata]
-
-
-@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """A validated experiment: the effective key=value mapping plus typed fields."""
+    """A validated experiment: its name, the effective key=value mapping and
+    one attribute per key of ``KEYS``; read-only once built."""
 
-    experiment: str
-    mapping: dict[str, str]
-    out_dir: str = _key("output.dir", "out", _path)
+    def __init__(self, **attributes: object) -> None:
+        self.__dict__.update(attributes)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"config attribute {name!r} is read-only")
+
+    __delattr__ = __setattr__
 
     def hash(self) -> str:
         return config_hash(self.mapping)
 
 
-@dataclass(frozen=True, kw_only=True)
-class Table1Config(ExperimentConfig):
-    """Gate-level table: ideal P(r) depends only on k, so no oracle is set."""
+# ---------------------------------------------------------------------------
+# rules that relate two keys, checked once every key has parsed
 
-    r_max: int = _key("r.max", "4", _order)
-
-
-@dataclass(frozen=True, kw_only=True)
-class PulseConfig(ExperimentConfig):
-    """Base of the pulse-level experiments: the oracles. J cancels from every
-    delay phase and T2 only sets line widths, so most run on SpinSystem()."""
-
-    oracle_k: int = 1
-    oracles: tuple[OracleSpec, ...] = _key("oracle.matching", "all", _matching)
-
-    def __post_init__(self) -> None:
-        try:
-            oracles = _oracles_of_size(self.oracles, self.oracle_k)
-        except ConfigError as exc:
-            raise ConfigError(f"oracle.matching: {exc}") from None
-        # experiments iterate the oracles in this order
-        oracles = tuple(sorted(oracles, key=OracleSpec.label))
-        object.__setattr__(self, "oracles", oracles)
-
-
-@dataclass(frozen=True, kw_only=True)
-class SystemConfig(PulseConfig):
-    """A pulse-level experiment that reads J and T2_H from its keys."""
-
-    J: float = _key("system.j", str(SpinSystem.J), _magnitude)
-    T2_H: float = _key("system.t2_h", str(SpinSystem.T2_H), _magnitude)
-
-    @cached_property
-    def system(self) -> SpinSystem:
-        return SpinSystem(J=self.J, T2_H=self.T2_H)
-
-
-@dataclass(frozen=True, kw_only=True)
-class CurvesConfig(PulseConfig):
-    r_max: int = _key("r.max", "3", _order)
-    styles: tuple[str, ...] = _key("style", "naive,bb1", _styles)
-    eps: float = _key("error.eps", "0", _error)
-    delta_j: float = _key("error.delta_j", "0", _error)
-
-
-@dataclass(frozen=True, kw_only=True)
-class K2CurvesConfig(CurvesConfig):
-    oracle_k: int = 2
-    styles: tuple[str, ...] = _key("style", "naive", _styles)
-
-
-@dataclass(frozen=True, kw_only=True)
-class RobustnessConfig(SystemConfig):
-    # Parsed, validated and never read: the benchmark's golden robustness.csv
-    # records this experiment's config hash, which covers these keys. They
-    # go when that golden copy is re-recorded.
-    t90: float = _key("system.t90", "15e-6", _magnitude)
-    T2_C: float = _key("system.t2_c", "0.6", _magnitude)
-    r_max: int = _key("r.max", "3", _order)
-    eps_values: tuple[float, ...] = _key("error.eps", "0,0.02,0.05,0.1", _error_list)
-    delta_j_values: tuple[float, ...] = _key("error.delta_j", "0,0.05", _error_list)
-
-
-@dataclass(frozen=True, kw_only=True)
-class Bb1ScalingConfig(PulseConfig):
-    oracles: tuple[OracleSpec, ...] = _key("oracle.matching", "11", _matching)
-    eps_min: float = _key("eps.min", "1e-3", _float)
-    eps_max: float = _key("eps.max", "1e-2", _float)
-    eps_points: int = _key("eps.points", "8", _int_in(2, MAX_EPS_POINTS))
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if len(self.oracles) != 1:
-            labels = ";".join(o.label() for o in self.oracles)
-            raise ConfigError(
-                f"oracle.matching: bb1-scaling takes one single-state set, "
-                f"got {len(self.oracles)} ({labels})"
-            )
-        if not 1e-3 <= self.eps_min < self.eps_max <= 1e-1:
-            raise ConfigError("eps grid must satisfy 1e-3 <= min < max <= 1e-1")
-
-
-@dataclass(frozen=True, kw_only=True)
-class SpectraConfig(SystemConfig):
-    oracle_k: int = _key("oracle.k", "1", _int_in(1, 2))
-    r_values: tuple[int | None, ...] = _key("r.values", "0,1,2,3,inf", _orders)
-    styles: tuple[str, ...] = _key("style", "naive", lambda s: (_style(s),))
-    eps: float = _key("error.eps", "0", _error)
-    delta_j: float = _key("error.delta_j", "0", _error)
-    # T2-limited lines are a fraction of a Hz wide; the default grid
-    # spacing of 0.1 Hz keeps sampled peak heights within ~12 percent
-    freq_span: float = _key("freq.span", "150", _magnitude)
-    freq_points: int = _key("freq.points", "3001", _int_in(2, MAX_FREQ_POINTS))
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        sets, orders = len(self.oracles), len(self.r_values)
-        total = sets * orders * self.freq_points
-        if total > MAX_TRACE_POINTS:
-            raise ConfigError(
-                f"trace points: {sets} matching sets x {orders} r.values x "
-                f"{self.freq_points} freq.points = {total}, "
-                f"more than {MAX_TRACE_POINTS}"
-            )
-
-
-CONFIGS: dict[str, type[ExperimentConfig]] = {
-    "table1": Table1Config,
-    "k1-curves": CurvesConfig,
-    "k2-curves": K2CurvesConfig,
-    "robustness": RobustnessConfig,
-    "bb1-scaling": Bb1ScalingConfig,
-    "spectra": SpectraConfig,
-}
-
-EXPERIMENT_NAMES = tuple(CONFIGS)
-
-
-def _config_class(experiment: str) -> type[ExperimentConfig]:
-    if experiment not in CONFIGS:
+def _one_set_on_the_eps_grid(cfg: ExperimentConfig) -> None:
+    if len(cfg.oracles) != 1:
+        labels = ";".join(o.label() for o in cfg.oracles)
         raise ConfigError(
-            f"unknown experiment {experiment!r}; expected one of {EXPERIMENT_NAMES}"
+            f"oracle.matching: bb1-scaling takes one single-state set, "
+            f"got {len(cfg.oracles)} ({labels})"
         )
-    return CONFIGS[experiment]
+    if not 1e-3 <= cfg.eps_min < cfg.eps_max <= 1e-1:
+        raise ConfigError("eps grid must satisfy 1e-3 <= min < max <= 1e-1")
+
+
+def _trace_point_cap(cfg: ExperimentConfig) -> None:
+    sets, orders = len(cfg.oracles), len(cfg.r_values)
+    total = sets * orders * cfg.freq_points
+    if total > MAX_TRACE_POINTS:
+        raise ConfigError(
+            f"trace points: {sets} matching sets x {orders} r.values x "
+            f"{cfg.freq_points} freq.points = {total}, "
+            f"more than {MAX_TRACE_POINTS}"
+        )
+
+
+RULES = {"bb1-scaling": _one_set_on_the_eps_grid, "spectra": _trace_point_cap}
 
 
 def default_mapping(experiment: str) -> dict[str, str]:
-    return {
-        f.metadata["key"]: f.metadata["default"]
-        for f in _keyed_fields(_config_class(experiment))
-    }
+    if experiment not in KEYS:
+        raise ConfigError(
+            f"unknown experiment {experiment!r}; expected one of {EXPERIMENT_NAMES}"
+        )
+    return {key: default for key, (_, default, _) in KEYS[experiment].items()}
 
 
 def build_config(experiment: str, mapping: dict[str, str]) -> ExperimentConfig:
-    """Validate a raw mapping against the experiment's config class."""
-    cls = _config_class(experiment)
+    """Validate a raw mapping against the experiment's keys."""
     effective = default_mapping(experiment)
     unknown = sorted(set(mapping) - set(effective))
     if unknown:
@@ -372,11 +322,24 @@ def build_config(experiment: str, mapping: dict[str, str]) -> ExperimentConfig:
             f"(allowed: {', '.join(sorted(effective))})"
         )
     effective.update(mapping)
-    values: dict[str, object] = {}
-    for f in _keyed_fields(cls):
-        name = f.metadata["key"]
+    values: dict[str, object] = {"experiment": experiment, "mapping": effective}
+    for key, (attribute, _, parse) in KEYS[experiment].items():
         try:
-            values[f.name] = f.metadata["parse"](effective[name])
+            values[attribute] = parse(effective[key])
         except ConfigError as exc:
-            raise ConfigError(f"{name}: {exc}") from None
-    return cls(experiment=experiment, mapping=effective, **values)
+            raise ConfigError(f"{key}: {exc}") from None
+    if "oracle.matching" in effective:
+        k = values.setdefault("oracle_k", ORACLE_K.get(experiment))
+        for spec in values["oracles"]:
+            if spec.k != k:
+                raise ConfigError(f"oracle.matching: matching set {spec.label()} "
+                                  f"has {spec.k} states, expected {k}")
+        # experiments iterate the oracles in this order
+        oracles = values["oracles"] or all_oracles(k)
+        values["oracles"] = tuple(sorted(oracles, key=OracleSpec.label))
+    if "system.j" in effective:
+        values["system"] = SpinSystem(J=values["J"], T2_H=values["T2_H"])
+    cfg = ExperimentConfig(**values)
+    if experiment in RULES:
+        RULES[experiment](cfg)
+    return cfg

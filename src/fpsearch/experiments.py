@@ -23,14 +23,7 @@ import numpy as np
 from . import svgplot
 # compile_algorithm is unused here; perfbench/tracer.py wraps it under this name.
 from .compiler import compile_algorithm, compile_gates
-from .config import (
-    Bb1ScalingConfig,
-    CurvesConfig,
-    ExperimentConfig,
-    RobustnessConfig,
-    SpectraConfig,
-    Table1Config,
-)
+from .config import ExperimentConfig
 from .pulses import ErrorModel, PulseSequence, rf_pulse, bb1_expand
 from .pulses import NO_ERROR, SpinSystem, rotation_infidelity, check_unitary
 # pulses.sequence_unitaries, under the name perfbench/tracer.py wraps to time gate
@@ -121,7 +114,7 @@ def estimated_success(u: np.ndarray, oracle: OracleSpec) -> float | None:
     return estimate_probability(spec, reference_spectrum(oracle), oracle)
 
 
-def run_table1(cfg: Table1Config) -> Iterator[tuple[str, str]]:
+def run_table1(cfg: ExperimentConfig) -> Iterator[tuple[str, str]]:
     """Closed-form and simulated success probabilities with query counts."""
     k1, k2 = OracleSpec({"11"}), OracleSpec({"00", "01"})
     rows = []
@@ -140,7 +133,7 @@ def run_table1(cfg: Table1Config) -> Iterator[tuple[str, str]]:
     yield "table1.csv", _csv(cfg, columns, rows)
 
 
-def run_curves(cfg: CurvesConfig) -> Iterator[tuple[str, str]]:
+def run_curves(cfg: ExperimentConfig) -> Iterator[tuple[str, str]]:
     """Success probability against recursion order, pulse level and closed form."""
     k = cfg.oracle_k
     error = ErrorModel(eps_H=cfg.eps, eps_C=cfg.eps, delta_J=cfg.delta_j)
@@ -189,7 +182,7 @@ def run_curves(cfg: CurvesConfig) -> Iterator[tuple[str, str]]:
     )
 
 
-def run_robustness(cfg: RobustnessConfig) -> Iterator[tuple[str, str]]:
+def run_robustness(cfg: ExperimentConfig) -> Iterator[tuple[str, str]]:
     """Cube-law residuals across an (rf, coupling) error grid.
 
     Each residual (:func:`fpsearch.search.cube_residuals`) measures how far
@@ -228,7 +221,7 @@ def run_robustness(cfg: RobustnessConfig) -> Iterator[tuple[str, str]]:
     )
 
 
-def eps_grid(cfg: Bb1ScalingConfig) -> list[float]:
+def eps_grid(cfg: ExperimentConfig) -> list[float]:
     lo, hi, n = math.log10(cfg.eps_min), math.log10(cfg.eps_max), cfg.eps_points
     return [10.0 ** (lo + (hi - lo) * i / (n - 1)) for i in range(n)]
 
@@ -252,7 +245,7 @@ def fit_loglog_slope(xs: list[float], ys: list[float]) -> float:
     return float(np.polyfit(lx, ly, 1)[0])
 
 
-def run_bb1_scaling(cfg: Bb1ScalingConfig) -> Iterator[tuple[str, str]]:
+def run_bb1_scaling(cfg: ExperimentConfig) -> Iterator[tuple[str, str]]:
     """Infidelity scaling of naive against BB1 pulses, plus r=0 success."""
     oracle = cfg.oracles[0]
     system = SpinSystem()
@@ -318,7 +311,7 @@ def _overlapped(pairs: Iterator, name: str, build: Callable[[], str]) -> Iterato
             os.close(fd)
 
 
-def run_spectra(cfg: SpectraConfig) -> Iterator[tuple[str, str]]:
+def run_spectra(cfg: ExperimentConfig) -> Iterator[tuple[str, str]]:
     """Rendered doublet spectra per oracle and recursion order.
 
     The ``inf`` column holds the directly prepared target state. All panels

@@ -1,4 +1,5 @@
 import importlib
+import re
 import tarfile
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpsearch.cli import main
 from fpsearch.config import (
     EXPERIMENT_NAMES,
     MAGNITUDE_RANGE,
@@ -181,6 +183,33 @@ class TestBuild:
         with pytest.raises(ConfigError, match="eps grid"):
             build_config("bb1-scaling", {"eps.min": "0.01", "eps.max": "0.01"})
 
+    @pytest.mark.parametrize(
+        "experiment,key,value,reason",
+        [
+            ("robustness", "error.eps", "0,,0.1", "empty entry in '0,,0.1'"),
+            ("robustness", "error.eps", "0.1,", "empty entry in '0.1,'"),
+            ("robustness", "error.delta_j", ",0.05", "empty entry in ',0.05'"),
+            ("spectra", "r.values", "0,,inf", "empty entry in '0,,inf'"),
+            ("k1-curves", "style", "naive,", "empty entry in 'naive,'"),
+            ("k2-curves", "style", "naive, ,bb1", "empty entry in 'naive, ,bb1'"),
+            ("k1-curves", "oracle.matching", "00+;01", "empty state in '00+;01'"),
+            ("k2-curves", "oracle.matching", "+00+01", "empty state in '+00+01'"),
+            ("k1-curves", "oracle.matching", "00;;01", "empty matching set in '00;;01'"),
+            ("robustness", "error.eps", ",", "empty list"),
+        ],
+    )
+    def test_empty_entries_are_rejected(self, tmp_path, capsys, experiment, key, value,
+                                        reason):
+        # a dropped entry would run a sweep other than the one written down
+        message = f"{key}: {reason}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build_config(experiment, {key: value})
+        code = main(["run", experiment, "--out", str(tmp_path / "out"),
+                     "--override", f"{key}={value}"])
+        assert code == 2
+        assert f"config error: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_trace_point_cap(self):
         # validation only, as above: one matching set x 10 orders x
         # freq.points, at the total cap and one grid point over it
@@ -189,6 +218,18 @@ class TestBuild:
         build_config("spectra", {**orders, "freq.points": str(points)})
         with pytest.raises(ConfigError, match="trace points"):
             build_config("spectra", {**orders, "freq.points": str(points + 1)})
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENT_NAMES)
+def test_built_config_is_read_only(experiment):
+    cfg = build_config(experiment, {})
+    before = dict(vars(cfg))
+    for name in [*before, "unknown_attribute"]:
+        with pytest.raises(AttributeError):
+            setattr(cfg, name, None)
+        with pytest.raises(AttributeError):
+            delattr(cfg, name)
+    assert vars(cfg) == before
 
 
 class TestHash:

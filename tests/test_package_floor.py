@@ -1,5 +1,6 @@
 """Every function, class and constant in ``src/fpsearch`` is used by the
-package itself, and every name the benchmark tracer wraps exists.
+package itself, and every name the benchmark tracer wraps or its reference
+reads exists.
 
 A function, class or constant that only tests read is dead weight in
 ``src/``: the tests can build the value inline. The checks parse every
@@ -10,7 +11,8 @@ reads its name outside its own definition. Imports do not count as uses.
 The other side of that floor: ``perfbench/tracer.py`` wraps functions by
 the name their caller looks them up under, so deleting or renaming one
 breaks every traced benchmark run. One test installs the tracer and
-checks that it finds and restores each name.
+checks that it finds and restores each name; another checks that every
+config attribute ``perfbench/check.py`` reads exists.
 
 Start-up is most of a short command's time, so the last checks import the
 command-line module in a fresh interpreter and fail if that loads a
@@ -116,6 +118,30 @@ def test_tracer_wraps_and_restores_every_name(monkeypatch):
         t.uninstall()
     assert all(w is not b for w, b in zip(wrapped, before))
     assert all(a is b for a, b in zip(current(), before))
+
+
+def test_benchmark_reference_reads_existing_config_attributes():
+    # perfbench/check.py rebuilds robustness and spectra outputs from the
+    # attributes of build_config's result; a renamed attribute would break
+    # every benchmark run at a non-default seed
+    from fpsearch.config import build_config
+
+    tree = ast.parse((ROOT / "perfbench" / "check.py").read_text())
+    configs = {name: build_config(name, {}) for name in ("robustness", "spectra")}
+    read = {}
+    for fn in (n for n in ast.walk(tree) if isinstance(n, _FUNCTIONS)):
+        read[fn.name] = {
+            n.attr for n in ast.walk(fn)
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+            and n.value.id == "cfg"
+        }
+    assert read["_reference_robustness"] and read["_reference_spectra"]
+    for fn, names in read.items():
+        experiment = fn.removeprefix("_reference_")
+        for name, cfg in configs.items():
+            if experiment in (name, fn):  # a shared helper reads both
+                missing = {a for a in names if not hasattr(cfg, a)}
+                assert not missing, f"{fn} reads {missing} absent from {name}"
 
 
 TEST_ONLY = {"scipy", "hypothesis", "pytest", "_pytest", "mpmath"}
