@@ -84,26 +84,35 @@ def _csv(
 
 def pulse_operators(
     r_max: int,
-    gates: dict[str, PulseSequence],
+    gate_sets: Sequence[dict[str, PulseSequence]],
     system: SpinSystem,
     errors: Sequence[ErrorModel],
 ) -> np.ndarray:
-    """Unitaries of the compiled order-0..r_max programs under each of ``errors``.
+    """Unitaries of the compiled order-0..r_max programs of each gate set under
+    each of ``errors``.
 
-    ``gates`` are the six gates of :func:`fpsearch.compiler.compile_gates`, each
-    simulated once for the whole list as one stack; the orders follow from
-    :func:`fpsearch.search.operators`, whose products broadcast over stacks.
-    Row ``i`` of the ``(len(errors), r_max + 1, 4, 4)`` result holds the orders
-    under ``errors[i]``; element for element it equals ``pulses.sequence_unitary`` of
-    ``compile_algorithm(r, ...)`` up to the rounding of reassociated products.
+    ``gate_sets`` are :func:`fpsearch.compiler.compile_gates` dicts. Each distinct
+    compiled gate among them is simulated once for the whole error list (only the
+    oracle gates differ between oracles of one phase and style), and one
+    :func:`fpsearch.search.operators` recursion, whose products broadcast, runs
+    on ``(len(gate_sets), len(errors), 4, 4)`` stacks. Element ``[i, j, r]`` of the
+    ``(len(gate_sets), len(errors), r_max + 1, 4, 4)`` result is order r of
+    ``gate_sets[i]`` under ``errors[j]``: bitwise the one-set, one-model call, and
+    ``pulses.sequence_unitary`` of ``compile_algorithm(r, ...)`` up to the rounding
+    of reassociated products.
     """
-    simulated = {
-        label: sequence_unitary(seq, system, errors) for label, seq in gates.items()
-    }
-    ops = operators(r_max, simulated)
+    simulated: dict[PulseSequence, np.ndarray] = {}  # equal gates give equal stacks
+    for seq in (seq for gates in gate_sets for seq in gates.values()):
+        if seq not in simulated:
+            simulated[seq] = sequence_unitary(seq, system, errors)
+    stacks = {label: np.stack([simulated[gates[label]] for gates in gate_sets])
+              for label in gate_sets[0]}
+    del simulated  # the stacks hold copies (~10 MB at the 64 x 64 grid cap)
+    ops = operators(r_max, stacks)
+    models = [error for _ in gate_sets for error in errors]  # each matrix's model
     for r in range(1, r_max + 1):  # V(0) is U's stack, checked as it was simulated
-        check_unitary(ops[r], f"order-{r} operator", errors)
-    return np.stack(ops, axis=1)
+        check_unitary(ops[..., r, :, :], f"order-{r} operator", models)
+    return ops
 
 
 def estimated_success(u: np.ndarray, oracle: OracleSpec) -> float | None:
@@ -140,34 +149,18 @@ def run_curves(cfg: ExperimentConfig) -> Iterator[tuple[str, str]]:
     system = SpinSystem()
     rows = []
     series: list[svgplot.Series] = []
-    for oi, oracle in enumerate(cfg.oracles):
-        for style in cfg.styles:
-            gates = compile_gates(oracle, system, style)
-            (ops,) = pulse_operators(cfg.r_max, gates, system, [error])
-            xs, ys = [], []
-            for r, u in enumerate(ops):
-                p_pulse = success_probability(u, oracle)
-                p_est = estimated_success(u, oracle)
-                rows.append(
-                    [
-                        oracle.label(),
-                        r,
-                        style,
-                        p_pulse,
-                        p_est,
-                        closed_form_success(r, k),
-                    ]
-                )
-                xs.append(float(r))
-                ys.append(p_pulse)
-            series.append(
-                svgplot.Series(
-                    f"{oracle.label()} {style}",
-                    xs,
-                    ys,
-                    marker=_MARKER_CYCLE[oi % len(_MARKER_CYCLE)],
-                )
-            )
+    runs = [(oi, oracle, style) for oi, oracle in enumerate(cfg.oracles)
+            for style in cfg.styles]
+    gate_sets = [compile_gates(oracle, system, style) for _, oracle, style in runs]
+    ops_by_run = pulse_operators(cfg.r_max, gate_sets, system, [error])
+    for (oi, oracle, style), (ops,) in zip(runs, ops_by_run):
+        ys = [success_probability(u, oracle) for u in ops]
+        for r, (u, p) in enumerate(zip(ops, ys)):
+            p_est = estimated_success(u, oracle)
+            rows.append([oracle.label(), r, style, p, p_est, closed_form_success(r, k)])
+        xs = [float(r) for r in range(len(ys))]
+        mark = _MARKER_CYCLE[oi % len(_MARKER_CYCLE)]
+        series.append(svgplot.Series(f"{oracle.label()} {style}", xs, ys, marker=mark))
     smooth_x = [i * 0.05 for i in range(int(cfg.r_max / 0.05) + 1)]
     smooth_y = [1.0 - (1.0 - k / 4.0) ** (3.0**x) for x in smooth_x]
     series.insert(0, svgplot.Series("closed form", smooth_x, smooth_y, dashed=True))
@@ -192,9 +185,9 @@ def run_robustness(cfg: ExperimentConfig) -> Iterator[tuple[str, str]]:
     residual_by_grid: dict[tuple[float, float], float] = {}
     grid = [(eps, dj) for eps in cfg.eps_values for dj in cfg.delta_j_values]
     errors = [ErrorModel(eps_H=eps, eps_C=eps, delta_J=dj) for eps, dj in grid]
-    for oracle in cfg.oracles:
-        gates = compile_gates(oracle, cfg.system, "naive")
-        ops_by_error = pulse_operators(cfg.r_max, gates, cfg.system, errors)
+    gate_sets = [compile_gates(oracle, cfg.system, "naive") for oracle in cfg.oracles]
+    ops_by_oracle = pulse_operators(cfg.r_max, gate_sets, cfg.system, errors)
+    for oracle, ops_by_error in zip(cfg.oracles, ops_by_oracle):
         for (eps, dj), ops in zip(grid, ops_by_error):
             probs = [success_probability(u, oracle) for u in ops]
             residuals = cube_residuals(probs)
@@ -327,9 +320,9 @@ def run_spectra(cfg: ExperimentConfig) -> Iterator[tuple[str, str]]:
     # and the two traces are bitwise equal, since +0.0 + -0.0 is +0.0
     traces: dict[Spectrum, np.ndarray] = {}
     r_top = max((r for r in cfg.r_values if r is not None), default=0)
-    for oracle in cfg.oracles:
-        gates = compile_gates(oracle, cfg.system, style)
-        (ops,) = pulse_operators(r_top, gates, cfg.system, [error])
+    gate_sets = [compile_gates(oracle, cfg.system, style) for oracle in cfg.oracles]
+    ops_by_oracle = pulse_operators(r_top, gate_sets, cfg.system, [error])
+    for oracle, (ops,) in zip(cfg.oracles, ops_by_oracle):
         row: list[svgplot.Panel] = []
         for r in cfg.r_values:
             if r is None:

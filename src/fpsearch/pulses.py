@@ -243,7 +243,7 @@ def sequence_unitary(
 ) -> np.ndarray:
     """:func:`sequence_unitaries` under one error model, as one 4x4 matrix. Of a
     whole ``compile_algorithm`` program it is the event-by-event reference that
-    tests and ``perfbench/check.py`` hold ``experiments.pulse_operators`` to."""
+    tests and ``perfbench/check.py`` hold ``experiments.pulse_operators``' rows to."""
     return sequence_unitaries(sequence, system, (error,))[0]
 
 

@@ -182,11 +182,12 @@ def ideal_gates(oracle: OracleSpec) -> dict[str, np.ndarray]:
             "R0": r0, "R0dag": r0.conj().T}
 
 
-def operators(r_max: int, gates: dict[str, np.ndarray]) -> list[np.ndarray]:
+def operators(r_max: int, gates: dict[str, np.ndarray]) -> np.ndarray:
     """The operators V(0)..V(r_max) built from six gate matrices.
 
-    ``gates`` maps each gate label to a gate's matrix: the exact ones
-    of :func:`ideal_gates`, or simulated pulse programs. In matrix order
+    ``gates`` maps each gate label to a gate's matrix, or to a stack of them:
+    the exact ones of :func:`ideal_gates`, or simulated pulse programs. In
+    matrix order
 
         V(r+1) = V(r) R0 W(r) Rf V(r),   W(r+1) = W(r) Rf^dag V(r) R0^dag W(r)
 
@@ -196,14 +197,20 @@ def operators(r_max: int, gates: dict[str, np.ndarray]) -> list[np.ndarray]:
     error (a phase gate and its inverse use different delay durations, so
     a coupling error hits them differently), so W is not replaced by V^dag:
     that mismatch is what the pulse level models.
+
+    The products broadcast over stacks, and each order is written into one
+    preallocated result as it is formed: ``[..., r, :, :]`` is V(r), so for
+    plain matrices element ``r`` is V(r).
     """
     _check_order(r_max)
     v, w = gates["U"], gates["Udag"]
     rf, rf_dag, r0, r0_dag = (gates[k] for k in ("Rf", "Rfdag", "R0", "R0dag"))
-    out = [v]
-    for _ in range(r_max):
+    *batch, rows, cols = v.shape
+    out = np.empty((*batch, r_max + 1, rows, cols), np.result_type(*gates.values()))
+    out[..., 0, :, :] = v
+    for r in range(1, r_max + 1):
         v, w = v @ r0 @ w @ rf @ v, w @ rf_dag @ v @ r0_dag @ w
-        out.append(v)
+        out[..., r, :, :] = v
     return out
 
 

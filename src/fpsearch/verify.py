@@ -7,8 +7,9 @@ individually. Checks are self-contained and leave no files behind: the
 table check writes into a temporary directory, and the determinism check
 compares the texts two runs of each experiment yield, in memory, each run
 starting with the event memo empty. The compilation check simulates the
-compiled gates through ``pulse_operators``, the path every pulse-level
-experiment takes.
+compiled gates of all 20 (oracle, style) gate sets in one ``pulse_operators``
+call, the path every pulse-level experiment takes, and criteria 4 and 5 make
+one call each for their four oracles.
 """
 
 from __future__ import annotations
@@ -137,15 +138,14 @@ def check_compilation_soundness() -> CheckResult:
     def body():
         system = SpinSystem()
         oracles = all_oracles(1) + all_oracles(2)
+        runs = [(oracle, style) for oracle in oracles for style in STYLES]
+        gate_sets = [compile_gates(oracle, system, style) for oracle, style in runs]
+        simulated = dict(zip(runs, pulse_operators(3, gate_sets, system, [NO_ERROR])))
         for oracle in oracles:
             ideal = operators(3, ideal_gates(oracle))
-            simulated = {}
-            for style in STYLES:
-                gates = compile_gates(oracle, system, style)
-                (simulated[style],) = pulse_operators(3, gates, system, [NO_ERROR])
             for r in range(4):
                 for style in STYLES:
-                    u = simulated[style][r]
+                    u = simulated[oracle, style][0, r]
                     if not equal_up_to_global_phase(u, ideal[r], 1e-10):
                         return False, (
                             f"{style} r={r} oracle={oracle.label()} deviates "
@@ -178,10 +178,10 @@ def check_error_tolerance() -> CheckResult:
         eps_values = (-0.1, -0.05, -0.02, 0.02, 0.05, 0.1)
         errors = [ErrorModel(eps_H=eps, eps_C=eps) for eps in eps_values]
         residuals = {}  # (eps, oracle label): cube residuals by r
-        for oracle in all_oracles(1):
-            gates = compile_gates(oracle, system, "naive")
-            ops_by_error = pulse_operators(3, gates, system, errors)
-            for eps, ops in zip(eps_values, ops_by_error):
+        oracles = all_oracles(1)
+        gates = [compile_gates(oracle, system, "naive") for oracle in oracles]
+        for oracle, by_error in zip(oracles, pulse_operators(3, gates, system, errors)):
+            for eps, ops in zip(eps_values, by_error):
                 probs = [success_probability(u, oracle) for u in ops]
                 residuals[eps, oracle.label()] = cube_residuals(probs)
         worst, where = 0.0, ""
@@ -201,9 +201,9 @@ def check_coupling_error_breaks_fixed_point() -> CheckResult:
         system = SpinSystem()
         error = ErrorModel(delta_J=0.05)
         residuals = {}
-        for oracle in all_oracles(1):
-            gates = compile_gates(oracle, system, "naive")
-            (ops,) = pulse_operators(1, gates, system, [error])
+        oracles = all_oracles(1)
+        gates = [compile_gates(oracle, system, "naive") for oracle in oracles]
+        for oracle, (ops,) in zip(oracles, pulse_operators(1, gates, system, [error])):
             probs = [success_probability(u, oracle) for u in ops]
             (residuals[oracle.label()],) = cube_residuals(probs)
         if max(residuals.values()) <= 1e-6:

@@ -24,8 +24,10 @@ def test_pulse_operators_check_every_order(monkeypatch, system):
     errors = [NO_ERROR, ErrorModel(eps_H=0.05, delta_J=-0.02), ErrorModel(eps_C=0.1)]
     drift = np.stack([np.eye(4), np.diag([np.sqrt(1.0 + 1e-9), 1.0, 1.0, 1.0]), np.eye(4)])
 
-    def drifted(r_max, gates):
-        return [v if r == 0 else drift @ v for r, v in enumerate(operators(r_max, gates))]
+    def drifted(r_max, gates):  # every order from 1 on, of the one gate set
+        ops = operators(r_max, gates)
+        ops[..., 1:, :, :] = drift[:, None] @ ops[..., 1:, :, :]
+        return ops
 
     monkeypatch.setattr(experiments, "operators", drifted)
     gates = compile_gates(OracleSpec({"11"}), system)
@@ -33,7 +35,28 @@ def test_pulse_operators_check_every_order(monkeypatch, system):
         r"order-1 operator lost unitarity under "
         r"ErrorModel\(eps_H=0\.05, eps_C=0\.0, delta_J=-0\.02\) \(deviation"
     )):
-        experiments.pulse_operators(1, gates, system, errors)
+        experiments.pulse_operators(1, [gates], system, errors)
+
+
+def test_unitarity_error_names_the_model_of_a_later_gate_set(monkeypatch, system):
+    # a stack of gate sets is checked as one flat list of matrices: the failing
+    # matrix of set 1 under errors[1] must name errors[1], not the flat index's
+    errors = [NO_ERROR, ErrorModel(eps_H=0.05, delta_J=-0.02), ErrorModel(eps_C=0.1)]
+    drift = np.eye(4) * np.ones((2, 3, 1, 1))
+    drift[1, 1, 0, 0] = np.sqrt(1.0 + 1e-9)
+
+    def drifted(r_max, gates):
+        ops = operators(r_max, gates)
+        ops[..., 1:, :, :] = drift[:, :, None] @ ops[..., 1:, :, :]
+        return ops
+
+    monkeypatch.setattr(experiments, "operators", drifted)
+    gate_sets = [compile_gates(OracleSpec({s}), system) for s in ("01", "11")]
+    with pytest.raises(UnitarityError, match=(
+        r"order-1 operator lost unitarity under "
+        r"ErrorModel\(eps_H=0\.05, eps_C=0\.0, delta_J=-0\.02\) \(deviation"
+    )):
+        experiments.pulse_operators(1, gate_sets, system, errors)
 
 
 @pytest.mark.parametrize("r_max", [0, 2])
@@ -54,7 +77,7 @@ def test_pulse_operators_check_the_simulated_gates(monkeypatch, system, r_max):
         rf"^sequence of {len(gates['U'])} events lost unitarity under "
         r"ErrorModel\(eps_H=0\.05, eps_C=0\.0, delta_J=-0\.02\) \(deviation"
     )):
-        experiments.pulse_operators(r_max, gates, system, errors)
+        experiments.pulse_operators(r_max, [gates], system, errors)
 
 
 def _read_csv(path):

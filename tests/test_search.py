@@ -36,6 +36,12 @@ class TestOracleSpec:
         assert spec.indices == (0, 1)
         assert spec.label() == "00+01"
 
+    def test_a_matching_set_is_stored_frozen(self):
+        # so that a spec given a plain set hashes, as dict keys of (oracle, style) need
+        spec = OracleSpec({"00", "01"})
+        assert type(spec.matching) is frozenset
+        assert {spec: "a"}[OracleSpec(frozenset({"01", "00"}))] == "a"
+
     def test_rejects_bad_strings(self):
         with pytest.raises(ValueError):
             OracleSpec({"001"})
