@@ -84,23 +84,26 @@ def _csv(
 
 def pulse_operators(
     r_max: int,
-    gate_sets: Sequence[dict[str, PulseSequence]],
+    runs: Sequence[tuple[OracleSpec, str]],
     system: SpinSystem,
     errors: Sequence[ErrorModel],
 ) -> np.ndarray:
-    """Unitaries of the compiled order-0..r_max programs of each gate set under
-    each of ``errors``.
+    """Unitaries of the compiled order-0..r_max programs of each (oracle, style)
+    run under each of ``errors``.
 
-    ``gate_sets`` are :func:`fpsearch.compiler.compile_gates` dicts. Each distinct
-    compiled gate among them is simulated once for the whole error list (only the
-    oracle gates differ between oracles of one phase and style), and one
-    :func:`fpsearch.search.operators` recursion, whose products broadcast, runs
-    on ``(len(gate_sets), len(errors), 4, 4)`` stacks. Element ``[i, j, r]`` of the
-    ``(len(gate_sets), len(errors), r_max + 1, 4, 4)`` result is order r of
-    ``gate_sets[i]`` under ``errors[j]``: bitwise the one-set, one-model call, and
-    ``pulses.sequence_unitary`` of ``compile_algorithm(r, ...)`` up to the rounding
-    of reassociated products.
+    Each run is compiled once by :func:`fpsearch.compiler.compile_gates` on
+    ``system``. Each distinct compiled gate among the runs is simulated once for
+    the whole error list (only the oracle gates differ between oracles of one
+    phase and style), and one :func:`fpsearch.search.operators` recursion, whose
+    products broadcast, runs on ``(len(runs), len(errors), 4, 4)`` stacks. Element
+    ``[i, j, r]`` of the ``(len(runs), len(errors), r_max + 1, 4, 4)`` result is
+    order r of ``runs[i]`` under ``errors[j]``: bitwise the one-run, one-model
+    call, and ``pulses.sequence_unitary`` of ``compile_algorithm(r, ...)`` up to
+    the rounding of reassociated products.
     """
+    if not runs:
+        raise ValueError("runs is empty; give at least one (oracle, style) pair")
+    gate_sets = [compile_gates(oracle, system, style) for oracle, style in runs]
     simulated: dict[PulseSequence, np.ndarray] = {}  # equal gates give equal stacks
     for seq in (seq for gates in gate_sets for seq in gates.values()):
         if seq not in simulated:
@@ -109,10 +112,34 @@ def pulse_operators(
               for label in gate_sets[0]}
     del simulated  # the stacks hold copies (~10 MB at the 64 x 64 grid cap)
     ops = operators(r_max, stacks)
-    models = [error for _ in gate_sets for error in errors]  # each matrix's model
+    models = [error for _ in runs for error in errors]  # each matrix's model
     for r in range(1, r_max + 1):  # V(0) is U's stack, checked as it was simulated
         check_unitary(ops[..., r, :, :], f"order-{r} operator", models)
     return ops
+
+
+def residual_rows(
+    r_max: int,
+    oracles: Sequence[OracleSpec],
+    system: SpinSystem,
+    eps_values: Sequence[float],
+    delta_j_values: Sequence[float],
+) -> list[list]:
+    """``[oracle label, eps, delta_j, r, P(r), cube residual]`` rows, by oracle,
+    eps, delta_j and r, of naive runs with rf error eps on both spins. A row's
+    :func:`fpsearch.search.cube_residuals` entry, None at r = 0, is that of the
+    step from order r - 1 to r: its distance from the ideal contraction."""
+    grid = [(eps, dj) for eps in eps_values for dj in delta_j_values]
+    errors = [ErrorModel(eps_H=eps, eps_C=eps, delta_J=dj) for eps, dj in grid]
+    runs = [(oracle, "naive") for oracle in oracles]
+    rows = []
+    for oracle, by_error in zip(oracles, pulse_operators(r_max, runs, system, errors)):
+        for (eps, dj), ops in zip(grid, by_error):
+            probs = [success_probability(u, oracle) for u in ops]
+            residuals = [None, *cube_residuals(probs)]
+            for r, (p, residual) in enumerate(zip(probs, residuals)):
+                rows.append([oracle.label(), eps, dj, r, p, residual])
+    return rows
 
 
 def estimated_success(u: np.ndarray, oracle: OracleSpec) -> float | None:
@@ -149,20 +176,18 @@ def run_curves(cfg: ExperimentConfig) -> Iterator[tuple[str, str]]:
     system = SpinSystem()
     rows = []
     series: list[svgplot.Series] = []
-    runs = [(oi, oracle, style) for oi, oracle in enumerate(cfg.oracles)
-            for style in cfg.styles]
-    gate_sets = [compile_gates(oracle, system, style) for _, oracle, style in runs]
-    ops_by_run = pulse_operators(cfg.r_max, gate_sets, system, [error])
-    for (oi, oracle, style), (ops,) in zip(runs, ops_by_run):
+    runs = [(oracle, style) for oracle in cfg.oracles for style in cfg.styles]
+    ops_by_run = pulse_operators(cfg.r_max, runs, system, [error])
+    for i, ((oracle, style), (ops,)) in enumerate(zip(runs, ops_by_run)):
         ys = [success_probability(u, oracle) for u in ops]
         for r, (u, p) in enumerate(zip(ops, ys)):
             p_est = estimated_success(u, oracle)
             rows.append([oracle.label(), r, style, p, p_est, closed_form_success(r, k)])
         xs = [float(r) for r in range(len(ys))]
-        mark = _MARKER_CYCLE[oi % len(_MARKER_CYCLE)]
+        mark = _MARKER_CYCLE[i // len(cfg.styles) % len(_MARKER_CYCLE)]
         series.append(svgplot.Series(f"{oracle.label()} {style}", xs, ys, marker=mark))
     smooth_x = [i * 0.05 for i in range(int(cfg.r_max / 0.05) + 1)]
-    smooth_y = [1.0 - (1.0 - k / 4.0) ** (3.0**x) for x in smooth_x]
+    smooth_y = [closed_form_success(x, k) for x in smooth_x]
     series.insert(0, svgplot.Series("closed form", smooth_x, smooth_y, dashed=True))
     name = cfg.experiment
     columns = ["oracle", "r", "style", "P_pulse", "P_estimated", "P_closed"]
@@ -176,25 +201,12 @@ def run_curves(cfg: ExperimentConfig) -> Iterator[tuple[str, str]]:
 
 
 def run_robustness(cfg: ExperimentConfig) -> Iterator[tuple[str, str]]:
-    """Cube-law residuals across an (rf, coupling) error grid.
-
-    Each residual (:func:`fpsearch.search.cube_residuals`) measures how far
-    the pulse-level run is from the ideal fixed-point contraction.
-    """
-    rows = []
-    residual_by_grid: dict[tuple[float, float], float] = {}
-    grid = [(eps, dj) for eps in cfg.eps_values for dj in cfg.delta_j_values]
-    errors = [ErrorModel(eps_H=eps, eps_C=eps, delta_J=dj) for eps, dj in grid]
-    gate_sets = [compile_gates(oracle, cfg.system, "naive") for oracle in cfg.oracles]
-    ops_by_oracle = pulse_operators(cfg.r_max, gate_sets, cfg.system, errors)
-    for oracle, ops_by_error in zip(cfg.oracles, ops_by_oracle):
-        for (eps, dj), ops in zip(grid, ops_by_error):
-            probs = [success_probability(u, oracle) for u in ops]
-            residuals = cube_residuals(probs)
-            for r, (p, residual) in enumerate(zip(probs, [None, *residuals])):
-                rows.append([oracle.label(), eps, dj, r, p, residual])
-            worst = max([residual_by_grid.get((eps, dj), 0.0), *residuals])
-            residual_by_grid[eps, dj] = worst
+    """Cube-law residuals (:func:`residual_rows`) over an (rf, coupling) error grid."""
+    rows = residual_rows(cfg.r_max, cfg.oracles, cfg.system, cfg.eps_values,
+                         cfg.delta_j_values)
+    worst: dict[tuple[float, float], float] = {}  # largest residual of each cell
+    for _, eps, dj, _, _, residual in rows:  # None at order 0
+        worst[eps, dj] = max(worst.get((eps, dj), 0.0), residual or 0.0)
     columns = ["oracle", "eps", "delta_j", "r", "P_pulse", "cube_residual"]
     yield "robustness.csv", _csv(cfg, columns, rows)
     series = []
@@ -202,7 +214,7 @@ def run_robustness(cfg: ExperimentConfig) -> Iterator[tuple[str, str]]:
         xs = [eps for eps in cfg.eps_values]
         # the ideal cube law holds to 1e-12; rounding noise below it plots at -12
         ys = [
-            math.log10(max(residual_by_grid[eps, dj], 1e-12))
+            math.log10(max(worst[eps, dj], 1e-12))
             for eps in cfg.eps_values
         ]
         series.append(svgplot.Series(f"delta_j={dj:g}", xs, ys, marker="circle"))
@@ -320,8 +332,8 @@ def run_spectra(cfg: ExperimentConfig) -> Iterator[tuple[str, str]]:
     # and the two traces are bitwise equal, since +0.0 + -0.0 is +0.0
     traces: dict[Spectrum, np.ndarray] = {}
     r_top = max((r for r in cfg.r_values if r is not None), default=0)
-    gate_sets = [compile_gates(oracle, cfg.system, style) for oracle in cfg.oracles]
-    ops_by_oracle = pulse_operators(r_top, gate_sets, cfg.system, [error])
+    runs = [(oracle, style) for oracle in cfg.oracles]
+    ops_by_oracle = pulse_operators(r_top, runs, cfg.system, [error])
     for oracle, (ops,) in zip(cfg.oracles, ops_by_oracle):
         row: list[svgplot.Panel] = []
         for r in cfg.r_values:

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Cap on the recursion order. The operator recursion itself is cheap, but
-# pulse compilation of order r grows like 3**r events.
+# Cap on the recursion order. The recursion takes r steps on six gates; only
+# the flat gate list, and so ``compile_algorithm``'s whole program, grows like 3**r.
 MAX_ORDER = 8
 
 # The register is two spins, and a basis state is labelled by its two bits.
@@ -147,7 +147,7 @@ def _check_order(r: int) -> None:
     if r > MAX_ORDER:
         raise ValueError(
             f"recursion order {r} exceeds the maximum {MAX_ORDER}; "
-            f"pulse compilation grows like 3**r"
+            "a whole compiled program grows like 3**r"
         )
 
 
@@ -236,7 +236,7 @@ def cube_residuals(probs: list[float]) -> list[float]:
     return [abs((1.0 - b) - (1.0 - a) ** 3) for a, b in zip(probs, probs[1:])]
 
 
-def closed_form_success(r: int, k: int) -> float:
+def closed_form_success(r: float, k: int) -> float:
     """Closed-form success probability 1 - (1 - k/4)**(3**r) at phase pi/3."""
     if r < 0:
         raise ValueError("recursion order must be nonnegative")

@@ -6,10 +6,9 @@ runs them all and reports one line per check; the test suite asserts them
 individually. Checks are self-contained and leave no files behind: the
 table check writes into a temporary directory, and the determinism check
 compares the texts two runs of each experiment yield, in memory, each run
-starting with the event memo empty. The compilation check simulates the
-compiled gates of all 20 (oracle, style) gate sets in one ``pulse_operators``
-call, the path every pulse-level experiment takes, and criteria 4 and 5 make
-one call each for their four oracles.
+starting with the event memo empty. Pulse-level checks take the experiments'
+path: criterion 3 passes its 20 (oracle, style) runs to one ``pulse_operators``
+call, and criteria 4 and 5 read ``residual_rows``, robustness's table.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import readout
-from .compiler import STYLES, compile_algorithm, compile_gates
+from .compiler import STYLES, compile_algorithm
 from .config import EXPERIMENT_NAMES, build_config
 from .experiments import (
     EXPERIMENTS,
@@ -31,10 +30,11 @@ from .experiments import (
     fit_loglog_slope,
     pulse_infidelities,
     pulse_operators,
+    residual_rows,
     run_experiment,
 )
 # sequence_unitary is unused here; perfbench/tracer.py wraps it under this name.
-from .pulses import NO_ERROR, ErrorModel, SpinSystem, clear_event_memo, sequence_unitary
+from .pulses import NO_ERROR, SpinSystem, clear_event_memo, sequence_unitary
 from .search import (
     STATES,
     OracleSpec,
@@ -139,8 +139,7 @@ def check_compilation_soundness() -> CheckResult:
         system = SpinSystem()
         oracles = all_oracles(1) + all_oracles(2)
         runs = [(oracle, style) for oracle in oracles for style in STYLES]
-        gate_sets = [compile_gates(oracle, system, style) for oracle, style in runs]
-        simulated = dict(zip(runs, pulse_operators(3, gate_sets, system, [NO_ERROR])))
+        simulated = dict(zip(runs, pulse_operators(3, runs, system, [NO_ERROR])))
         for oracle in oracles:
             ideal = operators(3, ideal_gates(oracle))
             for r in range(4):
@@ -174,23 +173,13 @@ def check_compilation_soundness() -> CheckResult:
 
 def check_error_tolerance() -> CheckResult:
     def body():
-        system = SpinSystem()
         eps_values = (-0.1, -0.05, -0.02, 0.02, 0.05, 0.1)
-        errors = [ErrorModel(eps_H=eps, eps_C=eps) for eps in eps_values]
-        residuals = {}  # (eps, oracle label): cube residuals by r
-        oracles = all_oracles(1)
-        gates = [compile_gates(oracle, system, "naive") for oracle in oracles]
-        for oracle, by_error in zip(oracles, pulse_operators(3, gates, system, errors)):
-            for eps, ops in zip(eps_values, by_error):
-                probs = [success_probability(u, oracle) for u in ops]
-                residuals[eps, oracle.label()] = cube_residuals(probs)
-        worst, where = 0.0, ""
-        for (eps, label), found in sorted(residuals.items()):  # eps, then oracle
-            for r, res in enumerate(found):
-                if res > worst:
-                    worst, where = res, f"eps={eps} oracle={label} r={r}"
-        return worst <= 1e-9, (
-            f"max pulse-level cube residual {worst:.3e} at {where} (bound 1e-9)"
+        rows = residual_rows(3, all_oracles(1), SpinSystem(), eps_values, (0.0,))
+        steps = [row for row in rows if row[3]]  # order 0 has no residual
+        label, eps, _, r, _, worst = max(steps, key=lambda row: row[5])
+        return worst <= 1e-9, (  # named by its step's first order, r - 1
+            f"max pulse-level cube residual {worst:.3e} at eps={eps} oracle={label} "
+            f"r={r - 1} (bound 1e-9)"
         )
 
     return _timed("rf-error tolerance (pulse level)", 30.0, body)
@@ -198,14 +187,8 @@ def check_error_tolerance() -> CheckResult:
 
 def check_coupling_error_breaks_fixed_point() -> CheckResult:
     def body():
-        system = SpinSystem()
-        error = ErrorModel(delta_J=0.05)
-        residuals = {}
-        oracles = all_oracles(1)
-        gates = [compile_gates(oracle, system, "naive") for oracle in oracles]
-        for oracle, (ops,) in zip(oracles, pulse_operators(1, gates, system, [error])):
-            probs = [success_probability(u, oracle) for u in ops]
-            (residuals[oracle.label()],) = cube_residuals(probs)
+        rows = residual_rows(1, all_oracles(1), SpinSystem(), (0.0,), (0.05,))
+        residuals = {label: res for label, _, _, r, _, res in rows if r}  # r = 1
         if max(residuals.values()) <= 1e-6:
             return False, f"no oracle exceeds 1e-6: {residuals}"
         drift = max(

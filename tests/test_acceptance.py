@@ -88,10 +88,10 @@ BROKEN = {
     "3-oracle-gates": ("3", verify, "expand_gate_list", lambda f: lambda r: f(r)[:1] + f(r)[2:]),
     "3-rf-count-low": ("3", PulseSequence, "rf_pulse_count", lambda f: lambda s: 149),
     "3-rf-count-high": ("3", PulseSequence, "rf_pulse_count", lambda f: lambda s: 251),
-    "3-compiled-gate": ("3", verify, "compile_gates",
+    "3-compiled-gate": ("3", experiments, "compile_gates",
                         lambda f: lambda *args: _first_pulse_off(f(*args))),
     "5-regression": ("5", verify, "COUPLING_RESIDUALS_R1", lambda d: _shift(d, "01", 2e-9)),
-    "5-no-coupling-error": ("5", verify, "ErrorModel", lambda cls: lambda **kw: cls()),
+    "5-no-coupling-error": ("5", experiments, "ErrorModel", lambda cls: lambda **kw: cls()),
     "6-naive-slope": ("6", verify, "pulse_infidelities",
                       lambda f: _scaled(f, lambda e, i: i * e**0.3, lambda e, i: i)),
     "6-bb1-slope": ("6", verify, "pulse_infidelities",
@@ -150,7 +150,7 @@ def test_a_check_over_its_time_limit_or_raising_fails():
 def test_criterion_5_needs_a_broken_fixed_point(monkeypatch):
     # no coupling error leaves rounding noise; regression values recorded
     # from such a run would agree with it, and the check must still fail
-    monkeypatch.setattr(verify, "ErrorModel", lambda **kwargs: ErrorModel())
+    monkeypatch.setattr(experiments, "ErrorModel", lambda **kwargs: ErrorModel())
     monkeypatch.setattr(verify, "COUPLING_RESIDUALS_R1", dict.fromkeys(STATES, 0.0))
     result = verify.check_coupling_error_breaks_fixed_point()
     assert result.passed is False and result.detail.startswith("no oracle exceeds 1e-6")

@@ -30,12 +30,11 @@ def test_pulse_operators_check_every_order(monkeypatch, system):
         return ops
 
     monkeypatch.setattr(experiments, "operators", drifted)
-    gates = compile_gates(OracleSpec({"11"}), system)
     with pytest.raises(UnitarityError, match=(
         r"order-1 operator lost unitarity under "
         r"ErrorModel\(eps_H=0\.05, eps_C=0\.0, delta_J=-0\.02\) \(deviation"
     )):
-        experiments.pulse_operators(1, [gates], system, errors)
+        experiments.pulse_operators(1, [(OracleSpec({"11"}), "naive")], system, errors)
 
 
 def test_unitarity_error_names_the_model_of_a_later_gate_set(monkeypatch, system):
@@ -51,12 +50,12 @@ def test_unitarity_error_names_the_model_of_a_later_gate_set(monkeypatch, system
         return ops
 
     monkeypatch.setattr(experiments, "operators", drifted)
-    gate_sets = [compile_gates(OracleSpec({s}), system) for s in ("01", "11")]
+    runs = [(OracleSpec({s}), "naive") for s in ("01", "11")]
     with pytest.raises(UnitarityError, match=(
         r"order-1 operator lost unitarity under "
         r"ErrorModel\(eps_H=0\.05, eps_C=0\.0, delta_J=-0\.02\) \(deviation"
     )):
-        experiments.pulse_operators(1, gate_sets, system, errors)
+        experiments.pulse_operators(1, runs, system, errors)
 
 
 @pytest.mark.parametrize("r_max", [0, 2])
@@ -64,7 +63,8 @@ def test_pulse_operators_check_the_simulated_gates(monkeypatch, system, r_max):
     # V(0) is U's stack: a U that is not unitary under one model raises from
     # the gate's own simulation, naming the sequence and that model
     errors = [NO_ERROR, ErrorModel(eps_H=0.05, delta_J=-0.02)]
-    gates = compile_gates(OracleSpec({"11"}), system)
+    oracle = OracleSpec({"11"})
+    gates = compile_gates(oracle, system)  # the gates pulse_operators compiles
     drift = np.diag([np.sqrt(1.0 + 1e-9), 1.0, 1.0, 1.0])
     factor = pulses._factor
 
@@ -77,7 +77,7 @@ def test_pulse_operators_check_the_simulated_gates(monkeypatch, system, r_max):
         rf"^sequence of {len(gates['U'])} events lost unitarity under "
         r"ErrorModel\(eps_H=0\.05, eps_C=0\.0, delta_J=-0\.02\) \(deviation"
     )):
-        experiments.pulse_operators(r_max, [gates], system, errors)
+        experiments.pulse_operators(r_max, [(oracle, "naive")], system, errors)
 
 
 def _read_csv(path):

@@ -1,15 +1,15 @@
 """Fast paths against the plain forms they replace.
 
-``pulse_operators`` simulates each distinct compiled gate of a list of gate
-sets once per error list and recurses on V (compiled program) and W
-(compiled adjoint program) of every set in one stack. The reference
-simulates the whole ``compile_algorithm`` program event by event, and the
-scipy ``expm`` brute force checks every compiled gate independently.
-``sequence_unitaries`` is the only event simulator: it takes one stacked
-product per event for a whole error list, of one model as of many. Each
-matrix of its stack, each row of ``pulse_operators`` (per gate set and per
-model) and each element of ``pulse_infidelities``' eps grid is checked
-bitwise against the unmemoised product or the one-set, one-model call, for
+``pulse_operators`` compiles a list of (oracle, style) runs, simulates each
+distinct compiled gate among them once per error list and recurses on V
+(compiled program) and W (compiled adjoint program) of every run in one
+stack. The reference simulates the whole ``compile_algorithm`` program event
+by event, and the scipy ``expm`` brute force checks every compiled gate
+independently. ``sequence_unitaries`` is the only event simulator: it takes
+one stacked product per event for a whole error list, of one model as of
+many. Each matrix of its stack, each row of ``pulse_operators`` (per run and
+per model) and each element of ``pulse_infidelities``' eps grid is checked
+bitwise against the unmemoised product or the one-run, one-model call, for
 lists with repeats and zeros of either sign; permuting a list permutes the
 result exactly.
 
@@ -25,8 +25,8 @@ here for byte or bit equality against the per-value form, kept only in this
 file, with the memo cold and warm. The memo is keyed by plain floats, so
 equal inputs of any numeric type, and zeros of either sign, get one array.
 
-``compile_gates`` is a plain function: each caller compiles once per
-(oracle, style) and simulates those gates under its whole error list.
+``compile_gates`` is a plain function: ``pulse_operators`` compiles each run
+once and simulates those gates under its whole error list.
 
 ``run_spectra`` evaluates one trace per distinct doublet, formats each
 distinct trace once, and builds its SVG in a forked worker while it formats
@@ -141,7 +141,7 @@ def test_matches_reference_elementwise(system, style, error):
     # elementwise, not up to global phase: the recursion must reproduce the
     # reference operator itself, r <= 4 on every k <= 2 oracle
     for oracle in ORACLES:
-        (ops,) = pulse_operators(4, [compile_gates(oracle, system, style)], system, [error])[0]
+        (ops,) = pulse_operators(4, [(oracle, style)], system, [error])[0]
         refs = _reference_orders(4, oracle, system, style, error)
         assert len(ops) == len(refs) == 5
         for r, (v, ref) in enumerate(zip(ops, refs)):
@@ -162,7 +162,7 @@ _error = st.floats(-0.2, 0.2)
 )
 def test_matches_reference_random_errors(system, eps_h, eps_c, delta_j, oracle, style, r):
     error = ErrorModel(eps_H=eps_h, eps_C=eps_c, delta_J=delta_j)
-    v = pulse_operators(r, [compile_gates(oracle, system, style)], system, [error])[0][0, r]
+    v = pulse_operators(r, [(oracle, style)], system, [error])[0][0, r]
     assert np.max(np.abs(v - _reference(r, oracle, system, style, error))) <= 1e-10
 
 
@@ -272,8 +272,7 @@ def test_spectra_formats_each_distinct_trace_once(monkeypatch):
     freqs = np.linspace(-cfg.freq_span, cfg.freq_span, cfg.freq_points)
     error = ErrorModel(eps_H=cfg.eps, eps_C=cfg.eps, delta_J=cfg.delta_j)
     for oracle in cfg.oracles:
-        gates = compile_gates(oracle, cfg.system, cfg.styles[0])
-        (ops,) = pulse_operators(3, [gates], cfg.system, [error])[0]
+        (ops,) = pulse_operators(3, [(oracle, cfg.styles[0])], cfg.system, [error])[0]
         for r in cfg.r_values:
             tag = "inf" if r is None else str(r)
             populations = target_populations(oracle) if r is None else crush(ops[r][:, 0])
@@ -478,8 +477,8 @@ def test_memoised_unitaries_are_read_only(system):
         lambda: sequence_unitaries(PulseSequence(()), system, errors),
         lambda: sequence_unitaries(PulseSequence((coupling_delay(1e-3),)), system, errors[:1]),
         lambda: sequence_unitaries(gates["Rf"], system, errors),
-        lambda: pulse_operators(1, [gates], system, errors)[0],
-        lambda: pulse_operators(0, [gates], system, errors[:1])[0],
+        lambda: pulse_operators(1, [(ORACLES[0], "naive")], system, errors)[0],
+        lambda: pulse_operators(0, [(ORACLES[0], "naive")], system, errors[:1])[0],
     ):
         first, second = make(), make()
         assert first.flags.writeable and not np.shares_memory(first, second)
@@ -580,13 +579,13 @@ _SIGNED_ZEROS = [ErrorModel(0.0, -0.0, 0.0), ErrorModel(-0.0, 0.0, -0.0), ErrorM
 def test_operator_stack_is_bitwise_each_one_model_call(system, errors, r, rng):
     perm = rng.sample(range(len(errors)), len(errors))
     for oracle, style in itertools.product(ORACLES, STYLES):
-        gates = compile_gates(oracle, system, style)
-        ops = pulse_operators(r, [gates], system, errors)[0]
+        run = [(oracle, style)]
+        ops = pulse_operators(r, run, system, errors)[0]
         assert ops.shape == (len(errors), r + 1, 4, 4)
         for row, error in zip(ops, errors):
-            assert row.tobytes() == pulse_operators(r, [gates], system, [error])[0][0].tobytes()
+            assert row.tobytes() == pulse_operators(r, run, system, [error])[0][0].tobytes()
         # permuting the error list permutes the rows exactly
-        permuted = pulse_operators(r, [gates], system, [errors[i] for i in perm])[0]
+        permuted = pulse_operators(r, run, system, [errors[i] for i in perm])[0]
         assert permuted.tobytes() == ops[perm].tobytes()
 
 
@@ -600,25 +599,24 @@ _runs = st.tuples(st.sampled_from(ORACLES), st.sampled_from(STYLES))
     r=st.integers(0, 3),
     rng=st.randoms(),
 )
-# both styles and a repeated set in one list, so equal gates are shared
+# both styles and a repeated run in one list, so equal gates are shared
 @example(runs=[(ORACLES[0], "naive"), (ORACLES[4], "bb1"), (ORACLES[0], "naive"),
                (ORACLES[1], "naive")], errors=_SIGNED_ZEROS, r=3, rng=random.Random(0))
 def test_gate_set_stack_is_bitwise_each_one_set_call(system, runs, errors, r, rng):
-    gate_sets = [compile_gates(oracle, system, style) for oracle, style in runs]
-    ops = pulse_operators(r, gate_sets, system, errors)
+    ops = pulse_operators(r, runs, system, errors)
     assert ops.shape == (len(runs), len(errors), r + 1, 4, 4)
-    for row, gates in zip(ops, gate_sets):
-        assert row.tobytes() == pulse_operators(r, [gates], system, errors)[0].tobytes()
-    # permuting the gate sets permutes the rows exactly
+    for row, run in zip(ops, runs):
+        assert row.tobytes() == pulse_operators(r, [run], system, errors)[0].tobytes()
+    # permuting the runs permutes the rows exactly
     perm = rng.sample(range(len(runs)), len(runs))
-    permuted = pulse_operators(r, [gate_sets[i] for i in perm], system, errors)
+    permuted = pulse_operators(r, [runs[i] for i in perm], system, errors)
     assert permuted.tobytes() == ops[perm].tobytes()
 
 
 def test_each_distinct_gate_is_simulated_once_per_run(monkeypatch):
     # only the oracle gates differ between oracles, and oracle 00's Rf is R0: the
     # 4 default robustness oracles hold 10 distinct gates of their 24, and
-    # criterion 3's 20 gate sets 31 of 120
+    # criterion 3's 20 runs 31 of 120
     simulated = _counted(monkeypatch, experiments, "sequence_unitary")
     list(experiments.run_robustness(build_config("robustness", {})))
     assert len({args[0] for args in simulated}) == len(simulated) == 10
@@ -656,10 +654,12 @@ def test_an_empty_error_list_is_a_value_error(system):
     for simulate in (
         lambda: sequence_unitaries(gates["U"], system, []),
         lambda: sequence_unitaries(PulseSequence(()), system, ()),
-        lambda: pulse_operators(2, [gates], system, [])[0],
+        lambda: pulse_operators(2, [(ORACLES[0], "naive")], system, [])[0],
     ):
         with pytest.raises(ValueError, match="errors is empty"):
             simulate()
+    with pytest.raises(ValueError, match="runs is empty"):
+        pulse_operators(2, [], system, [ErrorModel()])
 
 
 # ---- compilation: once per (oracle, style), outside the error loops ----
@@ -681,7 +681,7 @@ def test_each_oracle_is_compiled_once_per_run(monkeypatch):
     calls = _counted(monkeypatch, experiments, "compile_gates")
     list(experiments.run_robustness(build_config("robustness", {})))
     assert len(calls) == len({args[0] for args in calls}) == 4
-    calls = _counted(monkeypatch, verify, "compile_gates")
+    calls.clear()
     verify.check_error_tolerance()
     assert len(calls) == len({args[0] for args in calls}) == 4
 

@@ -2,6 +2,8 @@
 
     python3 tools/mutprobe.py [module.py ...]   # default: all modules, about an hour
 
+A module is named as ``verify.py`` or by its path, ``src/fpsearch/verify.py``.
+
 Mutants: an operator swap (``+ -``, ``* /``, ``< <=``, ``> >=``, ``== !=``), a number
 plus one, a statement (not a docstring or import) made ``pass``. Each runs the suite
 with ``-x`` from a copy of the package, its module's tests first and criterion 4 (a
@@ -85,4 +87,4 @@ def main(modules):
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:] or sorted(p.name for p in SRC.glob("*.py")))
+    main([Path(m).name for m in sys.argv[1:]] or sorted(p.name for p in SRC.glob("*.py")))
