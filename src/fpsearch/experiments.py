@@ -76,7 +76,7 @@ def _csv(
     ]
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(map(_fmt, row)))
     for comment in footer or []:
         lines.append(f"# {comment}")
     return "\n".join(lines) + "\n"
@@ -134,11 +134,11 @@ def residual_rows(
     runs = [(oracle, "naive") for oracle in oracles]
     rows = []
     for oracle, by_error in zip(oracles, pulse_operators(r_max, runs, system, errors)):
-        for (eps, dj), ops in zip(grid, by_error):
-            probs = [success_probability(u, oracle) for u in ops]
+        label = oracle.label()
+        for (eps, dj), probs in zip(grid, success_probability(by_error, oracle)):
             residuals = [None, *cube_residuals(probs)]
             for r, (p, residual) in enumerate(zip(probs, residuals)):
-                rows.append([oracle.label(), eps, dj, r, p, residual])
+                rows.append([label, eps, dj, r, p, residual])
     return rows
 
 
@@ -179,7 +179,7 @@ def run_curves(cfg: ExperimentConfig) -> Iterator[tuple[str, str]]:
     runs = [(oracle, style) for oracle in cfg.oracles for style in cfg.styles]
     ops_by_run = pulse_operators(cfg.r_max, runs, system, [error])
     for i, ((oracle, style), (ops,)) in enumerate(zip(runs, ops_by_run)):
-        ys = [success_probability(u, oracle) for u in ops]
+        ys = success_probability(ops, oracle)
         for r, (u, p) in enumerate(zip(ops, ys)):
             p_est = estimated_success(u, oracle)
             rows.append([oracle.label(), r, style, p, p_est, closed_form_success(r, k)])
@@ -258,7 +258,7 @@ def run_bb1_scaling(cfg: ExperimentConfig) -> Iterator[tuple[str, str]]:
     grid = eps_grid(cfg)
     errors = [ErrorModel(eps_H=eps, eps_C=eps) for eps in grid]
     simulated = [sequence_unitary(g["U"], system, errors) for g in gates]
-    p0 = [[success_probability(u, oracle) for u in stack] for stack in simulated]
+    p0 = [success_probability(stack, oracle) for stack in simulated]
     inf_naive, inf_bb1 = pulse_infidelities(grid, system)
     rows = list(zip(grid, inf_naive, inf_bb1, *p0))
     slope_n = fit_loglog_slope(grid, inf_naive)

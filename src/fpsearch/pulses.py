@@ -90,7 +90,7 @@ class PulseEvent:
         object.__setattr__(self, "targets", frozenset(self.targets))
         if self.kind not in (RF_PULSE, DELAY):
             raise ValueError(f"unknown event kind {self.kind!r}")
-        if any(t not in SPINS for t in self.targets):
+        if not self.targets <= frozenset(SPINS):
             raise ValueError(f"unknown spin in targets {set(self.targets)}")
         if self.kind == RF_PULSE:
             if not self.targets:
@@ -156,12 +156,14 @@ class PulseSequence:
 
 
 def _rot_xy(theta: float, phase: float) -> np.ndarray:
-    # exp(-i*theta*(cos(phase)*sx + sin(phase)*sy)/2)
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    # exp(-i*theta*(cos(phase)*sx + sin(phase)*sy)/2) by the libm calls and complex
+    # products of the numpy-scalar form, in order (s complex, as numpy promoted it)
+    c, s = math.cos(theta / 2.0), complex(math.sin(theta / 2.0))
+    y1, y2 = (-1j * phase).imag, (1j * phase).imag  # exp(0 + iy) is cos(y) + i sin(y)
     return np.array(
         [
-            [c, -1j * np.exp(-1j * phase) * s],
-            [-1j * np.exp(1j * phase) * s, c],
+            [c, -1j * complex(math.cos(y1), math.sin(y1)) * s],
+            [-1j * complex(math.cos(y2), math.sin(y2)) * s, c],
         ],
         dtype=complex,
     )
@@ -191,8 +193,8 @@ def _key_values(system: SpinSystem, error: ErrorModel) -> tuple[float, float, fl
     return float(error.eps_H), float(error.eps_C), rate
 
 
-def _factor(event: PulseEvent, eps_H: float, eps_C: float, rate: float) -> np.ndarray:
-    """``event``'s memoised, read-only unitary under one model's :func:`_key_values`.
+def _factor(event: PulseEvent, keys: Sequence[tuple[float, float, float]]) -> list:
+    """``event``'s memoised, read-only unitary under each model's :func:`_key_values`.
 
     The memo is keyed by plain floats: every parameter passes through ``float``,
     and an angle or phase through ``+ 0.0`` as well. So equal inputs give
@@ -200,11 +202,12 @@ def _factor(event: PulseEvent, eps_H: float, eps_C: float, rate: float) -> np.nd
     gets the +0.0 event's array.
     """
     if event.kind == RF_PULSE:  # eps is None off target
-        targets = event.targets
-        return _event_unitary(float(event.angle) + 0.0, float(event.phase) + 0.0,
-                              eps_H if "H" in targets else None,
-                              eps_C if "C" in targets else None)
-    return _event_unitary(rate * float(event.duration))
+        angle, phase = float(event.angle) + 0.0, float(event.phase) + 0.0
+        on_H, on_C = "H" in event.targets, "C" in event.targets
+        return [_event_unitary(angle, phase, eps_H if on_H else None,
+                               eps_C if on_C else None) for eps_H, eps_C, _ in keys]
+    duration = float(event.duration)
+    return [_event_unitary(rate * duration) for _, _, rate in keys]
 
 
 def sequence_unitaries(
@@ -227,8 +230,7 @@ def sequence_unitaries(
         raise ValueError("errors is empty; give at least one ErrorModel")
     keys = [_key_values(system, e) for e in errors]
     u, *factors = np.concatenate([_IDENTITY4] * len(keys) + [
-        _factor(event, eps_H, eps_C, rate)
-        for event in sequence.events for eps_H, eps_C, rate in keys
+        factor for event in sequence.events for factor in _factor(event, keys)
     ]).reshape(-1, len(keys), 4, 4)
     for factor in factors:
         u = factor @ u
@@ -289,7 +291,7 @@ def bb1_expand(theta: float, axis_phase: float, targets) -> tuple[PulseEvent, ..
     """
     if not 0 < theta <= 2 * np.pi:
         raise ValueError("theta must lie in (0, 2*pi]")
-    phi1 = np.arccos(-theta / (4 * np.pi))
+    phi1 = float(np.arccos(-theta / (4 * np.pi)))
     return (
         rf_pulse(targets, np.pi, axis_phase + phi1),
         rf_pulse(targets, 2 * np.pi, axis_phase + 3 * phi1),

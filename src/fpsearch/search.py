@@ -219,12 +219,21 @@ def recursive_operator(r: int, oracle: OracleSpec) -> np.ndarray:
     return operators(r, ideal_gates(oracle))[r]
 
 
-def success_probability(v: np.ndarray, oracle: OracleSpec) -> float:
-    """Total probability on the matching states after applying ``v`` to zeros."""
-    if v.shape != (len(STATES), len(STATES)):
+def success_probability(v: np.ndarray, oracle: OracleSpec) -> float | list:
+    """Total probability on the matching states after applying ``v`` to zeros;
+    of each matrix of a ``(..., 4, 4)`` stack, as nested lists. Each amplitude's
+    Python ``abs(a) ** 2``, added in index order, gives the numpy-scalar bits."""
+    if v.shape[-2:] != (len(STATES), len(STATES)):
         raise ValueError(f"operator shape {v.shape} is not 4x4")
-    amps = v[:, 0]
-    return float(sum(abs(amps[i]) ** 2 for i in oracle.indices))
+    def read(amps, indices=oracle.indices):  # one column, or lists of columns
+        if not amps or isinstance(amps[0], list):
+            return [read(a) for a in amps]
+        p = 0.0
+        for i in indices:  # plain adds: from Python 3.12, sum() of floats compensates
+            p += abs(amps[i]) ** 2
+        return p
+
+    return read(v[..., 0].tolist())
 
 
 def cube_residuals(probs: list[float]) -> list[float]:

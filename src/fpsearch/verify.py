@@ -126,8 +126,7 @@ def check_cube_law_ideal() -> CheckResult:
         worst = 0.0
         oracles = all_oracles(1) + all_oracles(2) + all_oracles(3)[:2]
         for oracle in oracles:
-            ops = operators(4, ideal_gates(oracle))
-            probs = [success_probability(v, oracle) for v in ops]
+            probs = success_probability(operators(4, ideal_gates(oracle)), oracle)
             worst = max(worst, *cube_residuals(probs))
         return worst <= 1e-12, f"max residual {worst:.2e} (<= 1e-12)"
 

@@ -68,9 +68,9 @@ def test_pulse_operators_check_the_simulated_gates(monkeypatch, system, r_max):
     drift = np.diag([np.sqrt(1.0 + 1e-9), 1.0, 1.0, 1.0])
     factor = pulses._factor
 
-    def drifted(event, eps_H, eps_C, rate):
-        u = factor(event, eps_H, eps_C, rate)
-        return drift @ u if event in gates["U"].events and eps_H == 0.05 else u
+    def drifted(event, keys):
+        return [drift @ u if event in gates["U"].events and eps_H == 0.05 else u
+                for u, (eps_H, _, _) in zip(factor(event, keys), keys)]
 
     monkeypatch.setattr(pulses, "_factor", drifted)
     with pytest.raises(UnitarityError, match=(

@@ -23,7 +23,11 @@ memoises event unitaries by value, process-wide and bounded, so
 ``sequence_unitaries`` simulates each distinct event once. Each is checked
 here for byte or bit equality against the per-value form, kept only in this
 file, with the memo cold and warm. The memo is keyed by plain floats, so
-equal inputs of any numeric type, and zeros of either sign, get one array.
+equal inputs of any numeric type, and zeros of either sign, get one array;
+``_factor`` works out an event's part of that key once for all models.
+Single values are computed on Python floats, not numpy scalars: ``_rot_xy``
+and the stack readout of ``success_probability`` are checked bitwise against
+the numpy-scalar forms they replaced.
 
 ``compile_gates`` is a plain function: ``pulse_operators`` compiles each run
 once and simulates those gates under its whole error list.
@@ -86,7 +90,7 @@ from fpsearch.readout import (
     target_populations,
     trace_template,
 )
-from fpsearch.search import OracleSpec, all_oracles, ideal_gates
+from fpsearch.search import OracleSpec, all_oracles, ideal_gates, success_probability
 
 ORACLES = all_oracles(1) + all_oracles(2)
 
@@ -370,7 +374,8 @@ def test_panel_grid_is_per_point_formatting(data, y_limit, reverse_x, as_array, 
 
 def _memoised(event, system, error=ErrorModel()):
     """The kernel's factor: ``event``'s memoised unitary under ``error``."""
-    return _factor(event, *_key_values(system, error))
+    (u,) = _factor(event, [_key_values(system, error)])
+    return u
 
 
 def _factor_unmemoised(event, system, error):
@@ -439,6 +444,45 @@ def test_pulse_unitary_is_bitwise_kron(system, event, error):
             )
         # a -0.0 angle or phase gets the +0.0 event's array
         assert len({_memoised(ev, system, err).tobytes() for ev, err in order}) == 1
+
+
+def _rot_xy_numpy(theta, phase):
+    """The numpy-scalar form of ``_rot_xy`` that the plain-float one replaced."""
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    return np.array([[c, -1j * np.exp(-1j * phase) * s],
+                     [-1j * np.exp(1j * phase) * s, c]], dtype=complex)
+
+
+_rot_angle = st.one_of(st.sampled_from([0.0, -0.0]),
+                       st.integers(-12, 12).map(lambda n: n * np.pi / 2),
+                       st.floats(-20.0, 20.0))
+
+
+@settings(max_examples=200)
+@given(theta=_rot_angle, phase=_rot_angle)
+def test_rot_xy_is_bitwise_the_numpy_scalar_form(theta, phase):
+    assert _rot_xy(theta, phase).tobytes() == _rot_xy_numpy(theta, phase).tobytes()
+
+
+@settings(max_examples=50)
+@given(event=_event, errors=st.lists(_error_model, min_size=1, max_size=4))
+# a zero angle on both spins is where the sign of a zero angle or phase shows
+@example(event=PulseEvent(RF_PULSE, frozenset("HC"), 0.0, 0.0), errors=[ErrorModel()])
+def test_factor_reads_every_model_from_one_event_key(system, event, errors):
+    # _factor works out the event's key part once for all models: each factor
+    # is the memo object of a one-model call, and a -0.0 angle or phase, seen
+    # first with the memo cold, gets the +0.0 event's unitary
+    keys = [_key_values(system, e) for e in errors]
+    variants = [ev for ev, _ in _signed_zero_variants(event, ErrorModel())]
+    for order in (variants, variants[::-1]):
+        clear_event_memo()
+        for ev in order:
+            hoisted = _factor(ev, keys)
+            assert all(u is _factor(ev, [key])[0] for u, key in zip(hoisted, keys))
+            assert [u.tobytes() for u in hoisted] == [
+                _factor_unmemoised(normalized, system, plain).tobytes()
+                for normalized, plain in (_normalized(ev, e) for e in errors)
+            ]
 
 
 def test_memo_gives_equal_values_one_array():
@@ -660,6 +704,37 @@ def test_an_empty_error_list_is_a_value_error(system):
             simulate()
     with pytest.raises(ValueError, match="runs is empty"):
         pulse_operators(2, [], system, [ErrorModel()])
+
+
+# ---- readout: P(r) of a whole operator stack from one list of amplitudes ----
+
+
+def _success_per_matrix(v, oracle):
+    """The per-matrix numpy-scalar readout that the stack readout replaced."""
+    amps = v[:, 0]
+    return float(sum(abs(amps[i]) ** 2 for i in oracle.indices))
+
+
+@settings(max_examples=100)
+@given(
+    batch=st.lists(st.integers(1, 3), max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+    oracle=st.sampled_from(all_oracles(1) + all_oracles(2) + all_oracles(3)),
+)
+def test_stack_readout_is_bitwise_the_per_matrix_value(batch, seed, oracle):
+    # random real and imaginary parts, a third of them zeros of either sign
+    rng = np.random.default_rng(seed)
+    parts = rng.normal(size=(2, *batch, 4, 4))
+    parts[rng.random(parts.shape) < 1 / 3] = 0.0
+    stack = np.empty(parts.shape[1:], complex)
+    stack.real, stack.imag = np.copysign(parts, rng.choice([-1.0, 1.0], parts.shape))
+    got = success_probability(stack, oracle)
+    assert np.shape(got) == stack.shape[:-2]
+    flat = [got] if stack.ndim == 2 else list(np.ravel(np.array(got, dtype=object)))
+    assert all(type(p) is float for p in flat)
+    assert [p.hex() for p in flat] == [
+        _success_per_matrix(u, oracle).hex() for u in stack.reshape(-1, 4, 4)
+    ]
 
 
 # ---- compilation: once per (oracle, style), outside the error loops ----

@@ -42,8 +42,9 @@ class TestEventValidation:
             coupling_delay(0.0)
 
     def test_unknown_spin(self):
-        with pytest.raises(ValueError):
-            rf_pulse("N", np.pi)
+        for targets in ("N", "HN"):
+            with pytest.raises(ValueError, match=r"^unknown spin in targets \{"):
+                rf_pulse(targets, np.pi)
 
     def test_negative_angle_folds_into_phase(self):
         ev = rf_pulse("H", -np.pi / 2, 0.0)

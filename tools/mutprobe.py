@@ -7,10 +7,12 @@ A module is named as ``verify.py`` or by its path, ``src/fpsearch/verify.py``.
 Mutants: an operator swap (``+ -``, ``* /``, ``< <=``, ``> >=``, ``== !=``), a number
 plus one, a statement (not a docstring or import) made ``pass``. Each runs the suite
 with ``-x`` from a copy of the package, its module's tests first and criterion 4 (a
-known failure) deselected, two at a time. Prints survivors, then counts.
+known failure) deselected, two at a time. The unmutated suite runs first: it must
+pass, and a mutant still running after ``TIMEOUT_FACTOR`` times its time (printed)
+is killed with its process group. Prints survivors, then counts.
 """
 
-import ast, contextlib, os, re, shutil, signal, subprocess, sys, tempfile
+import ast, contextlib, os, re, shutil, signal, subprocess, sys, tempfile, time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -21,7 +23,8 @@ SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult
         ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
         ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
 IMPORT = (ast.Import, ast.ImportFrom)
-TIMEOUT = 60  # seconds; some mutants loop forever (``gamma -= np.pi`` deleted)
+# Some mutants loop forever (``gamma -= np.pi`` deleted) or fork a chain of suites.
+TIMEOUT_FACTOR = 3  # a mutant's run may take this many times the unmutated run
 
 
 def sites(tree):
@@ -42,7 +45,7 @@ def sites(tree):
                     yield st.lineno, "pass", lambda b=body, i=i: b.__setitem__(i, ast.Pass())
 
 
-def survives(module, source):
+def survives(module, source, timeout=None):
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(SRC, Path(tmp, "fpsearch"), ignore=shutil.ignore_patterns("*.pyc"))
         Path(tmp, "fpsearch", module).write_text(source)
@@ -57,7 +60,7 @@ def survives(module, source):
                 env={**os.environ, "PYTHONPATH": tmp, "PYTHONDONTWRITEBYTECODE": "1"})
             try:
                 with contextlib.suppress(subprocess.TimeoutExpired):
-                    proc.wait(timeout=TIMEOUT)
+                    proc.wait(timeout=timeout)
             finally:
                 with contextlib.suppress(ProcessLookupError):
                     os.killpg(proc.pid, signal.SIGKILL)
@@ -75,9 +78,17 @@ def main(modules):
             next(s for j, s in enumerate(sites(tree)) if j == i)[2]()
             where = f"{module}:{line} {kind}: {text.splitlines()[line - 1].strip()}"
             jobs.append((module, where, ast.unparse(tree)))
+    start = time.monotonic()
+    if not survives(modules[0], (SRC / modules[0]).read_text()):
+        sys.exit("the unmutated suite fails; every mutant would count as killed")
+    took = time.monotonic() - start
+    timeout = TIMEOUT_FACTOR * took
+    print(f"unmutated suite {took:.1f} s; per-mutant timeout {timeout:.1f} s "
+          f"({TIMEOUT_FACTOR}x)", flush=True)
     total, alive = Counter(m for m, _, _ in jobs), Counter()
     with ThreadPoolExecutor(2) as pool:
-        for (module, where, _), left in zip(jobs, pool.map(lambda j: survives(j[0], j[2]), jobs)):
+        for (module, where, _), left in zip(
+                jobs, pool.map(lambda j: survives(j[0], j[2], timeout), jobs)):
             alive[module] += left
             if left:
                 print(where, flush=True)
