@@ -24,7 +24,7 @@ from . import svgplot
 # compile_algorithm is unused here; perfbench/tracer.py wraps it under this name.
 from .compiler import compile_algorithm, compile_gates
 from .config import ExperimentConfig
-from .pulses import ErrorModel, PulseSequence, rf_pulse, bb1_expand
+from .pulses import ErrorModel, EventFactors, PulseSequence, rf_pulse, bb1_expand
 from .pulses import NO_ERROR, SpinSystem, rotation_infidelity, check_unitary
 # pulses.sequence_unitaries, under the name perfbench/tracer.py wraps to time gate
 # simulation; a traced run fails when no call passes through it (ROADMAP item 1)
@@ -103,11 +103,12 @@ def pulse_operators(
     """
     if not runs:
         raise ValueError("runs is empty; give at least one (oracle, style) pair")
+    factors = EventFactors(system, errors)  # shared by every gate of the call
     gate_sets = [compile_gates(oracle, system, style) for oracle, style in runs]
     simulated: dict[PulseSequence, np.ndarray] = {}  # equal gates give equal stacks
     for seq in (seq for gates in gate_sets for seq in gates.values()):
         if seq not in simulated:
-            simulated[seq] = sequence_unitary(seq, system, errors)
+            simulated[seq] = sequence_unitary(seq, factors)
     stacks = {label: np.stack([simulated[gates[label]] for gates in gate_sets])
               for label in gate_sets[0]}
     del simulated  # the stacks hold copies (~10 MB at the 64 x 64 grid cap)
@@ -235,10 +236,10 @@ def pulse_infidelities(grid: Sequence[float], system: SpinSystem) -> tuple[list,
     """Infidelities of a naive and a BB1 90-degree proton pulse at each eps of
     ``grid``; each pulse is simulated once for the whole grid."""
     naive = PulseSequence((rf_pulse("H", np.pi / 2, 0.0),))
-    errors = [ErrorModel(eps_H=eps, eps_C=eps) for eps in grid]
-    (ideal,) = sequence_unitary(naive, system, [NO_ERROR])
+    factors = EventFactors(system, [ErrorModel(eps_H=eps, eps_C=eps) for eps in grid])
+    (ideal,) = sequence_unitary(naive, EventFactors(system, [NO_ERROR]))
     return tuple(
-        [rotation_infidelity(ideal, u) for u in sequence_unitary(seq, system, errors)]
+        [rotation_infidelity(ideal, u) for u in sequence_unitary(seq, factors)]
         for seq in (naive, PulseSequence(bb1_expand(np.pi / 2, 0.0, {"H"})))
     )
 
@@ -256,8 +257,8 @@ def run_bb1_scaling(cfg: ExperimentConfig) -> Iterator[tuple[str, str]]:
     system = SpinSystem()
     gates = [compile_gates(oracle, system, style) for style in ("naive", "bb1")]
     grid = eps_grid(cfg)
-    errors = [ErrorModel(eps_H=eps, eps_C=eps) for eps in grid]
-    simulated = [sequence_unitary(g["U"], system, errors) for g in gates]
+    factors = EventFactors(system, [ErrorModel(eps_H=eps, eps_C=eps) for eps in grid])
+    simulated = [sequence_unitary(g["U"], factors) for g in gates]
     p0 = [success_probability(stack, oracle) for stack in simulated]
     inf_naive, inf_bb1 = pulse_infidelities(grid, system)
     rows = list(zip(grid, inf_naive, inf_bb1, *p0))

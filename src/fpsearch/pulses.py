@@ -14,7 +14,6 @@ miscalibration makes delays programmed for J evolve under ``J*(1+delta_J)``.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -169,7 +168,6 @@ def _rot_xy(theta: float, phase: float) -> np.ndarray:
     )
 
 
-@functools.lru_cache(maxsize=4096)  # a verify peaks at 174 entries, sweep-r5 at 60
 def _event_unitary(angle, phase=None, eps_H=None, eps_C=None) -> np.ndarray:
     if phase is None:  # a delay; angle is its coupling phase
         u = np.diag(np.exp(-1j * angle * _COUPLING_DIAG))
@@ -180,61 +178,65 @@ def _event_unitary(angle, phase=None, eps_H=None, eps_C=None) -> np.ndarray:
         )
         # np.kron(a, b), bitwise, without its per-call overhead
         u = (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
-    u.flags.writeable = False  # the memo hands this array to every caller
+    u.flags.writeable = False  # the table hands this array to every lookup
     return u
 
 
-clear_event_memo = _event_unitary.cache_clear
+class EventFactors:
+    """Event unitaries under each of ``errors``, memoised for one simulation call.
 
-
-def _key_values(system: SpinSystem, error: ErrorModel) -> tuple[float, float, float]:
-    """Plain-float eps_H, eps_C and delay rate ``pi*J*(1+delta_J)`` of ``error``."""
-    rate = np.pi * float(system.J) * (1.0 + float(error.delta_J))
-    return float(error.eps_H), float(error.eps_C), rate
-
-
-def _factor(event: PulseEvent, keys: Sequence[tuple[float, float, float]]) -> list:
-    """``event``'s memoised, read-only unitary under each model's :func:`_key_values`.
-
-    The memo is keyed by plain floats: every parameter passes through ``float``,
-    and an angle or phase through ``+ 0.0`` as well. So equal inputs give
-    bitwise-equal arrays whatever their numeric type, and a -0.0 angle or phase
-    gets the +0.0 event's array.
+    Calling it on an event returns that event's read-only unitary under each
+    model, in order. Each model's plain-float eps_H, eps_C and delay rate
+    ``pi*J*(1+delta_J)`` are worked out once, here. The memo is keyed by plain
+    floats: an rf pulse by ``float(angle) + 0.0``, ``float(phase) + 0.0`` and
+    the eps of each spin it targets (None off target), a delay by its coupling
+    phase. So equal inputs give bitwise-equal arrays whatever their numeric
+    type, and a -0.0 angle or phase gets the +0.0 event's array.
     """
-    if event.kind == RF_PULSE:  # eps is None off target
-        angle, phase = float(event.angle) + 0.0, float(event.phase) + 0.0
-        on_H, on_C = "H" in event.targets, "C" in event.targets
-        return [_event_unitary(angle, phase, eps_H if on_H else None,
-                               eps_C if on_C else None) for eps_H, eps_C, _ in keys]
-    duration = float(event.duration)
-    return [_event_unitary(rate * duration) for _, _, rate in keys]
+
+    def __init__(self, system: SpinSystem, errors: Sequence[ErrorModel]) -> None:
+        if not errors:
+            raise ValueError("errors is empty; give at least one ErrorModel")
+        self.errors = errors
+        self._models = [(float(e.eps_H), float(e.eps_C),
+                         np.pi * float(system.J) * (1.0 + float(e.delta_J)))
+                        for e in errors]
+        self._unitaries: dict[tuple, np.ndarray] = {}
+
+    def __call__(self, event: PulseEvent) -> list[np.ndarray]:
+        if event.kind == RF_PULSE:
+            angle, phase = float(event.angle) + 0.0, float(event.phase) + 0.0
+            on_H, on_C = "H" in event.targets, "C" in event.targets
+            keys = [(angle, phase, eps_H if on_H else None, eps_C if on_C else None)
+                    for eps_H, eps_C, _ in self._models]
+        else:
+            duration = float(event.duration)
+            keys = [(rate * duration,) for _, _, rate in self._models]
+        memo = self._unitaries
+        for key in keys:
+            if key not in memo:
+                memo[key] = _event_unitary(*key)
+        return [memo[key] for key in keys]
 
 
-def sequence_unitaries(
-    sequence: PulseSequence,
-    system: SpinSystem,
-    errors: Sequence[ErrorModel],
-) -> np.ndarray:
-    """Time-ordered products of the event unitaries under each of ``errors``.
+def sequence_unitaries(sequence: PulseSequence, factors: EventFactors) -> np.ndarray:
+    """Time-ordered products of the event unitaries under each of ``factors.errors``.
 
     Returns a fresh ``(len(errors), 4, 4)`` stack, one product per error model
     (first event acts first), for one model as for many. The identity stack and
-    every event's factors, read from :func:`_factor`'s value-keyed event memo
-    with each model's key values worked out once, are copied into one array per
+    every event's factors, read from ``factors``, are copied into one array per
     sequence; then each event takes one stacked product. ``np.matmul`` runs the
     same 4x4 kernel on each matrix of a stack, and the product keeps its order
     and operands, so element ``i`` is bitwise the unmemoised product under
     ``errors[i]``.
     """
-    if not errors:
-        raise ValueError("errors is empty; give at least one ErrorModel")
-    keys = [_key_values(system, e) for e in errors]
-    u, *factors = np.concatenate([_IDENTITY4] * len(keys) + [
-        factor for event in sequence.events for factor in _factor(event, keys)
-    ]).reshape(-1, len(keys), 4, 4)
-    for factor in factors:
-        u = factor @ u
-    check_unitary(u, f"sequence of {len(sequence)} events", errors)
+    n = len(factors.errors)
+    u, *by_event = np.concatenate([_IDENTITY4] * n + [
+        unitary for event in sequence.events for unitary in factors(event)
+    ]).reshape(-1, n, 4, 4)
+    for stack in by_event:
+        u = stack @ u
+    check_unitary(u, f"sequence of {len(sequence)} events", factors.errors)
     return u
 
 
@@ -246,7 +248,7 @@ def sequence_unitary(
     """:func:`sequence_unitaries` under one error model, as one 4x4 matrix. Of a
     whole ``compile_algorithm`` program it is the event-by-event reference that
     tests and ``perfbench/check.py`` hold ``experiments.pulse_operators``' rows to."""
-    return sequence_unitaries(sequence, system, (error,))[0]
+    return sequence_unitaries(sequence, EventFactors(system, (error,)))[0]
 
 
 def check_unitary(u: np.ndarray, what: str, errors: Sequence[ErrorModel] = ()) -> None:

@@ -5,10 +5,11 @@ tolerance and returns a structured result. The ``fpsearch verify`` command
 runs them all and reports one line per check; the test suite asserts them
 individually. Checks are self-contained and leave no files behind: the
 table check writes into a temporary directory, and the determinism check
-compares the texts two runs of each experiment yield, in memory, each run
-starting with the event memo empty. Pulse-level checks take the experiments'
-path: criterion 3 passes its 20 (oracle, style) runs to one ``pulse_operators``
-call, and criteria 4 and 5 read ``residual_rows``, robustness's table.
+compares the texts two runs of each experiment yield, in memory (each
+simulation call memoises its own events, so both runs simulate them).
+Pulse-level checks take the experiments' path: criterion 3 passes its 20
+(oracle, style) runs to one ``pulse_operators`` call, and criteria 4 and 5
+read ``residual_rows``, robustness's table.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .experiments import (
     run_experiment,
 )
 # sequence_unitary is unused here; perfbench/tracer.py wraps it under this name.
-from .pulses import NO_ERROR, SpinSystem, clear_event_memo, sequence_unitary
+from .pulses import NO_ERROR, SpinSystem, sequence_unitary
 from .search import (
     STATES,
     OracleSpec,
@@ -291,12 +292,7 @@ def check_determinism() -> CheckResult:
     def body():
         for name in EXPERIMENT_NAMES:
             runner, _ = EXPERIMENTS[name]
-            runs = []
-            for _ in range(2):
-                # both runs start cold, so both simulate afresh
-                clear_event_memo()
-                runs.append(dict(runner(build_config(name, {}))))
-            first, second = runs
+            first, second = [dict(runner(build_config(name, {}))) for _ in range(2)]
             if first.keys() != second.keys():
                 return False, f"{name}: file sets differ between runs"
             diff = [k for k in first if first[k] != second[k]]

@@ -66,13 +66,13 @@ def test_pulse_operators_check_the_simulated_gates(monkeypatch, system, r_max):
     oracle = OracleSpec({"11"})
     gates = compile_gates(oracle, system)  # the gates pulse_operators compiles
     drift = np.diag([np.sqrt(1.0 + 1e-9), 1.0, 1.0, 1.0])
-    factor = pulses._factor
+    factors = pulses.EventFactors.__call__
 
-    def drifted(event, keys):
-        return [drift @ u if event in gates["U"].events and eps_H == 0.05 else u
-                for u, (eps_H, _, _) in zip(factor(event, keys), keys)]
+    def drifted(self, event):
+        return [drift @ u if event in gates["U"].events and error.eps_H == 0.05 else u
+                for u, error in zip(factors(self, event), self.errors)]
 
-    monkeypatch.setattr(pulses, "_factor", drifted)
+    monkeypatch.setattr(pulses.EventFactors, "__call__", drifted)
     with pytest.raises(UnitarityError, match=(
         rf"^sequence of {len(gates['U'])} events lost unitarity under "
         r"ErrorModel\(eps_H=0\.05, eps_C=0\.0, delta_J=-0\.02\) \(deviation"

@@ -17,14 +17,16 @@ The output layer and the per-event kernel are vectorised without changing
 a bit. ``format_trace`` fills a ``%``-template whose frequency column
 ``trace_template`` prints once per grid, and ``panel_grid`` reuses a
 column's polyline x text while its panels pass the same ``xs`` object and
-formats only the y values of each panel. The kernel's factors come from
-``pulses._factor``, which forms the Kronecker product by broadcasting and
-memoises event unitaries by value, process-wide and bounded, so
-``sequence_unitaries`` simulates each distinct event once. Each is checked
-here for byte or bit equality against the per-value form, kept only in this
-file, with the memo cold and warm. The memo is keyed by plain floats, so
-equal inputs of any numeric type, and zeros of either sign, get one array;
-``_factor`` works out an event's part of that key once for all models.
+formats only the y values of each panel. The kernel's factors come from a
+``pulses.EventFactors`` table, which forms the Kronecker product by
+broadcasting and memoises event unitaries by value for one simulation call,
+so ``sequence_unitaries`` simulates each distinct event once per call and a
+second call simulates it afresh. Each is checked here for byte or bit
+equality against the per-value form, kept only in this file, with a table
+cold (fresh) and warm (the same object). A table is keyed by plain floats,
+so equal inputs of any numeric type, and zeros of either sign, get one
+array; it works out each model's key values once per call and an event's
+part of the key once for all models.
 Single values are computed on Python floats, not numpy scalars: ``_rot_xy``
 and the stack readout of ``success_probability`` are checked bitwise against
 the numpy-scalar forms they replaced.
@@ -58,24 +60,21 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bruteforce import sequence_unitary_expm
-from fpsearch import cli, experiments, svgplot, verify
+from fpsearch import cli, experiments, pulses, svgplot, verify
 from fpsearch.compiler import STYLES, compile_algorithm, compile_gates
 from fpsearch.config import build_config
-from fpsearch.experiments import EXPERIMENTS, pulse_operators
+from fpsearch.experiments import pulse_operators
 from fpsearch.pulses import (
     _COUPLING_DIAG,
     DELAY,
     RF_PULSE,
     SPINS,
     ErrorModel,
+    EventFactors,
     PulseEvent,
     PulseSequence,
     SpinSystem,
-    _event_unitary,
-    _factor,
-    _key_values,
     _rot_xy,
-    clear_event_memo,
     coupling_delay,
     rf_pulse,
     sequence_unitaries,
@@ -112,7 +111,7 @@ def _reference_orders(r_max, oracle, system, style, error):
 
     Each order-r program is a prefix of the next, so one event-by-event
     product passes through all of them. The product runs in the same order
-    as ``sequence_unitary`` with the same event unitaries (memoized per
+    as ``sequence_unitary`` with the same event unitaries (memoised per
     distinct event), so each result is bitwise the reference.
     """
     programs = [compile_algorithm(r, oracle, system, style) for r in range(r_max + 1)]
@@ -369,12 +368,12 @@ def test_panel_grid_is_per_point_formatting(data, y_limit, reverse_x, as_array, 
     assert got == expected
 
 
-# ---- pulse kernel: broadcast Kronecker product and value-keyed event memo ----
+# ---- pulse kernel: broadcast Kronecker product and one call's event table ----
 
 
 def _memoised(event, system, error=ErrorModel()):
-    """The kernel's factor: ``event``'s memoised unitary under ``error``."""
-    (u,) = _factor(event, [_key_values(system, error)])
+    """The kernel's factor: ``event``'s unitary under ``error``, from a fresh table."""
+    (u,) = EventFactors(system, [error])(event)
     return u
 
 
@@ -432,18 +431,20 @@ def _signed_zero_variants(event, error):
 @settings(max_examples=200)
 @given(event=_event, error=_error_model)
 def test_pulse_unitary_is_bitwise_kron(system, event, error):
-    # A cold and then a warm pass, with 0.0 seen first and then -0.0 seen
-    # first. Bytes, unlike np.array_equal, also see the sign of a zero.
+    # A cold (fresh) and then a warm (the same) table, with 0.0 seen first and
+    # then -0.0 seen first. Bytes, unlike np.array_equal, also see the sign of
+    # a zero.
     variants = _signed_zero_variants(event, error)
     for order in (variants, variants[::-1]):
-        clear_event_memo()
-        for ev, err in order + order:
-            normalized, plain_err = _normalized(ev, err)
-            assert _memoised(ev, system, err).tobytes() == (
-                _factor_unmemoised(normalized, system, plain_err).tobytes()
-            )
-        # a -0.0 angle or phase gets the +0.0 event's array
-        assert len({_memoised(ev, system, err).tobytes() for ev, err in order}) == 1
+        factors = EventFactors(system, [err for _, err in order])
+        expected = [
+            _factor_unmemoised(normalized, system, plain_err).tobytes()
+            for normalized, plain_err in (_normalized(event, err) for _, err in order)
+        ]
+        for ev, _ in order + order:
+            assert [u.tobytes() for u in factors(ev)] == expected
+        # a -0.0 angle or phase, or a -0.0 error, gets the +0.0 event's array
+        assert len({u.tobytes() for ev, _ in order for u in factors(ev)}) == 1
 
 
 def _rot_xy_numpy(theta, phase):
@@ -469,17 +470,20 @@ def test_rot_xy_is_bitwise_the_numpy_scalar_form(theta, phase):
 # a zero angle on both spins is where the sign of a zero angle or phase shows
 @example(event=PulseEvent(RF_PULSE, frozenset("HC"), 0.0, 0.0), errors=[ErrorModel()])
 def test_factor_reads_every_model_from_one_event_key(system, event, errors):
-    # _factor works out the event's key part once for all models: each factor
-    # is the memo object of a one-model call, and a -0.0 angle or phase, seen
-    # first with the memo cold, gets the +0.0 event's unitary
-    keys = [_key_values(system, e) for e in errors]
+    # a table works out the event's key part once for all models: each factor
+    # is bitwise a one-model table's, a warm lookup returns the cold lookup's
+    # objects, and a -0.0 angle or phase, seen first by a cold table, gets the
+    # +0.0 event's unitary
     variants = [ev for ev, _ in _signed_zero_variants(event, ErrorModel())]
     for order in (variants, variants[::-1]):
-        clear_event_memo()
+        factors = EventFactors(system, errors)
+        cold = factors(order[0])
         for ev in order:
-            hoisted = _factor(ev, keys)
-            assert all(u is _factor(ev, [key])[0] for u, key in zip(hoisted, keys))
+            hoisted = factors(ev)
+            assert all(u is v for u, v in zip(hoisted, cold))
             assert [u.tobytes() for u in hoisted] == [
+                EventFactors(system, [e])(ev)[0].tobytes() for e in errors
+            ] == [
                 _factor_unmemoised(normalized, system, plain).tobytes()
                 for normalized, plain in (_normalized(ev, e) for e in errors)
             ]
@@ -487,7 +491,8 @@ def test_factor_reads_every_model_from_one_event_key(system, event, errors):
 
 def test_memo_gives_equal_values_one_array():
     # np.float32(0.1) == float(np.float32(0.1)) with one hash: both give the
-    # plain-float unitary, in either order, with the memo cold and then warm
+    # plain-float unitary, in either order, from a cold table and then from the
+    # same, warm table as one array
     x = np.float32(0.1)
 
     def inputs(v):  # (event, system, error), each with v in every float field
@@ -500,27 +505,32 @@ def test_memo_gives_equal_values_one_array():
     narrow, wide = inputs(x), inputs(float(x))
     assert narrow == wide
     expected = [_factor_unmemoised(*args).tobytes() for args in wide]
-    for order in ((narrow, wide), (wide, narrow)):
-        clear_event_memo()
-        for cases in order + order:
-            assert [_memoised(*args).tobytes() for args in cases] == expected
+    for first, second in ((narrow, wide), (wide, narrow)):
+        for (event, system, error), (again, _, _), want in zip(first, second, expected):
+            factors = EventFactors(system, [error])
+            (u,) = factors(event)
+            assert u.tobytes() == want
+            assert factors(again)[0] is u and factors(event)[0] is u
 
 
 def test_memoised_unitaries_are_read_only(system):
+    factors = EventFactors(system, [ErrorModel()])
     for event in (rf_pulse({"H", "C"}, np.pi / 2, 0.25), coupling_delay(1e-3)):
-        u = _memoised(event, system)
-        assert u is _memoised(event, system)  # shared by every caller
+        (u,) = factors(event)
+        assert u is factors(event)[0]  # shared by every lookup of the table
         with pytest.raises(ValueError, match="read-only"):
             u[0, 0] = 0.0
-    # a product is the caller's own fresh array, also of a zero-event sequence
+    # a product is the caller's own fresh array, also of a zero-event sequence,
+    # when two calls share one warm table
     errors = [ErrorModel(), ErrorModel(eps_H=0.1)]
+    many, one = EventFactors(system, errors), EventFactors(system, errors[:1])
     gates = compile_gates(ORACLES[0], system, "naive")
     for make in (
         lambda: sequence_unitary(PulseSequence(()), system),
         lambda: sequence_unitary(PulseSequence((coupling_delay(1e-3),)), system),
-        lambda: sequence_unitaries(PulseSequence(()), system, errors),
-        lambda: sequence_unitaries(PulseSequence((coupling_delay(1e-3),)), system, errors[:1]),
-        lambda: sequence_unitaries(gates["Rf"], system, errors),
+        lambda: sequence_unitaries(PulseSequence(()), many),
+        lambda: sequence_unitaries(PulseSequence((coupling_delay(1e-3),)), one),
+        lambda: sequence_unitaries(gates["Rf"], many),
         lambda: pulse_operators(1, [(ORACLES[0], "naive")], system, errors)[0],
         lambda: pulse_operators(0, [(ORACLES[0], "naive")], system, errors[:1])[0],
     ):
@@ -529,40 +539,6 @@ def test_memoised_unitaries_are_read_only(system):
         expected = second.copy()
         first[...] = np.nan  # the next call is unharmed
         assert make().tobytes() == expected.tobytes()
-
-
-def test_event_memo_is_bounded(system):
-    maxsize = _event_unitary.cache_info().maxsize
-    assert maxsize is not None
-    clear_event_memo()
-    for i in range(maxsize + 10):
-        _memoised(coupling_delay(1e-3 + i * 1e-9), system)
-    info = _event_unitary.cache_info()
-    assert (info.currsize, info.misses) == (maxsize, maxsize + 10)
-    clear_event_memo()
-
-
-def test_determinism_check_starts_each_run_cold(system, monkeypatch):
-    # criterion 9 compares two runs, so the second must simulate its events
-    # afresh rather than read the first run's memo
-    name = "bb1-scaling"
-    runner, description = EXPERIMENTS[name]
-    runs = []
-
-    def counted(cfg):
-        before = _event_unitary.cache_info()
-        files = list(runner(cfg))
-        runs.append((before.currsize, _event_unitary.cache_info().misses - before.misses))
-        return files
-
-    monkeypatch.setattr(verify, "EXPERIMENT_NAMES", (name,))
-    monkeypatch.setattr(verify, "EXPERIMENTS", {name: (counted, description)})
-    # warm the memo beforehand, holding what the runs simulate
-    list(runner(build_config(name, {})))
-    assert verify.check_determinism().passed
-    assert len(runs) == 2
-    for size, misses in runs:
-        assert size == 0 and misses > 0
 
 
 def _sequence_unitary_unmemoised(sequence, system, error):
@@ -579,7 +555,7 @@ def _sequence_unitary_unmemoised(sequence, system, error):
     error=_error_model,
 )
 def test_sequence_unitary_is_bitwise_the_unmemoised_product(system, pool, picks, error):
-    # the memo stays warm across examples, as it does across a process
+    # a repeated event reads the call's table warm
     pool = pool + [coupling_delay(1e-3)]
     # repeated objects, as compiled programs have, and equal distinct ones
     events = [pool[k % len(pool)] for k in picks] + [dataclasses.replace(pool[0])]
@@ -603,13 +579,13 @@ _error_lists = st.lists(_error_model, min_size=1, max_size=4).flatmap(
 )
 def test_stack_is_bitwise_the_per_model_product(system, pool, picks, errors, data):
     seq = PulseSequence(tuple(pool[k % len(pool)] for k in picks))
-    stack = sequence_unitaries(seq, system, errors)
+    stack = sequence_unitaries(seq, EventFactors(system, errors))
     assert stack.shape == (len(errors), 4, 4)
     for u, error in zip(stack, errors):
         assert u.tobytes() == _sequence_unitary_unmemoised(seq, system, error).tobytes()
     # permuting the error list permutes the stack exactly
     perm = data.draw(st.permutations(range(len(errors))))
-    permuted = sequence_unitaries(seq, system, [errors[i] for i in perm])
+    permuted = sequence_unitaries(seq, EventFactors(system, [errors[i] for i in perm]))
     assert permuted.tobytes() == stack[perm].tobytes()
 
 
@@ -671,6 +647,25 @@ def test_each_distinct_gate_is_simulated_once_per_run(monkeypatch):
     assert sum(len(args[0]) for args in simulated) == 359
 
 
+def test_each_pulse_operators_call_simulates_its_events_afresh(system, monkeypatch):
+    # the event table lives for one call: each call simulates each of its
+    # distinct events once, and an identical second call simulates them all
+    # again, rotations included, so criterion 9's two runs both run the kernel
+    # with nothing reset
+    simulated = _counted(monkeypatch, pulses, "_event_unitary")
+    rotations = _counted(monkeypatch, pulses, "_rot_xy")
+    runs = [(oracle, style) for oracle in ORACLES[:4] for style in STYLES]
+    errors = [ErrorModel(), ErrorModel(eps_H=0.1, eps_C=0.1), ErrorModel(delta_J=0.05)]
+    first = pulse_operators(3, runs, system, errors)
+    keys, n_rotations = list(simulated), len(rotations)
+    simulated.clear()
+    rotations.clear()
+    second = pulse_operators(3, runs, system, errors)
+    assert len(set(keys)) == len(keys) > 0
+    assert simulated == keys and len(rotations) == n_rotations > 0
+    assert second.tobytes() == first.tobytes()
+
+
 @settings(max_examples=50)
 @given(
     grid=st.lists(_error_field, min_size=1, max_size=4).flatmap(
@@ -696,8 +691,8 @@ def test_pulse_infidelities_grid_is_bitwise_each_one_eps_call(system, grid, rng)
 def test_an_empty_error_list_is_a_value_error(system):
     gates = compile_gates(ORACLES[0], system, "naive")
     for simulate in (
-        lambda: sequence_unitaries(gates["U"], system, []),
-        lambda: sequence_unitaries(PulseSequence(()), system, ()),
+        lambda: sequence_unitaries(gates["U"], EventFactors(system, [])),
+        lambda: sequence_unitaries(PulseSequence(()), EventFactors(system, ())),
         lambda: pulse_operators(2, [(ORACLES[0], "naive")], system, [])[0],
     ):
         with pytest.raises(ValueError, match="errors is empty"):

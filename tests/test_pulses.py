@@ -7,6 +7,7 @@ from fpsearch import pulses
 from fpsearch.pulses import (
     NO_ERROR,
     ErrorModel,
+    EventFactors,
     PulseEvent,
     PulseSequence,
     SpinSystem,
@@ -182,7 +183,7 @@ class TestSequenceUnitary:
             sequence_unitary(seq, system, drifted)
         errors = [NO_ERROR, ErrorModel(eps_C=0.05), drifted, NO_ERROR]
         with pytest.raises(UnitarityError, match=named):
-            sequence_unitaries(seq, system, errors)
+            sequence_unitaries(seq, EventFactors(system, errors))
 
     def test_agrees_with_bruteforce(self, system):
         seq = PulseSequence(
