@@ -5,23 +5,24 @@ line per check, or equivalently ``fpsearch verify``.
 """
 
 import dataclasses
+import importlib
 import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fpsearch import experiments, readout, verify
+from fpsearch import cli, experiments, readout, verify
 from fpsearch.experiments import EXPERIMENTS
 from fpsearch.pulses import ErrorModel, PulseSequence
 from fpsearch.readout import Spectrum
 from fpsearch.search import STATES, OracleSpec
 
 
-@pytest.mark.parametrize(
-    "number,check", verify.ALL_CHECKS, ids=[name for name, _ in verify.ALL_CHECKS]
-)
-def test_criterion(number, check):
-    result = check()
+@pytest.mark.parametrize("number", range(1, len(verify.ALL_CHECKS) + 1))
+def test_criterion(number):
+    result = verify._timed(*verify.ALL_CHECKS[number - 1])
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] criterion {number}: {result.name} "
           f"({result.seconds:.2f}s): {result.detail}")
@@ -36,9 +37,7 @@ def test_determinism_names_the_experiment_and_file_that_moved(monkeypatch):
         yield "moving.txt", f"call {next(calls)}\n"
 
     monkeypatch.setitem(EXPERIMENTS, "spectra", (unsteady, "changes between calls"))
-    result = verify.check_determinism()
-    assert not result.passed
-    assert result.detail == "spectra: bytes differ for ['moving.txt']"
+    assert verify._determinism() == (False, "spectra: bytes differ for ['moving.txt']")
 
 
 def _shift(mapping, key, by):
@@ -74,44 +73,44 @@ def _first_pulse_off(gates, by=1e-6):
 # crash: a check that cannot fail shows nothing. Each is (criterion, target
 # object, attribute, replacement given the original).
 BROKEN = {
-    "1-reference": ("1", verify, "TABLE1_K1", lambda v: (v[0] + 1e-4, *v[1:])),
-    "1-query-count": ("1", verify, "TABLE1_Q", lambda v: (*v[:-1], v[-1] + 1)),
-    "1-header": ("1", verify, "_read_csv",
-                 lambda f: lambda path: (["Q", *f(path)[0][1:]], f(path)[1])),
-    "1-simulation-k1": ("1", experiments, "success_probability",
-                        lambda f: lambda u, o: f(u, o) + 1e-9 * (o.k == 1)),
-    "1-simulation-k2": ("1", experiments, "success_probability",
-                        lambda f: lambda u, o: f(u, o) + 1e-9 * (o.k == 2)),
-    "2-phase": ("2", verify, "ideal_gates", _phase_off),
-    "3-gate-level-phase": ("3", verify, "ideal_gates",
-                           lambda f: lambda o: f(OracleSpec(o.matching, o.phase + 1e-6))),
-    "3-oracle-gates": ("3", verify, "expand_gate_list", lambda f: lambda r: f(r)[:1] + f(r)[2:]),
-    "3-rf-count-low": ("3", PulseSequence, "rf_pulse_count", lambda f: lambda s: 149),
-    "3-rf-count-high": ("3", PulseSequence, "rf_pulse_count", lambda f: lambda s: 251),
-    "3-compiled-gate": ("3", experiments, "compile_gates",
-                        lambda f: lambda *args: _first_pulse_off(f(*args))),
-    "5-regression": ("5", verify, "COUPLING_RESIDUALS_R1", lambda d: _shift(d, "01", 2e-9)),
-    "5-no-coupling-error": ("5", experiments, "ErrorModel", lambda cls: lambda **kw: cls()),
-    "6-naive-slope": ("6", verify, "pulse_infidelities",
-                      lambda f: _scaled(f, lambda e, i: i * e**0.3, lambda e, i: i)),
-    "6-bb1-slope": ("6", verify, "pulse_infidelities",
-                    lambda f: _scaled(f, lambda e, i: i, lambda e, i: i * e**0.6)),
-    "6-naive-floor": ("6", verify, "pulse_infidelities",
-                      lambda f: _scaled(f, lambda e, i: i + 2e-12, lambda e, i: i)),
-    "6-bb1-floor": ("6", verify, "pulse_infidelities",
-                    lambda f: _scaled(f, lambda e, i: i, lambda e, i: i + 2e-12)),
-    "7-round-trip": ("7", experiments, "estimate_probability", lambda f: _offset(f, 2e-9)),
-    "7-patterns": ("7", readout, "reference_spectrum", lambda f: lambda o: (
+    "1-reference": (1, verify, "TABLE1_K1", lambda v: (v[0] + 1e-4, *v[1:])),
+    "1-query-count": (1, verify, "TABLE1_Q", lambda v: (*v[:-1], v[-1] + 1)),
+    "1-header": (1, verify, "_read_csv",
+               lambda f: lambda path: (["Q", *f(path)[0][1:]], f(path)[1])),
+    "1-simulation-k1": (1, experiments, "success_probability",
+                      lambda f: lambda u, o: f(u, o) + 1e-9 * (o.k == 1)),
+    "1-simulation-k2": (1, experiments, "success_probability",
+                      lambda f: lambda u, o: f(u, o) + 1e-9 * (o.k == 2)),
+    "2-phase": (2, verify, "ideal_gates", _phase_off),
+    "3-gate-level-phase": (3, verify, "ideal_gates",
+                         lambda f: lambda o: f(OracleSpec(o.matching, o.phase + 1e-6))),
+    "3-oracle-gates": (3, verify, "expand_gate_list", lambda f: lambda r: f(r)[:1] + f(r)[2:]),
+    "3-rf-count-low": (3, PulseSequence, "rf_pulse_count", lambda f: lambda s: 149),
+    "3-rf-count-high": (3, PulseSequence, "rf_pulse_count", lambda f: lambda s: 251),
+    "3-compiled-gate": (3, experiments, "compile_gates",
+                      lambda f: lambda *args: _first_pulse_off(f(*args))),
+    "5-regression": (5, verify, "COUPLING_RESIDUALS_R1", lambda d: _shift(d, "01", 2e-9)),
+    "5-no-coupling-error": (5, experiments, "ErrorModel", lambda cls: lambda **kw: cls()),
+    "6-naive-slope": (6, verify, "pulse_infidelities",
+                    lambda f: _scaled(f, lambda e, i: i * e**0.3, lambda e, i: i)),
+    "6-bb1-slope": (6, verify, "pulse_infidelities",
+                  lambda f: _scaled(f, lambda e, i: i, lambda e, i: i * e**0.6)),
+    "6-naive-floor": (6, verify, "pulse_infidelities",
+                    lambda f: _scaled(f, lambda e, i: i + 2e-12, lambda e, i: i)),
+    "6-bb1-floor": (6, verify, "pulse_infidelities",
+                  lambda f: _scaled(f, lambda e, i: i, lambda e, i: i + 2e-12)),
+    "7-round-trip": (7, experiments, "estimate_probability", lambda f: _offset(f, 2e-9)),
+    "7-patterns": (7, readout, "reference_spectrum", lambda f: lambda o: (
         Spectrum(f(o).right_amp, f(o).left_amp) if o.label() == "10" else f(o))),
-    "7-both-positive": ("7", readout, "reference_spectrum", lambda f: lambda o: (
+    "7-both-positive": (7, readout, "reference_spectrum", lambda f: lambda o: (
         Spectrum(f(o).left_amp, -f(o).right_amp) if o.label() == "00+01" else f(o))),
-    "7-mixed": ("7", readout, "reference_spectrum", lambda f: lambda o: (
+    "7-mixed": (7, readout, "reference_spectrum", lambda f: lambda o: (
         Spectrum(-f(o).left_amp, f(o).right_amp) if o.label() == "01+10" else f(o))),
-    "8-identity": ("8", verify, "phase_oracle", lambda f: lambda o: (
+    "8-identity": (8, verify, "phase_oracle", lambda f: lambda o: (
         f(o) @ np.diag([np.exp(1e-6j * (o.k == 4)), 1, 1, 1]))),
-    "8-complement": ("8", verify, "phase_oracle", lambda f: lambda o: (
+    "8-complement": (8, verify, "phase_oracle", lambda f: lambda o: (
         f(o) if o.k == 4 else f(OracleSpec(o.matching, o.phase + 1e-6 * o.k)))),
-    "8-single-step": ("8", verify, "recursive_operator", lambda f: _phase_off(f, 1e-2)),
+    "8-single-step": (8, verify, "recursive_operator", lambda f: _phase_off(f, 1e-2)),
 }
 
 
@@ -119,7 +118,7 @@ BROKEN = {
 def test_criterion_can_fail(monkeypatch, case):
     number, target, name, replace = BROKEN[case]
     monkeypatch.setattr(target, name, replace(getattr(target, name)))
-    result = dict(verify.ALL_CHECKS)[number]()
+    result = verify._timed(*verify.ALL_CHECKS[number - 1])
     assert result.passed is False
     assert not result.detail.startswith("raised"), result.detail
 
@@ -127,10 +126,9 @@ def test_criterion_can_fail(monkeypatch, case):
 def test_criterion_4_fails_at_its_documented_residual():
     # a known, deliberate failure (ROADMAP aim 3); oracle 10's r=2 residual
     # (0.7804844496287631) leads oracle 01's (0.7804844496287625) by 6e-16
-    result = verify.check_error_tolerance()
-    assert result.passed is False
-    assert result.detail == (
-        "max pulse-level cube residual 7.805e-01 at eps=0.1 oracle=10 r=2 (bound 1e-9)"
+    assert verify._error_tolerance() == (
+        False,
+        "max pulse-level cube residual 7.805e-01 at eps=0.1 oracle=10 r=2 (bound 1e-9)",
     )
 
 
@@ -152,14 +150,36 @@ def test_criterion_5_needs_a_broken_fixed_point(monkeypatch):
     # from such a run would agree with it, and the check must still fail
     monkeypatch.setattr(experiments, "ErrorModel", lambda **kwargs: ErrorModel())
     monkeypatch.setattr(verify, "COUPLING_RESIDUALS_R1", dict.fromkeys(STATES, 0.0))
-    result = verify.check_coupling_error_breaks_fixed_point()
-    assert result.passed is False and result.detail.startswith("no oracle exceeds 1e-6")
+    passed, detail = verify._coupling_error_breaks_fixed_point()
+    assert passed is False and detail.startswith("no oracle exceeds 1e-6")
 
 
 def test_run_all_runs_every_check_in_order(monkeypatch):
-    results = [verify.CheckResult(name, True, "", 0.0) for name in "ab"]
-    monkeypatch.setattr(verify, "ALL_CHECKS", [(r.name, lambda r=r: r) for r in results])
-    assert verify.run_all() == results
+    # each row runs inside _timed: the middle one's exception is its result
+    def crash():
+        raise ValueError("no data")
+
+    rows = [("a", None, lambda: (True, "first")), ("b", 60.0, crash),
+            ("c", 60.0, lambda: (False, "third"))]
+    monkeypatch.setattr(verify, "ALL_CHECKS", rows)
+    results = [(r.name, r.passed, r.detail) for r in verify.run_all()]
+    assert results == [("a", True, "first"), ("b", False, "raised ValueError: no data"),
+                       ("c", False, "third")]
+
+
+def test_fpsearch_verify_satisfies_the_benchmark_parser(tmp_path, monkeypatch, capsys):
+    # the real checks through the command line, read as perfbench/check.py
+    # reads them; no check leaves a file in the working or temporary directory
+    work, tmp = tmp_path / "work", tmp_path / "tmp"
+    work.mkdir()
+    tmp.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    assert cli.main(["verify"]) == 1
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    check = importlib.import_module("check")
+    assert check.check_verify_output(capsys.readouterr().out) == ([], 0.7805)
+    assert list(work.iterdir()) == list(tmp.iterdir()) == []
 
 
 def test_determinism_notices_a_file_only_one_run_yields(monkeypatch):
@@ -171,6 +191,4 @@ def test_determinism_notices_a_file_only_one_run_yields(monkeypatch):
             yield "extra.txt", "only in the second run\n"
 
     monkeypatch.setitem(EXPERIMENTS, "spectra", (growing, "adds a file"))
-    result = verify.check_determinism()
-    assert not result.passed
-    assert result.detail == "spectra: file sets differ between runs"
+    assert verify._determinism() == (False, "spectra: file sets differ between runs")

@@ -642,7 +642,7 @@ def test_each_distinct_gate_is_simulated_once_per_run(monkeypatch):
     assert len({args[0] for args in simulated}) == len(simulated) == 10
     assert sum(len(args[0]) for args in simulated) == 58
     simulated.clear()
-    assert verify.check_compilation_soundness().passed
+    assert verify._compilation_soundness()[0]
     assert len({args[0] for args in simulated}) == len(simulated) == 31
     assert sum(len(args[0]) for args in simulated) == 359
 
@@ -752,7 +752,7 @@ def test_each_oracle_is_compiled_once_per_run(monkeypatch):
     list(experiments.run_robustness(build_config("robustness", {})))
     assert len(calls) == len({args[0] for args in calls}) == 4
     calls.clear()
-    verify.check_error_tolerance()
+    verify._error_tolerance()
     assert len(calls) == len({args[0] for args in calls}) == 4
 
 
