@@ -7,7 +7,9 @@ one per doublet component. The population difference across each proton
 transition sets the line height: the sign encodes the state of qubit 1
 (positive for 0) and the component encodes qubit 2 (left, the
 higher-frequency line, for 0). Line amplitudes are handled analytically;
-Lorentzian traces exist only for rendering.
+Lorentzian traces exist only for rendering. A trace's text is one
+``%.12g`` line per point, built for the whole trace at once by
+:mod:`fpsearch.numtext`, with the frequency column printed once per grid.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numtext
 from .pulses import SpinSystem
 from .search import OracleSpec
 
@@ -133,11 +136,13 @@ def lorentzian_trace(
     return y
 
 
-def trace_template(freqs: np.ndarray) -> str:
-    """Text of a trace on the grid ``freqs``, with a ``%.12g`` slot per intensity."""
-    return ("%.12g %%.12g\n" * len(freqs)) % tuple(freqs.tolist())
+def trace_template(freqs: np.ndarray) -> np.ndarray:
+    """The frequency column of a trace on the grid ``freqs``: ``%.12g`` text and a
+    space per frequency, as :func:`fpsearch.numtext.squeeze`'d character rows."""
+    return numtext.squeeze(numtext.rows(freqs, 12, b" "))
 
 
-def format_trace(template: str, intensities: np.ndarray) -> str:
-    """One trace's text (frequency Hz, intensity): its grid's template, filled."""
-    return template % tuple(intensities.tolist())
+def format_trace(template: np.ndarray, intensities: np.ndarray) -> str:
+    """One trace's text (frequency Hz, intensity): its grid's frequency column
+    beside the ``%.12g`` intensities, one line per point."""
+    return numtext.text(template, numtext.rows(intensities, 12, b"\n"))

@@ -2,7 +2,9 @@
 
 Hand-rolled on purpose: output bytes must be identical across runs, so no
 plotting library (with embedded timestamps or version strings) is used.
-Coordinates are formatted with fixed precision.
+Coordinates are formatted with fixed precision (``%.6g``). A panel grid's
+polylines get their text from :mod:`fpsearch.numtext`: a column's x text
+once, and per panel the y text of each run of equal roundings once.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import numtext
 
 _PALETTE = ("#1f6fb4", "#c84b4b", "#3a9a5a", "#8458b0", "#b08a2e", "#4ba8a8")
 
@@ -151,8 +155,8 @@ def panel_grid(
         f'<text x="{width // 2}" y="20" font-size="14" text-anchor="middle" '
         f'font-family="sans-serif">{title}</text>',
     ]
-    # column -> (the last xs object drawn there, its x text with %.6g y slots)
-    x_text: dict[int, tuple] = {}
+    # column -> (the last xs object drawn there, its "x," character rows)
+    x_rows: dict[int, tuple] = {}
     for i, row in enumerate(panels):
         oy = margin_t + i * cell_h
         parts.append(
@@ -175,18 +179,18 @@ def panel_grid(
             scale = (cell_h - 12) / (2.0 * y_limit) if y_limit > 0 else 0.0
             # element-wise in the order a per-point loop would compute, so
             # every coordinate, and its %.6g text, is bitwise that loop's
-            last_xs, text = x_text.get(j, (None, ""))
+            last_xs, xt = x_rows.get(j, (None, None))
             if last_xs is not panel.xs:
                 xs = np.asarray(panel.xs, dtype=float)
                 x0, x1 = xs.min(), xs.max()
                 u = (xs - x0) / ((x1 - x0) or 1.0)
                 if reverse_x:
                     u = 1.0 - u
-                x = (ox + 4) + u * (cell_w - 16)
-                text = " ".join(["%.6g,%%.6g"] * len(xs)) % tuple(x.tolist())
-                x_text[j] = (panel.xs, text)
+                xt = numtext.squeeze(numtext.rows((ox + 4) + u * (cell_w - 16), 6, b","))
+                x_rows[j] = (panel.xs, xt)
+            # a trace's y text repeats along its flat stretches
             ys = np.asarray(panel.ys, dtype=float)
-            pts = text % tuple((mid - ys * scale).tolist())
+            pts = numtext.text(xt, numtext.run_rows(mid - ys * scale, 6, b" "))[:-1]
             parts.append(
                 f'<polyline points="{pts}" fill="none" stroke="#1f6fb4" '
                 'stroke-width="1.1"/>'

@@ -15,9 +15,10 @@ import pytest
 
 from fpsearch import cli, experiments, readout, verify
 from fpsearch.experiments import EXPERIMENTS
-from fpsearch.pulses import ErrorModel, PulseSequence
+from fpsearch.pulses import ErrorModel, PulseSequence, SpinSystem
 from fpsearch.readout import Spectrum
-from fpsearch.search import STATES, OracleSpec
+from fpsearch.search import (STATES, OracleSpec, all_oracles, cube_residuals,
+                             success_probability)
 
 
 @pytest.mark.parametrize("number", range(1, len(verify.ALL_CHECKS) + 1))
@@ -130,6 +131,30 @@ def test_criterion_4_fails_at_its_documented_residual():
         False,
         "max pulse-level cube residual 7.805e-01 at eps=0.1 oracle=10 r=2 (bound 1e-9)",
     )
+
+
+# (style, order of the leading term, its coefficient, relative tolerance).
+# Over the scan the ratios drift by 0.23% (naive) and 0.15% (bb1). bb1's
+# smallest residual, 1.6e-12 at eps = 1e-4, carries the cancellation noise of
+# (1 - P(r+1)) - (1 - P(r))**3, up to ~3e-14 at r <= 3 (ROADMAP item 9): 2%.
+LEADING_ORDER = [("naive", 1, 2.21, 0.01), ("bb1", 3, 1.63, 0.05)]
+
+
+@pytest.mark.parametrize("style, order, coefficient, tolerance", LEADING_ORDER)
+def test_cube_residual_leading_order_under_rf_error(style, order, coefficient, tolerance):
+    # criterion 4's setting: k=1 oracles, r <= 3, rf error eps on both spins;
+    # the worst residual is coefficient * eps**order, flat over eps in [1e-4, 1e-3]
+    eps_values = [1e-4, 2e-4, 5e-4, 1e-3]
+    errors = [ErrorModel(eps_H=eps, eps_C=eps) for eps in eps_values]
+    oracles = all_oracles(1)
+    ops = experiments.pulse_operators(3, [(o, style) for o in oracles], SpinSystem(), errors)
+    worst = [0.0] * len(eps_values)
+    for oracle, by_error in zip(oracles, ops):
+        for i, probs in enumerate(success_probability(by_error, oracle)):
+            worst[i] = max(worst[i], *cube_residuals(probs))
+    ratios = [w / eps**order for w, eps in zip(worst, eps_values)]
+    assert max(ratios) / min(ratios) - 1.0 <= tolerance, ratios
+    assert all(abs(ratio / coefficient - 1.0) <= tolerance for ratio in ratios), ratios
 
 
 def test_a_check_over_its_time_limit_or_raising_fails():

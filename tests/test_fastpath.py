@@ -14,10 +14,13 @@ lists with repeats and zeros of either sign; permuting a list permutes the
 result exactly.
 
 The output layer and the per-event kernel are vectorised without changing
-a bit. ``format_trace`` fills a ``%``-template whose frequency column
-``trace_template`` prints once per grid, and ``panel_grid`` reuses a
-column's polyline x text while its panels pass the same ``xs`` object and
-formats only the y values of each panel. The kernel's factors come from a
+a bit. ``format_trace`` places a trace's intensities, rounded and laid out
+in numpy by ``fpsearch.numtext``, beside the frequency column that
+``trace_template`` prints once per grid. ``panel_grid`` reuses a column's
+polyline x text while its panels pass the same ``xs`` object, and formats
+one y value per run of equal ``%.6g`` roundings in each panel
+(``tests/test_numtext.py`` checks ``numtext`` itself on ties, powers of
+ten and carries). The kernel's factors come from a
 ``pulses.EventFactors`` table, which forms the Kronecker product by
 broadcasting and memoises event unitaries by value for one simulation call,
 so ``sequence_unitaries`` simulates each distinct event once per call and a
