@@ -22,6 +22,8 @@ an rf amplitude error is shared exactly between a gate and its inverse.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from . import search
@@ -87,11 +89,11 @@ def _bb1_rewrite(events: list[PulseEvent]) -> list[PulseEvent]:
 
 
 def compile_gates(
-    oracle: OracleSpec,
+    runs: Sequence[tuple[OracleSpec, str]],
     system: SpinSystem,
-    style: str = "naive",
-) -> dict[str, PulseSequence]:
-    """Pulse sequences of the six gates, keyed by gate label.
+) -> list[dict[str, PulseSequence]]:
+    """Pulse sequences of the six gates of each ``(oracle, style)`` run, keyed
+    by gate label, in run order.
 
     Each gate is compiled on its own, with no merging of pulses within or
     across gates. ``style="bb1"`` rewrites every rf pulse as a BB1
@@ -99,23 +101,44 @@ def compile_gates(
     not by reversing its gate's pulses. The oracle's phase enters through a
     float64 array and ``J`` through ``float``, so equal arguments compile to
     identical events whatever their numeric types.
+
+    The call keeps one gate table: ``U`` and ``Udag`` are compiled once per
+    style and each phase gate once per style, matching set and phase value
+    (oracle 00's ``Rf`` is ``R0``), and every run that uses a gate gets the same
+    object.
     """
-    if style not in STYLES:
-        raise ValueError(f"unknown style {style!r}; expected one of {STYLES}")
-    if oracle.phase == 0.0:
-        raise ValueError("phase gate with zero phase compiles to nothing")
-    origin = search.origin_spec(oracle.phase)
-    gates = {
-        "U": [rf_pulse({"H", "C"}, np.pi / 2, np.pi / 2)],
-        "Udag": [rf_pulse({"H", "C"}, np.pi / 2, 3 * np.pi / 2)],
-        "Rf": _phase_gate_events(oracle, system),
-        "Rfdag": _phase_gate_events(oracle.adjoint(), system),
-        "R0": _phase_gate_events(origin, system),
-        "R0dag": _phase_gate_events(origin.adjoint(), system),
-    }
-    if style == "bb1":
-        gates = {label: _bb1_rewrite(events) for label, events in gates.items()}
-    return {label: PulseSequence(tuple(events)) for label, events in gates.items()}
+    table: dict[tuple, PulseSequence] = {}
+
+    def gate(style: str, key, build) -> PulseSequence:
+        if (style, key) not in table:
+            events = build()
+            if style == "bb1":
+                events = _bb1_rewrite(events)
+            table[style, key] = PulseSequence(tuple(events))
+        return table[style, key]
+
+    def phase_gate(style: str, spec: OracleSpec) -> PulseSequence:
+        # by plain-float phase: a float32 phase compares equal to each float64 rounding to it
+        key = (spec.matching, float(spec.phase))
+        return gate(style, key, lambda: _phase_gate_events(spec, system))
+
+    gate_sets = []
+    for oracle, style in runs:
+        if style not in STYLES:
+            raise ValueError(f"unknown style {style!r}; expected one of {STYLES}")
+        if oracle.phase == 0.0:
+            raise ValueError("phase gate with zero phase compiles to nothing")
+        origin = search.origin_spec(oracle.phase)
+        gate_sets.append({
+            "U": gate(style, "U", lambda: [rf_pulse({"H", "C"}, np.pi / 2, np.pi / 2)]),
+            "Udag": gate(style, "Udag",
+                         lambda: [rf_pulse({"H", "C"}, np.pi / 2, 3 * np.pi / 2)]),
+            "Rf": phase_gate(style, oracle),
+            "Rfdag": phase_gate(style, oracle.adjoint()),
+            "R0": phase_gate(style, origin),
+            "R0dag": phase_gate(style, origin.adjoint()),
+        })
+    return gate_sets
 
 
 def compile_algorithm(
@@ -130,5 +153,5 @@ def compile_algorithm(
     concatenated along ``expand_gate_list(r)``; it keeps no gate boundaries.
     """
     gate_list = search.expand_gate_list(r)
-    gates = compile_gates(oracle, system, style)
+    (gates,) = compile_gates([(oracle, style)], system)
     return PulseSequence(tuple(ev for label in gate_list for ev in gates[label].events))

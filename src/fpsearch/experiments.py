@@ -56,14 +56,6 @@ SCHEMA_VERSION = 1
 _MARKER_CYCLE = ("square", "circle", "diamond", "star")
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return f"{float(value):.12g}"
-
-
 def _csv(
     cfg: ExperimentConfig,
     columns: list[str],
@@ -75,8 +67,9 @@ def _csv(
         f"config={cfg.hash()}"
     ]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(map(_fmt, row)))
+    for row in rows:  # "" for None, a str as it is, any number as %.12g of its float
+        lines.append(",".join(["" if v is None else v if isinstance(v, str) else "%.12g" % v
+                               for v in row]))
     for comment in footer or []:
         lines.append(f"# {comment}")
     return "\n".join(lines) + "\n"
@@ -91,10 +84,11 @@ def pulse_operators(
     """Unitaries of the compiled order-0..r_max programs of each (oracle, style)
     run under each of ``errors``.
 
-    Each run is compiled once by :func:`fpsearch.compiler.compile_gates` on
-    ``system``. Each distinct compiled gate among the runs is simulated once for
-    the whole error list (only the oracle gates differ between oracles of one
-    phase and style), and one :func:`fpsearch.search.operators` recursion, whose
+    The runs are compiled by one :func:`fpsearch.compiler.compile_gates` call on
+    ``system``, which compiles each distinct gate once and shares it between runs.
+    Each distinct compiled gate among the runs is simulated once for the whole
+    error list (only the oracle gates differ between oracles of one phase and
+    style), and one :func:`fpsearch.search.operators` recursion, whose
     products broadcast, runs on ``(len(runs), len(errors), 4, 4)`` stacks. Element
     ``[i, j, r]`` of the ``(len(runs), len(errors), r_max + 1, 4, 4)`` result is
     order r of ``runs[i]`` under ``errors[j]``: bitwise the one-run, one-model
@@ -104,14 +98,17 @@ def pulse_operators(
     if not runs:
         raise ValueError("runs is empty; give at least one (oracle, style) pair")
     factors = EventFactors(system, errors)  # shared by every gate of the call
-    gate_sets = [compile_gates(oracle, system, style) for oracle, style in runs]
+    gate_sets = compile_gates(runs, system)
     simulated: dict[PulseSequence, np.ndarray] = {}  # equal gates give equal stacks
+    stack_of: dict[int, np.ndarray] = {}  # by id, so a shared gate object is hashed once
     for seq in (seq for gates in gate_sets for seq in gates.values()):
-        if seq not in simulated:
-            simulated[seq] = sequence_unitary(seq, factors)
-    stacks = {label: np.stack([simulated[gates[label]] for gates in gate_sets])
+        if id(seq) not in stack_of:
+            if seq not in simulated:
+                simulated[seq] = sequence_unitary(seq, factors)
+            stack_of[id(seq)] = simulated[seq]
+    stacks = {label: np.stack([stack_of[id(gates[label])] for gates in gate_sets])
               for label in gate_sets[0]}
-    del simulated  # the stacks hold copies (~10 MB at the 64 x 64 grid cap)
+    del simulated, stack_of  # the stacks hold copies (~10 MB at the 64 x 64 grid cap)
     ops = operators(r_max, stacks)
     models = [error for _ in runs for error in errors]  # each matrix's model
     for r in range(1, r_max + 1):  # V(0) is U's stack, checked as it was simulated
@@ -255,7 +252,7 @@ def run_bb1_scaling(cfg: ExperimentConfig) -> Iterator[tuple[str, str]]:
     """Infidelity scaling of naive against BB1 pulses, plus r=0 success."""
     oracle = cfg.oracles[0]
     system = SpinSystem()
-    gates = [compile_gates(oracle, system, style) for style in ("naive", "bb1")]
+    gates = compile_gates([(oracle, style) for style in ("naive", "bb1")], system)
     grid = eps_grid(cfg)
     factors = EventFactors(system, [ErrorModel(eps_H=eps, eps_C=eps) for eps in grid])
     simulated = [sequence_unitary(g["U"], factors) for g in gates]

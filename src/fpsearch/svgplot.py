@@ -9,7 +9,7 @@ once, and per panel the y text of each run of equal roundings once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +22,7 @@ def _f(x: float) -> str:
     return f"{x:.6g}"
 
 
-@dataclass
-class Series:
+class Series(NamedTuple):
     label: str
     xs: list[float]
     ys: list[float]
@@ -126,8 +125,7 @@ def xy_plot(series: list[Series], title: str, xlabel: str, ylabel: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-@dataclass
-class Panel:
+class Panel(NamedTuple):
     row_label: str
     col_label: str
     xs: np.ndarray | list[float]

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import tempfile
 import time
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +69,7 @@ COUPLING_RESIDUALS_R1 = {
 }
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -89,7 +89,7 @@ BROKEN = {
     "3-rf-count-low": (3, PulseSequence, "rf_pulse_count", lambda f: lambda s: 149),
     "3-rf-count-high": (3, PulseSequence, "rf_pulse_count", lambda f: lambda s: 251),
     "3-compiled-gate": (3, experiments, "compile_gates",
-                      lambda f: lambda *args: _first_pulse_off(f(*args))),
+                      lambda f: lambda *args: [_first_pulse_off(g) for g in f(*args)]),
     "5-regression": (5, verify, "COUPLING_RESIDUALS_R1", lambda d: _shift(d, "01", 2e-9)),
     "5-no-coupling-error": (5, experiments, "ErrorModel", lambda cls: lambda **kw: cls()),
     "6-naive-slope": (6, verify, "pulse_infidelities",

@@ -35,6 +35,12 @@ from fpsearch.search import (
 PI3 = np.pi / 3
 
 
+def _gates(spec: OracleSpec, system, style: str = "naive") -> dict[str, PulseSequence]:
+    """The gates of one run, as ``compile_gates`` compiles them."""
+    (gates,) = compile_gates([(spec, style)], system)
+    return gates
+
+
 def _delays(seq: PulseSequence) -> int:
     return sum(e.kind == DELAY for e in seq.events)
 
@@ -77,7 +83,7 @@ class TestCompilePhaseGate:
     def test_sound_for_all_matching_sets(self, system, phase):
         for k in (1, 2, 3):
             for spec in all_oracles(k, phase=phase):
-                gates = compile_gates(spec, system)
+                gates = _gates(spec, system)
                 for label, target in (("Rf", spec), ("Rfdag", spec.adjoint())):
                     u = sequence_unitary(gates[label], system)
                     assert equal_up_to_global_phase(
@@ -85,34 +91,34 @@ class TestCompilePhaseGate:
                     ), f"{label} {spec.label()} @ {phase}"
 
     def test_origin_gate_roundtrip(self, system):
-        gates = compile_gates(OracleSpec({"11"}, PI3), system)
+        gates = _gates(OracleSpec({"11"}, PI3), system)
         origin = origin_spec(PI3)
         for label, target in (("R0", origin), ("R0dag", origin.adjoint())):
             u = sequence_unitary(gates[label], system)
             assert equal_up_to_global_phase(u, phase_oracle(target), 1e-10)
 
     def test_proton_only_pair_has_no_delay(self, system):
-        seq = compile_gates(OracleSpec({"00", "01"}, PI3), system)["Rf"]
+        seq = _gates(OracleSpec({"00", "01"}, PI3), system)["Rf"]
         assert _delays(seq) == 0
         targets = {t for ev in seq.events for t in ev.targets}
         assert targets == {"H"}
         assert seq.rf_pulse_count() == 3
 
     def test_carbon_only_pair(self, system):
-        seq = compile_gates(OracleSpec({"00", "10"}, PI3), system)["Rf"]
+        seq = _gates(OracleSpec({"00", "10"}, PI3), system)["Rf"]
         assert _delays(seq) == 0
         targets = {t for ev in seq.events for t in ev.targets}
         assert targets == {"C"}
 
     def test_antialigned_pair_is_delay_only(self, system):
-        seq = compile_gates(OracleSpec({"01", "10"}, PI3), system)["Rf"]
+        seq = _gates(OracleSpec({"01", "10"}, PI3), system)["Rf"]
         assert seq.rf_pulse_count() == 0 and _delays(seq) == 1
         assert seq.total_delay_time() == pytest.approx(PI3 / (np.pi * system.J))
 
     def test_inverse_gate_uses_short_delay(self, system):
         # the forward gate needs the phase-shifted long delay, the
         # negated-phase inverse the direct short one
-        gates = compile_gates(OracleSpec({"11"}, PI3), system)
+        gates = _gates(OracleSpec({"11"}, PI3), system)
         t_fwd, t_inv = gates["Rf"].total_delay_time(), gates["Rfdag"].total_delay_time()
         assert t_inv == pytest.approx((PI3 / 2) / (np.pi * system.J))
         assert t_inv == pytest.approx(855.578e-6, abs=0.01e-6)
@@ -121,7 +127,7 @@ class TestCompilePhaseGate:
 
     def test_zero_phase_rejected(self, system):
         with pytest.raises(ValueError):
-            compile_gates(OracleSpec({"11"}, 0.0), system)
+            _gates(OracleSpec({"11"}, 0.0), system)
 
 
 class TestCompileAlgorithm:
@@ -165,7 +171,7 @@ class TestCompileAlgorithm:
     @pytest.mark.parametrize("style", STYLES)
     def test_program_concatenates_compiled_gates(self, system, style):
         for spec in all_oracles(1) + all_oracles(2):
-            gates = compile_gates(spec, system, style)
+            gates = _gates(spec, system, style)
             for r in range(5):
                 expected = tuple(
                     ev for label in expand_gate_list(r) for ev in gates[label].events
@@ -184,7 +190,7 @@ class TestCompileAlgorithm:
     def test_u_inverse_is_pulsewise_adjoint(self, system, k1_oracles):
         # a U gate and its inverse share the scaled angle and differ by a
         # pi axis shift, so the rf error is common to both
-        gates = compile_gates(k1_oracles[0], system)
+        gates = _gates(k1_oracles[0], system)
         (u_ev,) = gates["U"].events
         (udag_ev,) = gates["Udag"].events
         assert u_ev.angle == udag_ev.angle
@@ -223,7 +229,7 @@ class TestCompileAlgorithm:
     def test_serializes(self, system, k1_oracles):
         # one line per event, so the program's text is its gates' texts in order
         text = compile_algorithm(1, k1_oracles[0], system).serialize()
-        gates = compile_gates(k1_oracles[0], system)
+        gates = _gates(k1_oracles[0], system)
         assert text.startswith("PULSE HC 90 90\n")
         assert text == "".join(gates[label].serialize() for label in expand_gate_list(1))
 
@@ -270,7 +276,7 @@ class TestErrorBehaviour:
         # exact-robustness statement, for every k <= 2 oracle and r <= 4
         error = ErrorModel(eps_H=eps_h, eps_C=eps_c, delta_J=delta_j)
         for spec in all_oracles(1) + all_oracles(2):
-            compiled = compile_gates(spec, system, "naive")
+            compiled = _gates(spec, system, "naive")
             gates = ideal_gates(spec)
             for label in ("U", "Udag"):
                 gates[label] = sequence_unitary(compiled[label], system, error)

@@ -64,7 +64,7 @@ def test_pulse_operators_check_the_simulated_gates(monkeypatch, system, r_max):
     # the gate's own simulation, naming the sequence and that model
     errors = [NO_ERROR, ErrorModel(eps_H=0.05, delta_J=-0.02)]
     oracle = OracleSpec({"11"})
-    gates = compile_gates(oracle, system)  # the gates pulse_operators compiles
+    (gates,) = compile_gates([(oracle, "naive")], system)  # as pulse_operators compiles
     drift = np.diag([np.sqrt(1.0 + 1e-9), 1.0, 1.0, 1.0])
     factors = pulses.EventFactors.__call__
 

@@ -34,8 +34,11 @@ Single values are computed on Python floats, not numpy scalars: ``_rot_xy``
 and the stack readout of ``success_probability`` are checked bitwise against
 the numpy-scalar forms they replaced.
 
-``compile_gates`` is a plain function: ``pulse_operators`` compiles each run
-once and simulates those gates under its whole error list.
+``compile_gates`` builds one gate table per call: each distinct gate of its
+runs is compiled once, shared as one object by every run that uses it, and
+equal to the gate of that run compiled on its own. ``pulse_operators`` makes
+one such call and simulates each distinct gate under its whole error list.
+A CSV row is formatted in one pass, checked against the per-value formatter.
 
 ``run_spectra`` evaluates one trace per distinct doublet, formats each
 distinct trace once, and builds its SVG in a forked worker while it formats
@@ -63,7 +66,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bruteforce import sequence_unitary_expm
-from fpsearch import cli, experiments, pulses, svgplot, verify
+from fpsearch import cli, compiler, experiments, pulses, svgplot, verify
 from fpsearch.compiler import STYLES, compile_algorithm, compile_gates
 from fpsearch.config import build_config
 from fpsearch.experiments import pulse_operators
@@ -92,7 +95,13 @@ from fpsearch.readout import (
     target_populations,
     trace_template,
 )
-from fpsearch.search import OracleSpec, all_oracles, ideal_gates, success_probability
+from fpsearch.search import (
+    OracleSpec,
+    all_oracles,
+    ideal_gates,
+    origin_spec,
+    success_probability,
+)
 
 ORACLES = all_oracles(1) + all_oracles(2)
 
@@ -182,7 +191,7 @@ def test_matches_reference_random_errors(system, eps_h, eps_c, delta_j, oracle, 
 )
 def test_gates_match_bruteforce(system, eps_h, eps_c, delta_j, oracle, style):
     error = ErrorModel(eps_H=eps_h, eps_C=eps_c, delta_J=delta_j)
-    gates = compile_gates(oracle, system, style)
+    (gates,) = compile_gates([(oracle, style)], system)
     assert list(gates) == list(ideal_gates(oracle))
     for label, seq in gates.items():
         u = sequence_unitary(seq, system, error)
@@ -227,6 +236,40 @@ def test_format_trace_edge_values():
     freqs = np.array(_EDGE_FLOATS + [np.inf, np.nan])
     ys = np.array([np.nan, -np.inf] + _EDGE_FLOATS[::-1])
     assert format_trace(trace_template(freqs), ys) == _format_trace_per_value(freqs, ys)
+
+
+def _csv_field_per_value(value):
+    """The per-value CSV field formatter that the one-pass row replaced."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    return f"{float(value):.12g}"
+
+
+_csv_value = st.one_of(
+    st.none(),
+    st.text(st.characters(blacklist_characters=",\n\r"), max_size=4),
+    st.booleans(),
+    st.integers(-(10**30), 10**30),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    _any_value,
+    _any_value.map(np.float64),
+    st.floats(width=32).map(np.float32),
+)
+
+
+@settings(max_examples=100)
+@given(rows=st.lists(st.lists(_csv_value, max_size=6), max_size=6))
+@example(rows=[[None, "00", True, False, 0, np.int64(-7)],
+               [0.0, -0.0, np.float64(-0.0), 5e-324, np.float64(-2.5e-320), np.inf],
+               [-np.inf, np.nan, np.float64(np.nan), 1e300, 123456789012345678]])
+def test_csv_rows_are_per_value_formatting(rows):
+    cfg = build_config("table1", {})
+    head = experiments._csv(cfg, ["a", "b"], [], ["footer"])
+    text = experiments._csv(cfg, ["a", "b"], rows, ["footer"])
+    body = "".join(",".join(map(_csv_field_per_value, row)) + "\n" for row in rows)
+    assert text == head.replace("# footer\n", body + "# footer\n")
 
 
 def _counted(monkeypatch, module, name):
@@ -527,7 +570,7 @@ def test_memoised_unitaries_are_read_only(system):
     # when two calls share one warm table
     errors = [ErrorModel(), ErrorModel(eps_H=0.1)]
     many, one = EventFactors(system, errors), EventFactors(system, errors[:1])
-    gates = compile_gates(ORACLES[0], system, "naive")
+    (gates,) = compile_gates([(ORACLES[0], "naive")], system)
     for make in (
         lambda: sequence_unitary(PulseSequence(()), system),
         lambda: sequence_unitary(PulseSequence((coupling_delay(1e-3),)), system),
@@ -692,7 +735,7 @@ def test_pulse_infidelities_grid_is_bitwise_each_one_eps_call(system, grid, rng)
 
 
 def test_an_empty_error_list_is_a_value_error(system):
-    gates = compile_gates(ORACLES[0], system, "naive")
+    (gates,) = compile_gates([(ORACLES[0], "naive")], system)
     for simulate in (
         lambda: sequence_unitaries(gates["U"], EventFactors(system, [])),
         lambda: sequence_unitaries(PulseSequence(()), EventFactors(system, ())),
@@ -735,28 +778,111 @@ def test_stack_readout_is_bitwise_the_per_matrix_value(batch, seed, oracle):
     ]
 
 
-# ---- compilation: once per (oracle, style), outside the error loops ----
+# ---- compilation: one gate table per call, outside the error loops ----
 
 
 def test_equal_arguments_compile_equal_programs():
     # J passes through float and the phase through a float64 array, so a
     # float32 J and phase compile exactly the float64 program (repr shows types)
     phase = np.float32(np.pi / 3)
-    narrow = compile_gates(OracleSpec({"11"}, phase), SpinSystem(J=np.float32(150.0)))
-    wide = compile_gates(OracleSpec({"11"}, float(phase)), SpinSystem(J=150.0))
+    (narrow,) = compile_gates([(OracleSpec({"11"}, phase), "naive")],
+                              SpinSystem(J=np.float32(150.0)))
+    (wide,) = compile_gates([(OracleSpec({"11"}, float(phase)), "naive")],
+                            SpinSystem(J=150.0))
     assert repr(narrow) == repr(wide)
     delays = [e.duration for e in narrow["Rf"].events if e.kind == DELAY]
     assert delays and all(type(t) is float for t in delays)
 
 
-def test_each_oracle_is_compiled_once_per_run(monkeypatch):
-    # the error grid and criterion 4's eps list reuse one compilation per oracle
-    calls = _counted(monkeypatch, experiments, "compile_gates")
-    list(experiments.run_robustness(build_config("robustness", {})))
-    assert len(calls) == len({args[0] for args in calls}) == 4
-    calls.clear()
-    verify._error_tolerance()
-    assert len(calls) == len({args[0] for args in calls}) == 4
+def _compile_one(oracle, system, style):
+    """One run's six gates, each compiled afresh: the form the table replaced."""
+    origin = origin_spec(oracle.phase)
+    gates = {
+        "U": [rf_pulse({"H", "C"}, np.pi / 2, np.pi / 2)],
+        "Udag": [rf_pulse({"H", "C"}, np.pi / 2, 3 * np.pi / 2)],
+        "Rf": compiler._phase_gate_events(oracle, system),
+        "Rfdag": compiler._phase_gate_events(oracle.adjoint(), system),
+        "R0": compiler._phase_gate_events(origin, system),
+        "R0dag": compiler._phase_gate_events(origin.adjoint(), system),
+    }
+    if style == "bb1":
+        gates = {label: compiler._bb1_rewrite(events) for label, events in gates.items()}
+    return {label: PulseSequence(tuple(events)) for label, events in gates.items()}
+
+
+_phase = st.sampled_from([np.pi / 3, -np.pi / 3, np.pi, 1.9]) | st.floats(-3.1, 3.1)
+_typed_phase = st.tuples(_phase, st.sampled_from([float, np.float32, np.float64])).map(
+    lambda pair: pair[1](pair[0])
+).filter(bool)  # a zero phase is a ValueError
+_compile_run = st.tuples(
+    st.builds(OracleSpec, st.sampled_from(all_oracles(1) + all_oracles(2) + all_oracles(3))
+              .map(lambda o: o.matching), _typed_phase),
+    st.sampled_from(STYLES),
+)
+
+
+@settings(max_examples=60)
+@given(
+    runs=st.lists(_compile_run, min_size=1, max_size=6),
+    system=st.builds(SpinSystem, st.floats(1.0, 1000.0) | st.just(np.float32(150.0))),
+)
+# a repeated run, oracle 00 beside another oracle, one float32 phase among float64
+@example(runs=[(OracleSpec({"00"}), "naive"), (OracleSpec({"11"}), "bb1"),
+               (OracleSpec({"00"}, np.float32(np.pi / 3)), "naive"),
+               (OracleSpec({"11"}), "naive"), (OracleSpec({"00"}), "naive")],
+         system=SpinSystem())
+def test_gate_table_is_each_run_compiled_on_its_own(runs, system):
+    gate_sets = compile_gates(runs, system)
+    assert len(gate_sets) == len(runs)
+    for gates, (oracle, style) in zip(gate_sets, runs):
+        assert gates == _compile_one(oracle, system, style)
+    # a gate is one object for every run of its style that compiles it
+    for (gates, (oracle, style)), (other, (oracle2, style2)) in itertools.product(
+        zip(gate_sets, runs), repeat=2
+    ):
+        if style != style2:
+            continue
+        assert gates["U"] is other["U"] and gates["Udag"] is other["Udag"]
+        if float(oracle.phase) != float(oracle2.phase):  # float32 == float64 is in float32
+            continue
+        assert gates["R0"] is other["R0"] and gates["R0dag"] is other["R0dag"]
+        if oracle.matching == oracle2.matching:
+            assert gates["Rf"] is other["Rf"] and gates["Rfdag"] is other["Rfdag"]
+        if oracle.matching == {"00"}:
+            assert gates["Rf"] is other["R0"] and gates["Rfdag"] is other["R0dag"]
+
+
+def _per_pulse_operators_call(monkeypatch):
+    """Wrap ``pulse_operators``; the returned list collects each call's phase-gate
+    solves and gate simulations."""
+    solves = _counted(monkeypatch, compiler, "_phase_gate_events")
+    simulated = _counted(monkeypatch, experiments, "sequence_unitary")
+    fn, calls = experiments.pulse_operators, []
+
+    def counted(*args):
+        solves.clear()
+        simulated.clear()
+        ops = fn(*args)
+        calls.append((len(solves), len(simulated)))
+        return ops
+
+    for module in (experiments, verify):
+        monkeypatch.setattr(module, "pulse_operators", counted)
+    return calls
+
+
+@pytest.mark.parametrize("caller, counts", [
+    # 4 naive k=1 oracles: Rf and Rfdag of each, where R0 and R0dag are oracle 00's
+    (lambda: list(experiments.run_robustness(build_config("robustness", {}))), (8, 10)),
+    (verify._error_tolerance, (8, 10)),
+    # 10 k <= 2 oracles, 20 phase gates per style; 31 distinct gates of the 44
+    (verify._compilation_soundness, (40, 31)),
+    (lambda: list(experiments.run_curves(build_config("k1-curves", {}))), (16, 20)),
+], ids=["robustness", "criterion-4", "criterion-3", "k1-curves"])
+def test_each_distinct_gate_is_compiled_once_per_call(monkeypatch, caller, counts):
+    calls = _per_pulse_operators_call(monkeypatch)
+    caller()
+    assert calls == [counts]
 
 
 # ---- spectra's SVG: built in a forked worker while the traces are formatted ----
