@@ -61,31 +61,39 @@ def diagonal_phase_coefficients(spec: OracleSpec) -> tuple[float, float, float]:
     return float(p @ _HZ), float(p @ _CZ), float(p @ _DD)
 
 
-def _phase_gate_events(spec: OracleSpec, system: SpinSystem) -> list[PulseEvent]:
+def _phase_gate_key(spec: OracleSpec, system: SpinSystem) -> tuple[float | None, ...]:
+    """The delay duration and the proton and carbon z angles that set a phase
+    gate's events, each None where the gate has no such event."""
     alpha, beta, gamma = diagonal_phase_coefficients(spec)
     while gamma > _ZERO:
         alpha -= np.pi
         beta -= np.pi
         gamma -= np.pi
-    events: list[PulseEvent] = []
-    if gamma < -_ZERO:
-        events.append(coupling_delay(-gamma / (np.pi * float(system.J))))
     # exp(i*alpha*Hz) is a z rotation by -alpha in the exp(-i*theta*sz/2)
     # convention, built from transverse pulses.
-    for coeff, spin in ((alpha, "H"), (beta, "C")):
-        if abs(coeff) > _ZERO:
-            events.extend(composite_z(-coeff, spin))
+    return (-gamma / (np.pi * float(system.J)) if gamma < -_ZERO else None,
+            *(-coeff if abs(coeff) > _ZERO else None for coeff in (alpha, beta)))
+
+
+def _phase_gate_events(delay: float | None, theta_H: float | None,
+                       theta_C: float | None) -> list[PulseEvent]:
+    events = [] if delay is None else [coupling_delay(delay)]
+    for theta, spin in ((theta_H, "H"), (theta_C, "C")):
+        if theta is not None:
+            events.extend(composite_z(theta, spin))
     return events
 
 
-def _bb1_rewrite(events: list[PulseEvent]) -> list[PulseEvent]:
-    out: list[PulseEvent] = []
-    for ev in events:
-        if ev.kind == RF_PULSE:
-            out.extend(bb1_expand(ev.angle, ev.phase, ev.targets))
-        else:
-            out.append(ev)
-    return out
+def _bb1_rewrite(naive: PulseSequence) -> PulseSequence:
+    """``naive`` with every rf pulse a BB1 composite rotation; a gate with no
+    rf pulse is its own rewrite."""
+    if not naive.rf_pulse_count():
+        return naive
+    return PulseSequence(tuple(
+        out for ev in naive.events
+        for out in (bb1_expand(ev.angle, ev.phase, ev.targets) if ev.kind == RF_PULSE
+                    else (ev,))
+    ))
 
 
 def compile_gates(
@@ -102,25 +110,24 @@ def compile_gates(
     float64 array and ``J`` through ``float``, so equal arguments compile to
     identical events whatever their numeric types.
 
-    The call keeps one gate table: ``U`` and ``Udag`` are compiled once per
-    style and each phase gate once per style, matching set and phase value
-    (oracle 00's ``Rf`` is ``R0``), and every run that uses a gate gets the same
-    object.
+    The call keeps one gate table, keyed by the values that set a gate's
+    events: ``U`` and ``Udag`` by name, a phase gate by its delay duration
+    and z angles. Each key's naive gate is built once and its bb1 gate is
+    the BB1 rewrite of that object, so equal gates of one call, of any runs
+    and either style, are one object (oracle 00's ``Rf`` is ``R0``).
     """
     table: dict[tuple, PulseSequence] = {}
 
     def gate(style: str, key, build) -> PulseSequence:
+        if ("naive", key) not in table:
+            table["naive", key] = PulseSequence(tuple(build()))
         if (style, key) not in table:
-            events = build()
-            if style == "bb1":
-                events = _bb1_rewrite(events)
-            table[style, key] = PulseSequence(tuple(events))
+            table[style, key] = _bb1_rewrite(table["naive", key])
         return table[style, key]
 
     def phase_gate(style: str, spec: OracleSpec) -> PulseSequence:
-        # by plain-float phase: a float32 phase compares equal to each float64 rounding to it
-        key = (spec.matching, float(spec.phase))
-        return gate(style, key, lambda: _phase_gate_events(spec, system))
+        key = _phase_gate_key(spec, system)
+        return gate(style, key, lambda: _phase_gate_events(*key))
 
     gate_sets = []
     for oracle, style in runs:

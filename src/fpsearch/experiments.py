@@ -85,12 +85,12 @@ def pulse_operators(
     run under each of ``errors``.
 
     The runs are compiled by one :func:`fpsearch.compiler.compile_gates` call on
-    ``system``, which compiles each distinct gate once and shares it between runs.
-    Each distinct compiled gate among the runs is simulated once for the whole
-    error list (only the oracle gates differ between oracles of one phase and
-    style), and one :func:`fpsearch.search.operators` recursion, whose
-    products broadcast, runs on ``(len(runs), len(errors), 4, 4)`` stacks. Element
-    ``[i, j, r]`` of the ``(len(runs), len(errors), r_max + 1, 4, 4)`` result is
+    ``system``, in which equal gates are one object. Each gate object is
+    simulated once for the whole error list (only the oracle gates differ
+    between oracles of one phase and style), and one
+    :func:`fpsearch.search.operators` recursion, whose products broadcast, runs
+    on ``(len(runs), len(errors), 4, 4)`` stacks. Element ``[i, j, r]`` of the
+    ``(len(runs), len(errors), r_max + 1, 4, 4)`` result is
     order r of ``runs[i]`` under ``errors[j]``: bitwise the one-run, one-model
     call, and ``pulses.sequence_unitary`` of ``compile_algorithm(r, ...)`` up to
     the rounding of reassociated products.
@@ -99,16 +99,13 @@ def pulse_operators(
         raise ValueError("runs is empty; give at least one (oracle, style) pair")
     factors = EventFactors(system, errors)  # shared by every gate of the call
     gate_sets = compile_gates(runs, system)
-    simulated: dict[PulseSequence, np.ndarray] = {}  # equal gates give equal stacks
-    stack_of: dict[int, np.ndarray] = {}  # by id, so a shared gate object is hashed once
+    stack_of: dict[int, np.ndarray] = {}  # by id: equal gates of one call are one object
     for seq in (seq for gates in gate_sets for seq in gates.values()):
         if id(seq) not in stack_of:
-            if seq not in simulated:
-                simulated[seq] = sequence_unitary(seq, factors)
-            stack_of[id(seq)] = simulated[seq]
+            stack_of[id(seq)] = sequence_unitary(seq, factors)
     stacks = {label: np.stack([stack_of[id(gates[label])] for gates in gate_sets])
               for label in gate_sets[0]}
-    del simulated, stack_of  # the stacks hold copies (~10 MB at the 64 x 64 grid cap)
+    del stack_of  # the stacks hold copies (~10 MB at the 64 x 64 grid cap)
     ops = operators(r_max, stacks)
     models = [error for _ in runs for error in errors]  # each matrix's model
     for r in range(1, r_max + 1):  # V(0) is U's stack, checked as it was simulated

@@ -50,6 +50,7 @@ class OracleSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matching", frozenset(self.matching))
+        object.__setattr__(self, "phase", float(self.phase))  # so equal specs hash equal
         if not self.matching:
             raise ValueError("matching set is empty")
         for s in self.matching:

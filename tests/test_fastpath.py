@@ -34,10 +34,12 @@ Single values are computed on Python floats, not numpy scalars: ``_rot_xy``
 and the stack readout of ``success_probability`` are checked bitwise against
 the numpy-scalar forms they replaced.
 
-``compile_gates`` builds one gate table per call: each distinct gate of its
-runs is compiled once, shared as one object by every run that uses it, and
-equal to the gate of that run compiled on its own. ``pulse_operators`` makes
-one such call and simulates each distinct gate under its whole error list.
+``compile_gates`` builds one gate table per call, keyed by the values that
+set a gate's events: within a call two gates are equal exactly when they
+are one object, and each is equal to the gate of its run compiled on its
+own. ``pulse_operators`` makes one such call and simulates each gate object
+under its whole error list; the phase-gate builds, gate simulations and
+events constructed of each pulse-level call are pinned.
 A CSV row is formatted in one pass, checked against the per-value formatter.
 
 ``run_spectra`` evaluates one trace per distinct doublet, formats each
@@ -58,6 +60,7 @@ import random
 import re
 import signal
 import time
+from collections.abc import Iterator
 
 import numpy as np
 import pytest
@@ -797,17 +800,17 @@ def test_equal_arguments_compile_equal_programs():
 def _compile_one(oracle, system, style):
     """One run's six gates, each compiled afresh: the form the table replaced."""
     origin = origin_spec(oracle.phase)
+    specs = {"Rf": oracle, "Rfdag": oracle.adjoint(),
+             "R0": origin, "R0dag": origin.adjoint()}
     gates = {
-        "U": [rf_pulse({"H", "C"}, np.pi / 2, np.pi / 2)],
-        "Udag": [rf_pulse({"H", "C"}, np.pi / 2, 3 * np.pi / 2)],
-        "Rf": compiler._phase_gate_events(oracle, system),
-        "Rfdag": compiler._phase_gate_events(oracle.adjoint(), system),
-        "R0": compiler._phase_gate_events(origin, system),
-        "R0dag": compiler._phase_gate_events(origin.adjoint(), system),
+        "U": PulseSequence((rf_pulse({"H", "C"}, np.pi / 2, np.pi / 2),)),
+        "Udag": PulseSequence((rf_pulse({"H", "C"}, np.pi / 2, 3 * np.pi / 2),)),
+        **{label: PulseSequence(tuple(compiler._phase_gate_events(
+            *compiler._phase_gate_key(spec, system)))) for label, spec in specs.items()},
     }
     if style == "bb1":
-        gates = {label: compiler._bb1_rewrite(events) for label, events in gates.items()}
-    return {label: PulseSequence(tuple(events)) for label, events in gates.items()}
+        gates = {label: compiler._bb1_rewrite(seq) for label, seq in gates.items()}
+    return gates
 
 
 _phase = st.sampled_from([np.pi / 3, -np.pi / 3, np.pi, 1.9]) | st.floats(-3.1, 3.1)
@@ -818,69 +821,79 @@ _compile_run = st.tuples(
     st.builds(OracleSpec, st.sampled_from(all_oracles(1) + all_oracles(2) + all_oracles(3))
               .map(lambda o: o.matching), _typed_phase),
     st.sampled_from(STYLES),
-)
+    st.booleans(),  # whether the complement at the negated phase runs too
+).map(lambda run: [run[:2]] + run[2] * [(run[0].complement().adjoint(), run[1])])
 
 
 @settings(max_examples=60)
 @given(
-    runs=st.lists(_compile_run, min_size=1, max_size=6),
+    runs=st.lists(_compile_run, min_size=1, max_size=6).map(lambda runs: sum(runs, [])),
     system=st.builds(SpinSystem, st.floats(1.0, 1000.0) | st.just(np.float32(150.0))),
 )
-# a repeated run, oracle 00 beside another oracle, one float32 phase among float64
+# a repeated run, oracle 00 beside another oracle, one float32 phase among float64,
+# oracle 11 beside its complement at the negated phase (the same gates), and both
+# styles of 00+11, whose Rfdag is a delay alone
 @example(runs=[(OracleSpec({"00"}), "naive"), (OracleSpec({"11"}), "bb1"),
                (OracleSpec({"00"}, np.float32(np.pi / 3)), "naive"),
-               (OracleSpec({"11"}), "naive"), (OracleSpec({"00"}), "naive")],
+               (OracleSpec({"11"}), "naive"), (OracleSpec({"00"}), "naive"),
+               (OracleSpec({"00", "01", "10"}, -np.pi / 3), "bb1"),
+               (OracleSpec({"00", "11"}), "naive"), (OracleSpec({"00", "11"}), "bb1")],
          system=SpinSystem())
-def test_gate_table_is_each_run_compiled_on_its_own(runs, system):
+def test_equal_gates_of_one_call_are_one_object(runs, system):
     gate_sets = compile_gates(runs, system)
     assert len(gate_sets) == len(runs)
     for gates, (oracle, style) in zip(gate_sets, runs):
         assert gates == _compile_one(oracle, system, style)
-    # a gate is one object for every run of its style that compiles it
-    for (gates, (oracle, style)), (other, (oracle2, style2)) in itertools.product(
-        zip(gate_sets, runs), repeat=2
-    ):
-        if style != style2:
-            continue
-        assert gates["U"] is other["U"] and gates["Udag"] is other["Udag"]
-        if float(oracle.phase) != float(oracle2.phase):  # float32 == float64 is in float32
-            continue
-        assert gates["R0"] is other["R0"] and gates["R0dag"] is other["R0dag"]
-        if oracle.matching == oracle2.matching:
-            assert gates["Rf"] is other["Rf"] and gates["Rfdag"] is other["Rfdag"]
-        if oracle.matching == {"00"}:
-            assert gates["Rf"] is other["R0"] and gates["Rfdag"] is other["R0dag"]
+    gates = [seq for gates in gate_sets for seq in gates.values()]
+    for a, b in itertools.product(gates, repeat=2):
+        assert (a == b) is (a is b)
 
 
-def _per_pulse_operators_call(monkeypatch):
-    """Wrap ``pulse_operators``; the returned list collects each call's phase-gate
-    solves and gate simulations."""
-    solves = _counted(monkeypatch, compiler, "_phase_gate_events")
-    simulated = _counted(monkeypatch, experiments, "sequence_unitary")
-    fn, calls = experiments.pulse_operators, []
+def _work_per_call(monkeypatch, name):
+    """Wrap ``experiments.<name>`` (and ``verify``'s import of it); the returned list
+    collects each call's phase-gate builds, gate simulations and events constructed."""
+    counters = [_counted(monkeypatch, compiler, "_phase_gate_events"),
+                _counted(monkeypatch, experiments, "sequence_unitary"),
+                _counted(monkeypatch, PulseEvent, "__post_init__")]
+    fn, calls = getattr(experiments, name), []
 
     def counted(*args):
-        solves.clear()
-        simulated.clear()
-        ops = fn(*args)
-        calls.append((len(solves), len(simulated)))
-        return ops
+        for counter in counters:
+            counter.clear()
+        result = fn(*args)
+        if isinstance(result, Iterator):  # an experiment: its whole run
+            result = iter(list(result))
+        calls.append(tuple(len(counter) for counter in counters))
+        return result
 
     for module in (experiments, verify):
-        monkeypatch.setattr(module, "pulse_operators", counted)
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
-@pytest.mark.parametrize("caller, counts", [
+def _run(experiment):
+    """Run ``experiment``'s default config through its runner's module attribute."""
+    name = experiments.EXPERIMENTS[experiment][0].__name__
+    return lambda: list(getattr(experiments, name)(build_config(experiment, {})))
+
+
+@pytest.mark.parametrize("caller, within, counts", [
     # 4 naive k=1 oracles: Rf and Rfdag of each, where R0 and R0dag are oracle 00's
-    (lambda: list(experiments.run_robustness(build_config("robustness", {}))), (8, 10)),
-    (verify._error_tolerance, (8, 10)),
-    # 10 k <= 2 oracles, 20 phase gates per style; 31 distinct gates of the 44
-    (verify._compilation_soundness, (40, 31)),
-    (lambda: list(experiments.run_curves(build_config("k1-curves", {}))), (16, 20)),
-], ids=["robustness", "criterion-4", "criterion-3", "k1-curves"])
-def test_each_distinct_gate_is_compiled_once_per_call(monkeypatch, caller, counts):
-    calls = _per_pulse_operators_call(monkeypatch)
+    (_run("robustness"), "pulse_operators", (8, 10, 58)),
+    (verify._error_tolerance, "pulse_operators", (8, 10, 58)),
+    (verify._coupling_error_breaks_fixed_point, "pulse_operators", (8, 10, 58)),
+    # 10 k <= 2 oracles: 14 distinct phase gates, 31 distinct gates of the 44
+    (verify._compilation_soundness, "pulse_operators", (14, 31, 350)),
+    (_run("k1-curves"), "pulse_operators", (8, 20, 258)),
+    (_run("k2-curves"), "pulse_operators", (8, 10, 36)),
+    (_run("spectra"), "pulse_operators", (8, 10, 58)),
+    # U of each style, then the bare pulse and its BB1 expansion and the ideal pulse
+    (_run("bb1-scaling"), "run_bb1_scaling", (4, 5, 139)),
+], ids=["robustness", "criterion-4", "criterion-5", "criterion-3", "k1-curves",
+        "k2-curves", "spectra", "bb1-scaling"])
+def test_each_distinct_gate_is_compiled_once_per_call(monkeypatch, caller, within, counts):
+    calls = _work_per_call(monkeypatch, within)
     caller()
     assert calls == [counts]
 

@@ -42,6 +42,16 @@ class TestOracleSpec:
         assert type(spec.matching) is frozenset
         assert {spec: "a"}[OracleSpec(frozenset({"01", "00"}))] == "a"
 
+    @pytest.mark.parametrize("phase", [np.float32(PI3), np.float64(PI3), np.float32(-1.5)])
+    def test_a_phase_is_stored_as_a_float(self, phase):
+        # numpy compares a float32 with a float in float32, yet hashes it as its
+        # own double, so a numpy phase kept as given breaks the hash contract
+        spec = OracleSpec({"11"}, phase)
+        assert type(spec.phase) is float and spec.phase == float(phase)
+        for other in (OracleSpec({"11"}, PI3), OracleSpec({"11"}, float(phase))):
+            assert (spec == other) is (hash(spec) == hash(other))
+            assert len({spec, other}) == (1 if spec == other else 2)
+
     def test_rejects_bad_strings(self):
         with pytest.raises(ValueError):
             OracleSpec({"001"})
