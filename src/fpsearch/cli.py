@@ -12,6 +12,7 @@ invariant violation during a run.
 
 from __future__ import annotations
 
+import gc
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -108,6 +109,7 @@ def _cmd_verify() -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    gc.freeze()  # the objects made at import live for the whole command: keep GC off them
     argv = sys.argv[1:] if argv is None else argv
     if "-h" in argv or "--help" in argv:
         print(USAGE)

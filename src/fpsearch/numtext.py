@@ -16,7 +16,6 @@ sends a few values that way.
 NUL-padded uint8 character matrix; :func:`run_rows` builds rows of the same
 texts by formatting one value of each run of equal roundings and repeating
 its text. :func:`text` joins such matrices side by side and drops the NULs.
-No routine here calls BLAS, so they may run in a forked process.
 """
 
 from __future__ import annotations

@@ -121,8 +121,8 @@ def xy_plot(series: list[Series], title: str, xlabel: str, ylabel: str) -> str:
             f'<text x="{lx + 24}" y="{ly}" font-size="11" '
             f'font-family="sans-serif">{s.label}</text>'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts += ["</svg>", ""]  # a final newline without copying the joined text again
+    return "\n".join(parts)
 
 
 class Panel(NamedTuple):
@@ -177,7 +177,7 @@ def panel_grid(
             scale = (cell_h - 12) / (2.0 * y_limit) if y_limit > 0 else 0.0
             # element-wise in the order a per-point loop would compute, so
             # every coordinate, and its %.6g text, is bitwise that loop's
-            last_xs, xt = x_rows.get(j, (None, None))
+            last_xs, xt = x_rows.pop(j, (None, None))
             if last_xs is not panel.xs:
                 xs = np.asarray(panel.xs, dtype=float)
                 x0, x1 = xs.min(), xs.max()
@@ -185,6 +185,7 @@ def panel_grid(
                 if reverse_x:
                     u = 1.0 - u
                 xt = numtext.squeeze(numtext.rows((ox + 4) + u * (cell_w - 16), 6, b","))
+            if i + 1 < rows:  # kept only while a row below may reuse it
                 x_rows[j] = (panel.xs, xt)
             # a trace's y text repeats along its flat stretches
             ys = np.asarray(panel.ys, dtype=float)
@@ -197,5 +198,5 @@ def panel_grid(
                 f'<line x1="{ox}" y1="{_f(mid)}" x2="{ox + cell_w - 8}" y2="{_f(mid)}" '
                 'stroke="#ddd" stroke-width="0.6"/>'
             )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts += ["</svg>", ""]
+    return "\n".join(parts)

@@ -6,16 +6,17 @@ rows in criterion order, so criterion N is row N. A body returns ``(passed,
 detail)``; ``run_all``, the one runner, passes each row to ``_timed`` for a
 ``CheckResult``, and ``fpsearch verify`` prints one line per result. Checks
 are self-contained and leave no files behind: the table check writes into a
-temporary directory, and the determinism check compares the texts two runs of
-each experiment yield, in memory (each simulation call memoises its own
-events, so both runs simulate them). Pulse-level checks take the experiments'
-path: criterion 3 passes its 20 (oracle, style) runs to one
-``pulse_operators`` call, and criteria 4 and 5 read ``residual_rows``,
-robustness's table.
+temporary directory, and the determinism check compares the sha256 digest of
+each text two runs of each experiment yield, holding one digest per file in
+memory (each simulation call memoises its own events, so both runs simulate
+them). Pulse-level checks take the experiments' path: criterion 3 passes its
+20 (oracle, style) runs to one ``pulse_operators`` call, and criteria 4 and 5
+read ``residual_rows``, robustness's table.
 """
 
 from __future__ import annotations
 
+import hashlib
 import tempfile
 import time
 from pathlib import Path
@@ -268,7 +269,9 @@ def _equivalences():
 def _determinism():
     for name in EXPERIMENT_NAMES:
         runner, _ = EXPERIMENTS[name]
-        first, second = [dict(runner(build_config(name, {}))) for _ in range(2)]
+        first, second = [{file: hashlib.sha256(text.encode()).digest()
+                          for file, text in runner(build_config(name, {}))}
+                         for _ in range(2)]
         if first.keys() != second.keys():
             return False, f"{name}: file sets differ between runs"
         diff = [k for k in first if first[k] != second[k]]

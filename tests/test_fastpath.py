@@ -43,24 +43,19 @@ events constructed of each pulse-level call are pinned.
 A CSV row is formatted in one pass, checked against the per-value formatter.
 
 ``run_spectra`` evaluates one trace per distinct doublet, formats each
-distinct trace once, and builds its SVG in a forked worker while it formats
-the traces. Its files are checked against each trace evaluated and
-formatted on its own. The worker's text is checked byte-equal to an
-in-process ``panel_grid`` with and without ``os.fork``, and a run, a failed
-worker and a run aborted by a write error are each checked to leave no
-child process and no open fd behind.
+distinct trace once, and builds its SVG in the run after the traces. Its
+files are checked against each trace evaluated and formatted on its own. An
+SVG error and a trace write error each surface unchanged, and the
+benchmark's tracer records the SVG of a traced run.
 """
 
-import contextlib
 import dataclasses
-import io
+import importlib
 import itertools
-import os
 import random
 import re
-import signal
-import time
 from collections.abc import Iterator
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -416,6 +411,17 @@ def test_panel_grid_is_per_point_formatting(data, y_limit, reverse_x, as_array, 
     ]
     assert got == expected
 
+
+
+def test_panel_grid_formats_a_shared_column_x_text_once(monkeypatch):
+    # three rows over one xs object (run_spectra's freqs): every row below the
+    # first reuses its column's x text, the last row included
+    xs = np.linspace(-1.0, 1.0, 5)
+    panels = [[svgplot.Panel(f"row{i}", f"col{j}", xs, xs * (i + j)) for j in range(2)]
+              for i in range(3)]
+    formatted = _counted(monkeypatch, svgplot.numtext, "rows")
+    svgplot.panel_grid(panels, "t", 4.0)
+    assert len(formatted) == 2
 
 # ---- pulse kernel: broadcast Kronecker product and one call's event table ----
 
@@ -898,118 +904,10 @@ def test_each_distinct_gate_is_compiled_once_per_call(monkeypatch, caller, withi
     assert calls == [counts]
 
 
-# ---- spectra's SVG: built in a forked worker while the traces are formatted ----
+# ---- spectra's SVG: built in the run, after the traces ----
 
 
-def _count_forks(monkeypatch):
-    """Wrap os.fork; the returned list collects each worker's pid."""
-    fork, pids = os.fork, []
-
-    def counted():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return pids
-
-
-@pytest.fixture(params=["fork", "fallback"])
-def svg_path(request, monkeypatch):
-    """Whether the worker builds the SVG, or this process for want of os.fork."""
-    if request.param == "fork":
-        return _count_forks(monkeypatch)
-    monkeypatch.delattr(os, "fork")
-    return None
-
-
-@pytest.mark.parametrize("sharing", ["shared", "copies", "lists"])
-def test_worker_svg_is_the_in_process_svg(svg_path, sharing):
-    # one xs object for every panel (run_spectra's freqs), equal distinct
-    # arrays, or plain lists; 1001 points a panel make an SVG larger than
-    # the 64 KB pipe buffer
-    rng = np.random.default_rng(7)
-    freqs = np.linspace(-60.0, 60.0, 1001)
-    wrap = {"shared": lambda xs: freqs, "copies": np.array, "lists": list}[sharing]
-    panels = [
-        [svgplot.Panel(f"row{i}", f"r={j}", wrap(freqs), rng.normal(size=1001))
-         for j in range(3)]
-        for i in range(2)
-    ]
-    expected = svgplot.panel_grid(panels, "t", 2.5, reverse_x=True)
-    assert len(expected) > 65536
-    built_here = []
-
-    def build():
-        built_here.append(os.getpid())
-        return svgplot.panel_grid(panels, "t", 2.5, reverse_x=True)
-
-    pairs = [("a.txt", "a"), ("b.txt", "b")]
-    got = list(experiments._overlapped(iter(pairs), "grid.svg", build))
-    assert got == pairs + [("grid.svg", expected)]
-    # on the fork path only the worker called build
-    assert built_here == ([] if svg_path is not None else [os.getpid()])
-    assert svg_path is None or len(svg_path) == 1
-
-
-def _open_fds():
-    return len(os.listdir("/proc/self/fd"))
-
-
-_counts_fds = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc")
-
-
-@pytest.fixture()
-def no_leaks(monkeypatch):
-    """Forks are counted; afterwards no child process and no new fd is left."""
-    before = _open_fds()
-    yield _count_forks(monkeypatch)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert _open_fds() == before
-
-
-_SMALL_SPECTRA = ["run", "spectra", "--override", "freq.points=101"]
-
-
-def _spectra_files(out):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main([*_SMALL_SPECTRA, "--out", str(out)])
-    return code, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-
-
-@_counts_fds
-def test_spectra_run_leaves_no_worker_or_fd(tmp_path, no_leaks):
-    code, files = _spectra_files(tmp_path)
-    assert code == 0 and len(no_leaks) == 1
-    assert len(files) == 21 and "spectra_k1.svg" in files
-
-
-@_counts_fds
-def test_failed_worker_falls_back_to_the_same_bytes(tmp_path, monkeypatch, no_leaks):
-    _, expected = _spectra_files(tmp_path / "ok")
-    parent, panel_grid = os.getpid(), svgplot.panel_grid
-
-    def dies_in_worker(*args, **kwargs):
-        if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return panel_grid(*args, **kwargs)
-
-    def raises_in_worker(*args, **kwargs):
-        if os.getpid() != parent:
-            raise RuntimeError("worker only")
-        return panel_grid(*args, **kwargs)
-
-    for i, failing in enumerate((dies_in_worker, raises_in_worker)):
-        monkeypatch.setattr(svgplot, "panel_grid", failing)
-        code, files = _spectra_files(tmp_path / str(i))
-        assert code == 0 and files == expected
-    assert len(no_leaks) == 3
-
-
-@_counts_fds
-def test_panel_grid_error_surfaces_unchanged(monkeypatch, no_leaks):
+def test_panel_grid_error_surfaces_unchanged(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("no panels")
 
@@ -1019,69 +917,32 @@ def test_panel_grid_error_surfaces_unchanged(monkeypatch, no_leaks):
     with pytest.raises(ValueError, match="no panels"):
         for name, _ in files:
             assert name.endswith(".txt")  # every trace comes before the error
-    assert len(no_leaks) == 1
 
 
-@_counts_fds
-def test_trace_write_error_after_fork_exits_2(tmp_path, no_leaks, capsys):
+_SMALL_SPECTRA = ["run", "spectra", "--override", "freq.points=101"]
+
+
+def test_trace_write_error_mid_run_exits_2(tmp_path, capsys):
     # a directory where the second trace file goes: the write fails mid-run
     names = [name for name, _ in experiments.run_spectra(
         build_config("spectra", {"freq.points": "101"}))]
     (tmp_path / names[1]).mkdir()
-    forks_before = len(no_leaks)
     assert cli.main([*_SMALL_SPECTRA, "--out", str(tmp_path)]) == 2
     assert "config error: output.dir:" in capsys.readouterr().err
-    assert len(no_leaks) == forks_before + 1
 
 
-@_counts_fds
-def test_raising_worker_never_returns_to_the_caller(tmp_path, no_leaks):
-    parent = os.getpid()
-
-    def build():
-        if os.getpid() != parent:
-            raise RuntimeError("worker only")
-        return "svg"
-
+def test_traced_spectra_run_records_its_svg(tmp_path, monkeypatch):
+    # the benchmark's tracer sees panel_grid only if it runs in this process
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer").Tracer()
+    tracer.install()
     try:
-        got = list(experiments._overlapped(iter([("a.txt", "a")]), "x.svg", build))
+        code = cli.main(["run", "spectra", "--out", str(tmp_path), "--override",
+                         "oracle.matching=00", "--override", "r.values=0,1",
+                         "--override", "freq.points=11"])
     finally:
-        if os.getpid() != parent:  # a worker that got out of _overlapped
-            (tmp_path / "escaped").touch()
-            os._exit(1)
-    assert got == [("a.txt", "a"), ("x.svg", "svg")]
-    assert not (tmp_path / "escaped").exists() and len(no_leaks) == 1
-
-
-@_counts_fds
-def test_closing_early_kills_a_busy_worker(no_leaks):
-    # a worker that never finishes: closing the run must not wait for it
-    def timeout(signum, frame):
-        raise TimeoutError("closing waited for the worker")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(10)
-    try:
-        run = experiments._overlapped(iter([("a.txt", "a")]), "x.svg", signal.pause)
-        assert next(run) == ("a.txt", "a")
-        run.close()
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert len(no_leaks) == 1
-
-
-@_counts_fds
-def test_worker_is_reaped_after_its_pipe_closes(monkeypatch, no_leaks):
-    # the worker lingers between closing its pipe and exiting; the run still
-    # waits for it, so no child is left behind
-    real_exit = os._exit
-
-    def slow_exit(code):
-        time.sleep(0.2)
-        real_exit(code)
-
-    monkeypatch.setattr(os, "_exit", slow_exit)
-    assert list(experiments._overlapped(iter([]), "x.svg", lambda: "svg")) == [
-        ("x.svg", "svg")]
-    assert len(no_leaks) == 1
+        tracer.uninstall()
+    assert code == 0
+    assert [span[0] for span in tracer.spans].count("svgplot") == 1
+    svg = (tmp_path / "spectra_k1.svg").read_bytes()
+    assert tracer.counts["svgplot.bytes"] == len(svg)

@@ -16,7 +16,8 @@ config attribute ``perfbench/check.py`` reads exists.
 
 Start-up is most of a short command's time, so the last checks import the
 command-line module in a fresh interpreter and fail if that loads a
-test-only dependency, or if parsing a command loads argparse.
+test-only dependency, if parsing a command loads argparse, or if a command
+leaves the objects its imports made to the garbage collector.
 """
 
 import ast
@@ -168,6 +169,21 @@ def test_cli_parses_without_argparse():
                          check=True).stdout
     added = out.splitlines()[-1].split()  # the last line, after list's own output
     assert "fpsearch.cli" in added and set(added) & PARSER_MODULES == set()
+
+
+def test_main_freezes_what_import_made():
+    # a command keeps its imports to its end, so no collection should walk them:
+    # after main, every object that import left is in the permanent generation
+    import fpsearch
+
+    src = Path(fpsearch.__file__).resolve().parents[1]  # the package under test
+    code = (f"import sys, gc; sys.path.insert(0, {str(src)!r}); import fpsearch.cli; "
+            "before = gc.get_objects(); assert fpsearch.cli.main(['list']) == 0; "
+            "after = {id(o) for o in gc.get_objects()}; "
+            "print(gc.get_freeze_count() >= len(before), sum(id(o) in after for o in before))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.splitlines()[-1] == "True 0"
 
 
 def test_public_names_and_version():

@@ -34,8 +34,7 @@ FLOORS = {"python -c pass": ["-c", "pass"], "python -S -c pass": ["-S", "-c", "p
 FLOOR_RUNS = 11
 PER_LAYER_REASON = (
     "the traced layers do not yet measure the functions that run: "
-    "compile_algorithm reads 0 calls on sweep-r5 and spectra-k12, and spectra's "
-    "SVG is built in a forked worker the tracer does not see (ROADMAP item 1, step A)"
+    "compile_algorithm reads 0 calls on sweep-r5 and spectra-k12 (ROADMAP item 1, step A)"
 )
 
 
